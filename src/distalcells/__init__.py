@@ -6,7 +6,6 @@ from .decomp import (
     CellInstance,
     Decomposition,
     VerificationReport,
-    boolean_lift,
     dedupe_cells,
     intersect,
     shatter_estimate,
@@ -35,7 +34,6 @@ __all__ = [
     "SplitMix64",
     "TypeCensus",
     "VerificationReport",
-    "boolean_lift",
     "census_probes_1d",
     "dedupe_cells",
     "in_pn",

@@ -6,8 +6,7 @@ Subcommands:
   zarankiewicz  grid point-line ratio sweep
   sumproduct    sum-set / product-set incidence identities
 
-Same spec and seed give byte-identical CSV output; parallel trials reduce
-deterministically.  The default thread count comes from DISTALCELLS_THREADS.
+Same spec and seed give byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -92,12 +91,10 @@ def _verification_probes(spec: ExperimentSpec, B: list):
     return None  # one-dimensional engines supply exact probes themselves
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str, threads: int) -> int:
+def run_experiment(spec: ExperimentSpec, out_dir: str) -> int:
     decomp = _build_decomposition(spec)
     generator = _make_generator(spec)
-    table = shatter_estimate(
-        decomp, generator, spec.sizes, spec.trials, seed=spec.seed, threads=threads
-    )
+    table = shatter_estimate(decomp, generator, spec.sizes, spec.trials, seed=spec.seed)
     build = build_id()
     rows = []
     failures: list[str] = []
@@ -274,11 +271,10 @@ def cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         spec.seed = args.seed
-    return run_experiment(spec, args.out_dir, args.threads)
+    return run_experiment(spec, args.out_dir)
 
 
 def main(argv=None) -> int:
-    default_threads = int(os.environ.get("DISTALCELLS_THREADS", "1"))
     parser = argparse.ArgumentParser(prog="distalcells")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -286,7 +282,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p_run.add_argument("--out-dir", default="out")
-    p_run.add_argument("--threads", type=int, default=default_threads)
     p_run.set_defaults(func=cmd_run)
 
     p_table = sub.add_parser("table", help="print the expected-exponent table")

@@ -283,20 +283,20 @@ def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConjCell:
-    chosen: tuple  # ((pred index, parameter), ...) over the chosen subset
-    extent_key: object
-    member: object  # point predicate
-    excluded: object  # parameter predicate theta_psi: some phi(.; b) crosses
-    meta: dict
+def _conj_cell(chosen: tuple, extent_key, member, excluded, interval=None) -> CellInstance:
+    """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
+    chosen subset, and `excluded` is theta_psi: some phi(.; b) crosses."""
+    return CellInstance(
+        template="conj{" + ",".join(str(i) for i, _ in chosen) + "}",
+        params=tuple(b for _, b in chosen),
+        member=member,
+        excluded=excluded,
+        extent_key=extent_key,
+        interval=interval,
+    )
 
-    @property
-    def template(self) -> str:
-        return "conj{" + ",".join(str(i) for i, _ in self.chosen) + "}"
 
-
-def conj_decomposition(family: ParamFamily, B: Sequence) -> list[ConjCell]:
+def conj_decomposition(family: ParamFamily, B: Sequence) -> list[CellInstance]:
     """T(B) for a conjunction-closed family: all conjunctions with one chosen
     instance per predicate that are nonempty and not crossed by any phi(.; b),
     deduplicated by extent.  Cells biject with the realized types."""
@@ -309,7 +309,7 @@ def conj_decomposition(family: ParamFamily, B: Sequence) -> list[ConjCell]:
     raise ValueError(f"unsupported kind {family.kind!r}")
 
 
-def _conj_cells_vl(family: ParamFamily, B: list) -> list[ConjCell]:
+def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
     # group predicates by direction of f
     dirs: dict[tuple, list[_DirPred]] = {}
     scales: dict[int, Fraction] = {}
@@ -365,7 +365,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[ConjCell]:
         per_dir.append(kept)
 
     # cartesian product over independent directions
-    cells: list[ConjCell] = []
+    cells: list[CellInstance] = []
     combos: list[tuple[list, tuple]] = [([], ())]
     for dpieces in per_dir:
         combos = [
@@ -418,7 +418,7 @@ def _dir_crossed(iv: Iv, dpreds: list[_DirPred], cuts_by_pred: dict) -> bool:
     return False
 
 
-def _make_vl_cell(family, dir_list, ivs, chosen, dirs, scales) -> ConjCell:
+def _make_vl_cell(family, dir_list, ivs, chosen, dirs, scales) -> CellInstance:
     dim = family.point_dim
 
     def coord(d: tuple, a: tuple) -> Fraction:
@@ -444,13 +444,13 @@ def _make_vl_cell(family, dir_list, ivs, chosen, dirs, scales) -> ConjCell:
         return False
 
     key = tuple((iv.lo, iv.lo_open, iv.hi, iv.hi_open) for iv in ivs)
-    meta = {}
+    interval = None
     if dim == 1 and len(dir_list) == 1 and dir_list[0] == (Fraction(1),):
-        meta["interval"] = ivs[0]
-    return ConjCell(tuple(chosen), key, member, excluded, meta)
+        interval = ivs[0]
+    return _conj_cell(tuple(chosen), key, member, excluded, interval)
 
 
-def _conj_cells_z(family: ParamFamily, B: list) -> list[ConjCell]:
+def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
     if family.point_dim != 1:
         raise ValueError("Presburger conj cells are implemented for |x| = 1")
     K = family.meta["K"]
@@ -599,47 +599,22 @@ def _zprog_covers(z: ZSet, prog: tuple[int, int], K: int) -> bool:
     return True
 
 
-def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> ConjCell:
+def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
     def member(a: tuple) -> bool:
         return z.member(a[0])
 
     def excluded(b) -> bool:
         return _z_crossed(family, z, [as_param(b, family.param_dim)], K)
 
-    return ConjCell(tuple(chosen), z.canonical(), member, excluded, {"zset": z})
+    return _conj_cell(tuple(chosen), z.canonical(), member, excluded)
 
 
 # ---------------------------------------------------------------------------
-# Decomposition wrapper and the expected-exponent table
+# Decomposition wrapper
 # ---------------------------------------------------------------------------
 
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
-    def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, family.param_dim) for b in B]
-        if not B:
-            return [
-                CellInstance(
-                    template="full", params=(),
-                    member=lambda a: True, excluded=lambda b: False,
-                    extent_key=("full",), meta={},
-                )
-            ]
-        out = []
-        for cell in conj_decomposition(family, B):
-            params = tuple(b for _, b in cell.chosen)
-            out.append(
-                CellInstance(
-                    template=cell.template,
-                    params=params,
-                    member=cell.member,
-                    excluded=cell.excluded,
-                    extent_key=cell.extent_key,
-                    meta=dict(cell.meta),
-                )
-            )
-        return out
-
     probe_fn = None
     if family.point_dim == 1:
         probe_fn = lambda B: census_probes_1d(family, B)  # noqa: E731
@@ -647,21 +622,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
         name=f"conj-{family.kind}",
         point_dim=family.point_dim,
         param_count=len(family.preds),
-        instantiate_fn=inst,
+        instantiate_fn=lambda B: conj_decomposition(family, B),
         probe_fn=probe_fn,
     )
-
-
-EXPECTED_EXPONENTS = {
-    "vector-space": "either order: exponent equals |x|",
-    "presburger": "exponent equals |x|",
-}
-
-
-def expected_exponent(tag: str, x_dim: int) -> Fraction:
-    """Distal-density metadata for the conjunction-closed structures."""
-    if tag not in ("vector-space", "presburger"):
-        raise ValueError(f"unknown structure tag {tag!r}")
-    if x_dim < 1:
-        raise ValueError("x dimension must be >= 1")
-    return Fraction(x_dim)

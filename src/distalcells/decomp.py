@@ -1,6 +1,5 @@
 """Distal cell decompositions: instantiation, the coverage / non-crossing
-verifier, the intersection combinator, boolean lifting, and shatter-function
-estimation.
+verifier, the intersection combinator, and shatter-function estimation.
 
 A decomposition is a map B -> list of cells, where each cell carries an exact
 membership predicate, an exact exclusion predicate I(Delta) over single
@@ -13,19 +12,13 @@ the probe set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Optional, Sequence
 
-from .families import (
-    ParamFamily,
-    TypeCensus,
-    as_param,
-    as_point,
-    census_probes_1d,
-    fast_truth_masks,
-    type_census_probe,
-)
+from .families import ParamFamily, as_param, as_point, fast_truth_masks
+from .linear import Iv, iv_intersect
 from .rng import SplitMix64
 
 Point = tuple[Fraction, ...]
@@ -33,28 +26,53 @@ Point = tuple[Fraction, ...]
 
 @dataclass
 class CellInstance:
+    """One cell of a decomposition instance.  Each field, and what reads it:
+
+    - template: the template's name; verify's crossing witness, intersect, induction.
+    - params: the parameters from B that define the cell; intersect, induction.
+    - member: point membership; verify, intersect, induction.
+    - excluded: the I(Delta) test for one parameter; verify, intersect, the engines.
+    - extent_key: canonical extent; dedupe_cells.
+    - interval: the 1-D extent, or None; the omin1d locator, intersect, induction.
+    - sample: a point of an induction cylinder, or None; induction.
+    - region: opaque here; read only by the engine's own locator.
+    """
+
     template: str
     params: tuple
     member: Callable[[Point], bool]
-    excluded: Callable[[tuple], bool]  # I(Delta) membership test for one parameter
+    excluded: Callable[[tuple], bool]
     extent_key: object = None
-    meta: dict = field(default_factory=dict)
+    interval: Optional[Iv] = None
+    sample: Optional[Point] = None
+    region: object = None
 
 
 @dataclass
 class Decomposition:
+    """A map B -> cells.  `locator_fn(cells)`, when given, returns
+    `locate(a)`: the indices of the cells that can contain the point a."""
+
     name: str
     point_dim: int
     param_count: int
     instantiate_fn: Callable[[list], list[CellInstance]]
     probe_fn: Optional[Callable[[list], list[Point]]] = None
-    locator_fn: Optional[Callable[[list], Callable[[Point], object]]] = None
-    template_names: tuple = ()
+    locator_fn: Optional[Callable[[list], Callable[[Point], Iterable[int]]]] = None
 
     def instantiate(self, B: Sequence) -> list[CellInstance]:
         B = list(B)
         if len(set(B)) != len(B):
             raise ValueError("parameter set contains duplicates")
+        if not B:
+            # no parameter crosses anything: the whole space is one cell
+            return [
+                CellInstance(
+                    template="full", params=(),
+                    member=lambda a: True, excluded=lambda b: False,
+                    extent_key=("full",),
+                )
+            ]
         return self.instantiate_fn(B)
 
 
@@ -68,6 +86,7 @@ class VerificationReport:
     cell_count_deduped: int
     census_lower_bound: int
     probe_count: int
+    exclusion_stride: int  # every stride-th (cell, parameter) pair checked; 1 = all
 
     @property
     def count_ok(self) -> bool:
@@ -87,6 +106,7 @@ class VerificationReport:
             "cell_count_deduped": self.cell_count_deduped,
             "census_lower_bound": self.census_lower_bound,
             "probe_count": self.probe_count,
+            "exclusion_stride": self.exclusion_stride,
             "passed": self.passed,
         }
 
@@ -127,7 +147,6 @@ def verify(
     family: ParamFamily,
     B: Sequence,
     probes: Optional[Sequence] = None,
-    check_exclusion: bool = True,
 ) -> VerificationReport:
     """Check the defining properties of a decomposition instance against an
     independent probe census.
@@ -160,38 +179,23 @@ def verify(
 
     cells = dedupe_cells(cells)
 
-    # membership table, with the engine locator as an accelerator when present
-    members: list[list[int]] = [[] for _ in cells]
-    if decomp.locator_fn is not None:
+    # membership table over the locator's candidates; the empty-B cell comes
+    # from Decomposition.instantiate, not the engine, so its locator is skipped
+    if decomp.locator_fn is not None and B:
         locate = decomp.locator_fn(cells)
-        buckets: dict[object, list[int]] = {}
-        unkeyed: list[int] = []
-        for ci, c in enumerate(cells):
-            key = c.meta.get("lockey")
-            if key is None:
-                unkeyed.append(ci)
-            else:
-                buckets.setdefault(key, []).append(ci)
-        covered_flags = []
-        for pi, a in enumerate(pts):
-            hit = False
-            for ci in buckets.get(locate(a), ()):
-                if cells[ci].member(a):
-                    members[ci].append(pi)
-                    hit = True
-            for ci in unkeyed:
-                if cells[ci].member(a):
-                    members[ci].append(pi)
-                    hit = True
-            covered_flags.append(hit)
     else:
-        covered_flags = [False] * len(pts)
-        for ci, c in enumerate(cells):
-            mem = c.member
-            for pi, a in enumerate(pts):
-                if mem(a):
-                    members[ci].append(pi)
-                    covered_flags[pi] = True
+        every = range(len(cells))
+        locate = lambda a: every  # noqa: E731
+    mems = [c.member for c in cells]
+    members: list[list[int]] = [[] for _ in cells]
+    covered_flags = []
+    for pi, a in enumerate(pts):
+        hit = False
+        for ci in locate(a):
+            if mems[ci](a):
+                members[ci].append(pi)
+                hit = True
+        covered_flags.append(hit)
 
     covered = all(covered_flags)
     first_uncovered = None
@@ -235,16 +239,15 @@ def verify(
         if not uncrossed:
             break
 
-    if check_exclusion:
-        # validate the I(Delta) implementation against its definition; on
-        # large instances a deterministic stride subsample keeps this O(5000)
-        pairs = [(ci, b) for ci in nonempty for b in B]
-        stride = max(1, len(pairs) // 5000)
-        for ci, b in pairs[::stride]:
-            if cells[ci].excluded(b):
-                raise AssertionError(
-                    f"exclusion violated: emitted cell {cells[ci].template} excluded by {b}"
-                )
+    # validate the I(Delta) implementation against its definition; on
+    # large instances a deterministic stride subsample keeps this O(5000)
+    pairs = [(ci, b) for ci in nonempty for b in B]
+    stride = max(1, len(pairs) // 5000)
+    for ci, b in pairs[::stride]:
+        if cells[ci].excluded(b):
+            raise AssertionError(
+                f"exclusion violated: emitted cell {cells[ci].template} excluded by {b}"
+            )
 
     census = len({m for m in masks})
     return VerificationReport(
@@ -256,21 +259,8 @@ def verify(
         cell_count_deduped=deduped,
         census_lower_bound=census,
         probe_count=len(pts),
+        exclusion_stride=stride,
     )
-
-
-def boolean_lift(
-    decomp: Decomposition,
-    base_family: ParamFamily,
-    derived_family: ParamFamily,
-    B: Sequence,
-    probes: Optional[Sequence] = None,
-) -> VerificationReport:
-    """Verify a decomposition built for a base family against a family of
-    boolean combinations of its predicates; non-crossing must carry over."""
-    if decomp.probe_fn is None and probes is None:
-        probes = census_probes_1d(base_family, B)
-    return verify(decomp, derived_family, B, probes=probes)
 
 
 def intersect(decomps: list[Decomposition]) -> Decomposition:
@@ -289,17 +279,12 @@ def intersect(decomps: list[Decomposition]) -> Decomposition:
             combos = [prev + [c] for prev in combos for c in layer]
         cells = []
         for combo in combos:
-            ivs = [c.meta.get("interval") for c in combo]
-            meta = {}
+            ivs = [c.interval for c in combo]
+            interval = None
             if all(iv is not None for iv in ivs):
-                from .linear import iv_intersect
-
-                cur = ivs[0]
-                for iv in ivs[1:]:
-                    cur = iv_intersect(cur, iv)
-                if cur.is_empty():
+                interval = reduce(iv_intersect, ivs)
+                if interval.is_empty():
                     continue
-                meta["interval"] = cur
             parts = tuple(c for c in combo)
             cells.append(
                 CellInstance(
@@ -308,7 +293,7 @@ def intersect(decomps: list[Decomposition]) -> Decomposition:
                     member=lambda a, parts=parts: all(c.member(a) for c in parts),
                     excluded=lambda b, parts=parts: any(c.excluded(b) for c in parts),
                     extent_key=tuple(c.extent_key for c in parts),
-                    meta=meta,
+                    interval=interval,
                 )
             )
         return cells
@@ -351,12 +336,6 @@ class ShatterTable:
     slope: float
     degenerate: bool
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"n": r.n, "trial": r.trial, "cells_raw": r.cells_raw, "cells_deduped": r.cells_deduped}
-            for r in self.rows
-        ]
-
 
 def fit_loglog_slope(sizes: Sequence[int], counts: Sequence[int]) -> tuple[float, bool]:
     """Least-squares slope of log(count) against log(n).  Degenerate tables
@@ -381,29 +360,15 @@ def shatter_estimate(
     sizes: Sequence[int],
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> ShatterTable:
     """Max deduped cell count per size over seeded trials, plus the fitted
-    log-log slope.  Trials use split PRNG streams, so thread count does not
-    change results."""
+    log-log slope.  Each trial draws from its own split PRNG stream."""
     master = SplitMix64(seed)
-    tasks = [(n, t) for n in sizes for t in range(trials)]
-
-    def run(task: tuple[int, int]) -> ShatterRow:
-        n, t = task
-        rng = master.split(n, t)
-        B = generator(rng, n)
-        cells = decomp.instantiate(B)
-        ded = dedupe_cells(cells)
-        return ShatterRow(n=n, trial=t, cells_raw=len(cells), cells_deduped=len(ded))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    rows = []
+    for n in sizes:
+        for t in range(trials):
+            cells = decomp.instantiate(generator(master.split(n, t), n))
+            rows.append(ShatterRow(n, t, len(cells), len(dedupe_cells(cells))))
 
     max_counts = []
     for n in sizes:

@@ -206,9 +206,11 @@ def load_experiment(obj: dict) -> ExperimentSpec:
     family = load_family(obj.get("family"), "/family")
     if family.kind not in kinds:
         raise SpecError("/family/kind", f"kind {family.kind!r} incompatible with {structure!r}")
-    if engine == "dim-induction" and family.point_dim < 2:
-        raise SpecError("/family/point_dim", "dim-induction needs |x| >= 2")
-    if engine in ("omin1d", "padic") and family.point_dim != 1:
+    # run's verify needs probes: the 1-D engines build exact ones, and
+    # plane_probes covers dim-induction at |x| = 2 only
+    if engine == "dim-induction" and family.point_dim != 2:
+        raise SpecError("/family/point_dim", "dim-induction needs |x| = 2")
+    if engine in ("omin1d", "padic", "conj-cells") and family.point_dim != 1:
         raise SpecError("/family/point_dim", f"{engine} needs |x| = 1")
     sizes = obj.get("sizes")
     if not isinstance(sizes, list) or not sizes or not all(

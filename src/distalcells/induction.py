@@ -262,14 +262,6 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, e) for b in B]
-        if not B:
-            return [
-                CellInstance(
-                    template="full", params=(),
-                    member=lambda a: True, excluded=lambda b: False,
-                    extent_key=("full",), meta={},
-                )
-            ]
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
@@ -283,10 +275,8 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 B_der = [b1 + b2 + b for b in B]
                 for base_cell in bases[ti].instantiate(B_der):
                     cell = _cyl_cell(family, df, ti, b1, b2, base_cell)
-                    if cell.meta.get("empty"):
-                        continue
                     # T(B) keeps only potential cells missed by every I(Delta)
-                    if not any(cell.excluded(b) for b in B):
+                    if cell is not None and not any(cell.excluded(b) for b in B):
                         cells.append(cell)
         return cells
 
@@ -300,13 +290,15 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
 
 def _base_sample(base_cell: CellInstance) -> Optional[tuple]:
-    iv = base_cell.meta.get("interval")
-    if iv is not None:
-        return (iv.sample(),)
-    return base_cell.meta.get("sample")
+    if base_cell.interval is not None:
+        return (base_cell.interval.sample(),)
+    return base_cell.sample
 
 
-def _cyl_cell(family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstance) -> CellInstance:
+def _cyl_cell(
+    family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstance
+) -> Optional[CellInstance]:
+    """The cylinder of template df over base_cell, or None when it is empty."""
     tpl = df.template
     psi = tpl.formula
     d = family.point_dim
@@ -330,7 +322,6 @@ def _cyl_cell(family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstanc
         # base cell its value at the sample decides it everywhere
         return df.family.evaluate(0, base_pt, b_der)
 
-    meta: dict = {"base": base_cell}
     sample = None
     if base_pt is not None:
         from .linear import components_1d, iv_intersect
@@ -340,7 +331,7 @@ def _cyl_cell(family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstanc
         if comps:
             sample = (comps[0].sample(),) + tuple(base_pt)
         else:
-            base_iv = base_cell.meta.get("interval")
+            base_iv = base_cell.interval
             if base_iv is not None:
                 # fiber empty at the sample: find a base point where the
                 # fiber is inhabited (or certify the cylinder empty)
@@ -356,15 +347,14 @@ def _cyl_cell(family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstanc
                             sample = (comps[0].sample(), alt)
                             break
                 else:
-                    meta["empty"] = True
-    meta["sample"] = sample
+                    return None
     return CellInstance(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         member=member,
         excluded=excluded,
         extent_key=(ti, b1, b2, base_cell.extent_key),
-        meta=meta,
+        sample=sample,
     )
 
 

@@ -318,10 +318,6 @@ def eliminate_exists(f, var: int) -> tuple:
     return f_or(*parts)
 
 
-def eliminate_forall(f, var: int) -> tuple:
-    return f_not(eliminate_exists(f_not(f), var))
-
-
 # ---------------------------------------------------------------------------
 # Intervals over Q with open/closed rational endpoints (None = unbounded).
 # ---------------------------------------------------------------------------

@@ -39,14 +39,6 @@ def cut_key(extent) -> tuple:
     return (1, extent.value, extent.closed)
 
 
-def cut_contains(extent, x: Fraction) -> bool:
-    if extent == EMPTY:
-        return False
-    if extent == FULL:
-        return True
-    return x < extent.value or (x == extent.value and extent.closed)
-
-
 @dataclass(frozen=True)
 class DownwardSet:
     pred: int
@@ -173,20 +165,9 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, family.param_dim) for b in B]
         comp_cache.clear()
-        if not B:
-            return [
-                CellInstance(
-                    template="full",
-                    params=(),
-                    member=lambda a: True,
-                    excluded=lambda b: False,
-                    extent_key=(None, True, None, True),
-                    meta={"interval": Iv.full(), "lockey": 0},
-                )
-            ]
         sets = downward_family(family, B)
         cells = []
-        for idx, (iv, lo_src, hi_src) in enumerate(chain_atoms(sets)):
+        for iv, lo_src, hi_src in chain_atoms(sets):
             params = tuple(
                 B[d.param_index] for d in (lo_src, hi_src) if d is not None
             )
@@ -197,7 +178,7 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
                     member=lambda a, iv=iv: iv.member(a[0]),
                     excluded=make_excluded(iv),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
-                    meta={"interval": iv, "lockey": idx},
+                    interval=iv,
                 )
             )
         return cells
@@ -220,21 +201,21 @@ def _iv_order_key(iv: Iv):
 
 def interval_locator(cells: list[CellInstance]):
     """Binary-search locator over interval cells that partition the line."""
-    keyed = [(c.meta["interval"], c.meta["lockey"]) for c in cells if "interval" in c.meta]
+    keyed = [(c.interval, ci) for ci, c in enumerate(cells)]
     keyed.sort(key=lambda t: _iv_order_key(t[0]))
 
-    def locate(a) -> object:
+    def locate(a) -> tuple[int, ...]:
         x = a[0]
         lo, hi = 0, len(keyed) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             iv = keyed[mid][0]
             if iv.member(x):
-                return keyed[mid][1]
+                return (keyed[mid][1],)
             if iv.hi is not None and (x > iv.hi or (x == iv.hi and iv.hi_open)):
                 lo = mid + 1
             else:
                 hi = mid - 1
-        return None
+        return ()
 
     return locate

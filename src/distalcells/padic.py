@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_param
@@ -339,6 +339,15 @@ def _edge_levels(sub: Subinterval, lo_width: int, hi_width: int) -> list[int]:
     return [r for r in sorted(levels) if sub.alpha_l < Gamma.of(r) <= sub.alpha_u]
 
 
+class Region(NamedTuple):
+    """Where a p-adic cell lies: the instance's ball forest, the forest node
+    its subinterval is tagged with, and the subinterval itself."""
+
+    forest: BallForest
+    node: int
+    sub: Subinterval
+
+
 # ---------------------------------------------------------------------------
 # The Macintyre-language decomposition (root-power predicates)
 # ---------------------------------------------------------------------------
@@ -357,8 +366,6 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, family.param_dim) for b in B]
-        if not B:
-            return [_full_cell()]
         forest, tagged = arrangement(special_balls(F, C, B, p))
         vcache: dict = {}
 
@@ -403,7 +410,7 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                         member=lambda a, t=t: a[0] == t,
                         excluded=lambda b: False,
                         extent_key=(sub.key(), ("pt",)),
-                        meta={"lockey": ai, "forest": forest, "sub": sub},
+                        region=Region(forest, ai, sub),
                     )
                 )
                 continue
@@ -438,7 +445,7 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                     member=lambda a, mem=mem: mem(a[0]),
                     excluded=excl,
                     extent_key=(sub.key(), desc),
-                    meta={"lockey": ai, "forest": forest, "sub": sub},
+                    region=Region(forest, ai, sub),
                 )
                 if not any(cell.excluded(b) for b in B):
                     cells.append(cell)
@@ -504,8 +511,6 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, family.param_dim) for b in B]
-        if not B:
-            return [_full_cell()]
         forest, tagged = arrangement(laff_balls(C, B, p))
         cells: list[CellInstance] = []
         for ai, sub in tagged:
@@ -517,7 +522,7 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                         member=lambda a, t=t: a[0] == t,
                         excluded=lambda b: False,
                         extent_key=(sub.key(), ("pt",)),
-                        meta={"lockey": ai, "forest": forest, "sub": sub},
+                        region=Region(forest, ai, sub),
                     )
                 )
                 continue
@@ -552,7 +557,7 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                     member=lambda a, mem=mem: mem(a[0]),
                     excluded=excl,
                     extent_key=(sub.key(), desc),
-                    meta={"lockey": ai, "forest": forest, "sub": sub},
+                    region=Region(forest, ai, sub),
                 )
                 if not any(cell.excluded(b) for b in B):
                     cells.append(cell)
@@ -568,25 +573,17 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
     )
 
 
-def _full_cell() -> CellInstance:
-    return CellInstance(
-        template="full", params=(),
-        member=lambda a: True, excluded=lambda b: False,
-        extent_key=("full",), meta={},
-    )
-
-
 def _forest_locator(cells: list[CellInstance]):
-    forest = None
-    for c in cells:
-        forest = c.meta.get("forest")
-        if forest is not None:
-            break
-    if forest is None:
-        return None
+    """Candidates for x: the cells of the subinterval the forest puts x in."""
+    if not cells:
+        return lambda a: ()
+    forest = cells[0].region.forest
+    by_node: dict[int, list[int]] = {}
+    for ci, c in enumerate(cells):
+        by_node.setdefault(c.region.node, []).append(ci)
 
-    def locate(a) -> int:
-        return forest.locate(a[0])
+    def locate(a) -> list[int]:
+        return by_node.get(forest.locate(a[0]), [])
 
     return locate
 

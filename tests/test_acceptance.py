@@ -407,9 +407,7 @@ def test_acceptance_7_macintyre_dcd():
         C, Fs = fam.meta["C"], fam.meta["F"]
         t_values = {c((b,)): True for b in B for c in C}
         for cell in cells:
-            sub = cell.meta.get("sub")
-            if sub is None:
-                continue
+            sub = cell.region.sub
             assert sub.center in t_values
             for alpha in (sub.alpha_l, sub.alpha_u):
                 if not alpha.is_finite:

@@ -63,6 +63,34 @@ def test_schema_error_engine_mismatch(tmp_path):
     assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_schema_error_conj_cells_point_dim(tmp_path, capsys):
+    payload = {
+        "structure": "vector-linear",
+        "family": {
+            "kind": "vector-linear", "point_dim": 2, "param_dim": 1,
+            "predicates": [{"f": [1, 1], "g": [-1], "rel": "trichotomy"}],
+        },
+        "sizes": [4, 8], "trials": 1, "seed": 1,
+    }
+    spec = _write_spec(tmp_path, payload)
+    assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "/family/point_dim" in capsys.readouterr().err
+
+
+def test_schema_error_plane_point_dim(tmp_path, capsys):
+    payload = {
+        "structure": "semilinear-plane",
+        "family": {
+            "kind": "semilinear", "point_dim": 3, "param_dim": 1,
+            "predicates": [{"atom": {"x": [1, 0, 0], "y": [-1], "rel": "<"}}],
+        },
+        "sizes": [2, 3], "trials": 1, "seed": 1,
+    }
+    spec = _write_spec(tmp_path, payload)
+    assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "/family/point_dim" in capsys.readouterr().err
+
+
 def test_schema_error_missing_seed():
     payload = {k: v for k, v in OMIN_SPEC.items() if k != "seed"}
     with pytest.raises(SpecError) as err:

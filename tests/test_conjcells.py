@@ -1,12 +1,9 @@
 from fractions import Fraction as F
 
-import pytest
-
 from distalcells.conjcells import (
     build_decomposition,
     check_conjunction_property,
     conj_decomposition,
-    expected_exponent,
     negation_closure_check,
 )
 from distalcells.decomp import verify
@@ -175,10 +172,3 @@ def test_congruence_unrealizable_certificates_match_exhaustive():
                 found = True
         assert not found, f"certificate {cert} but conjunction realizable"
 
-
-def test_expected_exponent_table():
-    assert expected_exponent("vector-space", 1) == 1
-    assert expected_exponent("presburger", 2) == 2
-    assert expected_exponent("vector-space", 3) == 3
-    with pytest.raises(ValueError):
-        expected_exponent("o-minimal-field", 2)

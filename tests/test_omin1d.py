@@ -95,7 +95,7 @@ def test_instantiate_x_lt_y():
     decomp = build_decomposition(_x_lt_y())
     cells = decomp.instantiate([F(0), F(2)])
     ivs = sorted(
-        (c.meta["interval"] for c in dedupe_cells(cells)),
+        (c.interval for c in dedupe_cells(cells)),
         key=lambda iv: (iv.lo is not None, iv.lo or F(0)),
     )
     assert ivs == [

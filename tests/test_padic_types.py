@@ -16,9 +16,8 @@ def test_types_per_subinterval_bounds_cells_per_atom():
     cells = dedupe_cells(macintyre_dcd(fam).instantiate([F(0), F(1), F(3)]))
     per_atom: dict = {}
     for c in cells:
-        sub = c.meta.get("sub")
-        if sub is not None:
-            per_atom[sub.key()] = per_atom.get(sub.key(), 0) + 1
+        key = c.region.sub.key()
+        per_atom[key] = per_atom.get(key, 0) + 1
     assert max(per_atom.values()) <= cap
 
 
@@ -30,7 +29,6 @@ def test_types_per_subinterval_laff():
     cells = dedupe_cells(laff_dcd_1d(fam).instantiate([F(0), F(1), F(3)]))
     per_atom: dict = {}
     for c in cells:
-        sub = c.meta.get("sub")
-        if sub is not None:
-            per_atom[sub.key()] = per_atom.get(sub.key(), 0) + 1
+        key = c.region.sub.key()
+        per_atom[key] = per_atom.get(key, 0) + 1
     assert max(per_atom.values()) <= cap
