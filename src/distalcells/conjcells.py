@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_param, census_probes_1d
@@ -60,7 +60,7 @@ def check_conjunction_property(family: ParamFamily, B: Sequence) -> ConjCheck:
         elif family.kind == "congruence":
             if pred.rel == "mod":
                 K = family.meta["K"]
-                vals = [int(pred.g(b)) % K for b in B]
+                vals = [_integer(pred.g(b) + pred.f.const) % K for b in B]
                 j = _first_difference(vals)
                 if j is None:
                     witnesses[i] = B[0]
@@ -186,73 +186,77 @@ class _DirPred:
 
 
 # ---------------------------------------------------------------------------
-# Integer extents (interval + single merged congruence) for Presburger cells
+# Integer extents (closed integer bounds + one merged congruence) for
+# Presburger cells and for the truth sets of Presburger atoms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZSet:
-    iv: Iv
+class ZSet(NamedTuple):
+    """The integers x with lo <= x <= hi and x = res (mod mod); None is an
+    unbounded end.  Kept normal: 0 <= res < mod, each bounded end is a
+    member, and the set is nonempty (`_zset` normalizes loose bounds)."""
+
+    lo: Optional[int]
+    hi: Optional[int]
     mod: int
     res: int
 
     def member(self, x: Fraction) -> bool:
         if x.denominator != 1:
             return False
-        return self.iv.member(x) and x.numerator % self.mod == self.res
+        v = x.numerator
+        return (
+            (self.lo is None or v >= self.lo)
+            and (self.hi is None or v <= self.hi)
+            and v % self.mod == self.res
+        )
 
-    def min_member(self) -> Optional[int]:
-        if self.iv.lo is None:
-            return None
-        lo = self.iv.lo
-        start = math.floor(lo)
-        if not self.iv.member(Fraction(start)):
-            start += 1
-        k = (self.res - start) % self.mod
-        cand = start + k
-        if self.iv.hi is not None and not self.iv.member(Fraction(cand)):
-            return None
-        return cand
+    def canonical(self) -> tuple:
+        if self.lo is not None and self.lo == self.hi:
+            return ("pt", self.lo)
+        return ("z", self.lo, self.hi, self.mod, self.res)
 
-    def max_member(self) -> Optional[int]:
-        if self.iv.hi is None:
-            return None
-        hi = math.ceil(self.iv.hi)
-        if not self.iv.member(Fraction(hi)):
-            hi -= 1
-        k = (hi - self.res) % self.mod
-        cand = hi - k
-        if not self.iv.member(Fraction(cand)):
-            return None
-        return cand
 
-    def is_empty(self) -> bool:
-        if self.iv.is_empty():
-            return True
-        if self.iv.lo is not None:
-            m = self.min_member()
-            return m is None or not self.iv.member(Fraction(m))
-        if self.iv.hi is not None:
-            return self.max_member() is None
+def _zset(lo: Optional[int], hi: Optional[int], mod: int, res: int) -> Optional[ZSet]:
+    """The integers of [lo, hi] congruent to res mod `mod`, with both ends
+    pulled in to members; None when there are none."""
+    res %= mod
+    if lo is not None:
+        lo += (res - lo) % mod
+    if hi is not None:
+        hi -= (hi - res) % mod
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return ZSet(lo, hi, mod, res)
+
+
+_ZFULL = ZSet(None, None, 1, 0)
+
+
+def _meet(z: ZSet, t: ZSet) -> Optional[ZSet]:
+    lo = z.lo if t.lo is None or (z.lo is not None and z.lo >= t.lo) else t.lo
+    hi = z.hi if t.hi is None or (z.hi is not None and z.hi <= t.hi) else t.hi
+    if t.mod == 1:
+        return _zset(lo, hi, z.mod, z.res)
+    merged = _crt(z.mod, z.res, t.mod, t.res)
+    return None if merged is None else _zset(lo, hi, *merged)
+
+
+def _within(z: ZSet, t: ZSet) -> bool:
+    """Every member of z is a member of t."""
+    if t.lo is not None and (z.lo is None or z.lo < t.lo):
         return False
+    if t.hi is not None and (z.hi is None or z.hi > t.hi):
+        return False
+    if z.lo is not None and z.lo == z.hi:
+        return z.lo % t.mod == t.res
+    # two members or more, a step of z.mod apart
+    return z.mod % t.mod == 0 and z.res % t.mod == t.res
 
-    def canonical(self):
-        if self.is_empty():
-            return ("empty",)
-        lo = self.min_member() if self.iv.lo is not None else None
-        hi = self.max_member() if self.iv.hi is not None else None
-        if lo is not None and hi is not None and lo == hi:
-            return ("pt", lo)
-        return ("z", lo, hi, self.mod, self.res % self.mod)
 
-    def sample(self) -> Optional[int]:
-        m = self.min_member()
-        if m is not None:
-            return m
-        m = self.max_member()
-        if m is not None:
-            return m
-        return self.res  # doubly unbounded
+def _crosses(z: ZSet, t: ZSet) -> bool:
+    """t holds on some members of z but not on all."""
+    return not _within(z, t) and _meet(z, t) is not None
 
 
 def _crt(m1: int, r1: int, m2: int, r2: int) -> Optional[tuple[int, int]]:
@@ -454,149 +458,63 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
     if family.point_dim != 1:
         raise ValueError("Presburger conj cells are implemented for |x| = 1")
     K = family.meta["K"]
-    order_preds = [i for i, p in enumerate(family.preds) if p.rel != "mod"]
-    mod_preds = [i for i, p in enumerate(family.preds) if p.rel == "mod"]
+    # each predicate's distinct truth sets over B, with the first b giving each
+    table: list[dict[ZSet, object]] = []
+    for p in family.preds:
+        sets: dict[ZSet, object] = {}
+        for b in B:
+            t = _z_truth_set(p, b, K)
+            if t is not None:
+                sets.setdefault(t, b)
+        table.append(sets)
 
     # layered enumeration: order atoms pin an interval, congruence atoms pin
     # a progression; dedupe extensionally after every predicate
-    options: dict[tuple, tuple[ZSet, tuple]] = {}
-    start = ZSet(Iv.full(), 1, 0)
-    options[start.canonical()] = (start, ())
-    for i in order_preds:
-        p = family.preds[i]
-        a = p.f.coeffs[0]
-        pieces: dict[object, tuple[Iv, object]] = {}
-        for b in B:
-            if a == 0:
-                if _const_rel(p.f.const, p.g(b), p.rel):
-                    pieces.setdefault("full", (Iv.full(), b))
-                continue
-            v = (p.g(b) - p.f.const) / a
-            rel = p.rel if a > 0 else {"<": ">", ">": "<", "=": "="}[p.rel]
-            if rel == "<":
-                piece = Iv(None, True, v, True)
-            elif rel == ">":
-                piece = Iv(v, True, None, True)
-            else:
-                piece = Iv.point(v)
-            pieces.setdefault(_iv_key(piece), (piece, b))
+    options: dict[tuple, tuple[ZSet, tuple]] = {_ZFULL.canonical(): (_ZFULL, ())}
+    order_preds = [i for i, p in enumerate(family.preds) if p.rel != "mod"]
+    mod_preds = [i for i, p in enumerate(family.preds) if p.rel == "mod"]
+    for i in order_preds + mod_preds:
         new_options = dict(options)
         for z, chosen in options.values():
-            for piece, b in pieces.values():
-                cut = ZSet(iv_intersect(z.iv, piece), z.mod, z.res)
-                if not cut.is_empty():
-                    new_options.setdefault(cut.canonical(), (cut, chosen + ((i, b),)))
-        options = new_options
-    for i in mod_preds:
-        p = family.preds[i]
-        a = int(p.f.coeffs[0])
-        progs: dict[int, tuple[tuple[int, int], object]] = {}
-        for b in B:
-            gb = int(p.g(b))
-            if gb % K in progs:
-                continue
-            prog = _solve_linear_mod(a, (-gb - int(p.f.const)) % K, K)
-            if prog is not None:
-                progs[gb % K] = (prog, b)
-        new_options = dict(options)
-        for z, chosen in options.values():
-            for (m, r), b in progs.values():
-                merged = _crt(z.mod, z.res, m, r)
-                if merged is None:
-                    continue
-                cut = ZSet(z.iv, merged[0], merged[1])
-                if not cut.is_empty():
+            for t, b in table[i].items():
+                cut = _meet(z, t)
+                if cut is not None:
                     new_options.setdefault(cut.canonical(), (cut, chosen + ((i, b),)))
         options = new_options
 
-    kept: dict = {}
-    for z, chosen in options.values():
-        key = z.canonical()
-        if key in kept:
-            continue
-        if _z_crossed(family, z, B, K):
-            continue
-        kept[key] = _make_z_cell(family, z, chosen, K)
-    return list(kept.values())
+    truth_sets = list(dict.fromkeys(t for sets in table for t in sets))
+    return [
+        _make_z_cell(family, z, chosen, K)
+        for z, chosen in options.values()
+        if not any(_crosses(z, t) for t in truth_sets)
+    ]
 
 
-def _const_rel(lhs: Fraction, rhs: Fraction, rel: str) -> bool:
-    return lhs < rhs if rel == "<" else (lhs == rhs if rel == "=" else lhs > rhs)
+def _integer(v: Fraction) -> int:
+    if v.denominator != 1:
+        raise ValueError("congruence atoms need integer values")
+    return v.numerator
 
 
-def _z_truth_set(family, i: int, b, K: int) -> tuple[str, object]:
-    """The set where pred i holds at parameter b, as ("iv", Iv) for order
-    atoms or ("prog", (mod, res) | None) for congruence atoms."""
-    p = family.preds[i]
+def _z_truth_set(p, b, K: int) -> Optional[ZSet]:
+    """The integers where atom p holds at parameter b; None if there are none."""
     if p.rel == "mod":
-        a = int(p.f.coeffs[0])
-        prog = _solve_linear_mod(a, (-int(p.g(b)) - int(p.f.const)) % K, K)
-        return ("prog", prog)
+        prog = _solve_linear_mod(
+            _integer(p.f.coeffs[0]), -_integer(p.g(b) + p.f.const), K
+        )
+        return None if prog is None else ZSet(None, None, *prog)
     a = p.f.coeffs[0]
+    rhs = p.g(b) - p.f.const
     if a == 0:
-        return ("iv", Iv.full() if _const_rel(p.f.const, p.g(b), p.rel) else Iv(F1, False, F0, False))
-    v = (p.g(b) - p.f.const) / a
+        holds = 0 < rhs if p.rel == "<" else (0 == rhs if p.rel == "=" else 0 > rhs)
+        return _ZFULL if holds else None
+    v = rhs / a
     rel = p.rel if a > 0 else {"<": ">", ">": "<", "=": "="}[p.rel]
     if rel == "<":
-        return ("iv", Iv(None, True, v, True))
+        return ZSet(None, math.ceil(v) - 1, 1, 0)
     if rel == ">":
-        return ("iv", Iv(v, True, None, True))
-    return ("iv", Iv.point(v))
-
-
-F0, F1 = Fraction(0), Fraction(1)
-
-
-def _z_crossed(family, z: ZSet, B: list, K: int) -> bool:
-    for i in range(len(family.preds)):
-        for b in B:
-            kind, obj = _z_truth_set(family, i, b, K)
-            if kind == "iv":
-                inside = ZSet(iv_intersect(z.iv, obj), z.mod, z.res)
-                if inside.is_empty():
-                    continue
-                if not _zset_subset_iv(z, obj):
-                    return True
-            else:
-                if obj is None:
-                    continue  # predicate false everywhere: no crossing
-                merged = _crt(z.mod, z.res, obj[0], obj[1])
-                inside_nonempty = merged is not None and not ZSet(z.iv, merged[0], merged[1]).is_empty()
-                if not inside_nonempty:
-                    continue
-                if not _zprog_covers(z, obj, K):
-                    return True
-    return False
-
-
-def _zset_subset_iv(z: ZSet, iv: Iv) -> bool:
-    """All members of a nonempty ZSet lie in iv; exact by convexity, since
-    the realized extremes bracket every other member."""
-    lo, hi = z.min_member(), z.max_member()
-    if lo is None and iv.lo is not None:
-        return False
-    if hi is None and iv.hi is not None:
-        return False
-    if lo is not None and not iv.member(Fraction(lo)):
-        return False
-    if hi is not None and not iv.member(Fraction(hi)):
-        return False
-    return True
-
-
-def _zprog_covers(z: ZSet, prog: tuple[int, int], K: int) -> bool:
-    """Does the progression (mod, res) contain every member of the nonempty
-    ZSet?  Members step by z.mod, so beyond a sample membership it reduces to
-    divisibility of the step."""
-    m, r = prog
-    lo, hi = z.min_member(), z.max_member()
-    sample = lo if lo is not None else (hi if hi is not None else z.res)
-    if sample % m != r % m:
-        return False
-    single = lo is not None and hi is not None and lo == hi
-    if not single and z.mod % m != 0:
-        return False
-    return True
+        return ZSet(math.floor(v) + 1, None, 1, 0)
+    return ZSet(v.numerator, v.numerator, 1, 0) if v.denominator == 1 else None
 
 
 def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
@@ -604,7 +522,12 @@ def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
         return z.member(a[0])
 
     def excluded(b) -> bool:
-        return _z_crossed(family, z, [as_param(b, family.param_dim)], K)
+        b = as_param(b, family.param_dim)
+        for p in family.preds:
+            t = _z_truth_set(p, b, K)
+            if t is not None and _crosses(z, t):
+                return True
+        return False
 
     return _conj_cell(tuple(chosen), z.canonical(), member, excluded)
 

@@ -47,6 +47,25 @@ def _rats(values, path: str) -> list[Fraction]:
     return [_rat(v, f"{path}/{i}") for i, v in enumerate(values)]
 
 
+def _count(value, path: str, least: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise SpecError(path, f"integer >= {least} required")
+    return value
+
+
+def _integer_entries(obj, path: str) -> None:
+    """Reject a non-integer entry of a coefficient list or {coeffs, const}
+    object (already parsed by `_affine`)."""
+    if isinstance(obj, list):
+        entries = [(f"{path}/{j}", v) for j, v in enumerate(obj)]
+    else:
+        entries = [(f"{path}/coeffs/{j}", v) for j, v in enumerate(obj.get("coeffs", []))]
+        entries.append((f"{path}/const", obj.get("const", 0)))
+    for where, v in entries:
+        if _rat(v, where).denominator != 1:
+            raise SpecError(where, "congruence atoms need integer values")
+
+
 def _affine(obj, path: str) -> AffineMap:
     if isinstance(obj, list):
         return AffineMap.of(_rats(obj, path), 0)
@@ -90,8 +109,8 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
     if not isinstance(obj, dict):
         raise SpecError(path, "family descriptor must be an object")
     kind = obj.get("kind")
-    point_dim = obj.get("point_dim", 1)
-    param_dim = obj.get("param_dim", 1)
+    point_dim = _count(obj.get("point_dim", 1), f"{path}/point_dim", 1)
+    param_dim = _count(obj.get("param_dim", 1), f"{path}/param_dim", 1)
     if kind == "semilinear":
         preds = [
             _formula(f, point_dim, param_dim, f"{path}/predicates/{i}")
@@ -129,6 +148,10 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
             g = AffineMap(g_map.coeffs, g_map.const + c)
             typ = a.get("type", "order")
             if typ == "mod":
+                _integer_entries(a.get("f"), f"{p}/f")
+                _integer_entries(a.get("g"), f"{p}/g")
+                if c.denominator != 1:
+                    raise SpecError(f"{p}/c", "congruence atoms need integer values")
                 atoms.append(CongAtom(f, g, "mod"))
             elif typ == "order":
                 rel = a.get("rel")
@@ -226,6 +249,8 @@ def load_experiment(obj: dict) -> ExperimentSpec:
     expected = obj.get("expected_slope")
     if expected is not None and not isinstance(expected, (int, float)):
         raise SpecError("/expected_slope", "number expected")
+    verify_instances = _count(obj.get("verify_instances", 2), "/verify_instances", 0)
+    generator = _generator(obj.get("generator", {}) or {}, structure)
     return ExperimentSpec(
         experiment_id=str(obj.get("experiment_id", "experiment")),
         structure=structure,
@@ -234,7 +259,23 @@ def load_experiment(obj: dict) -> ExperimentSpec:
         sizes=sizes,
         trials=trials,
         seed=seed,
-        verify_instances=int(obj.get("verify_instances", 2)),
+        verify_instances=verify_instances,
         expected_slope=expected,
-        generator=obj.get("generator", {}) or {},
+        generator=generator,
     )
+
+
+def _generator(gen, structure: str) -> dict:
+    """Check the parameter sampler block; absent fields keep the sampler's
+    defaults.  Presburger parameters are integers, since the structure is Z."""
+    if not isinstance(gen, dict):
+        raise SpecError("/generator", "generator must be an object")
+    kind = gen.get("kind")
+    if kind is not None and kind not in ("integers", "rationals", "padic-rationals"):
+        raise SpecError("/generator/kind", f"unknown generator {kind!r}")
+    if structure == "presburger" and kind not in (None, "integers"):
+        raise SpecError("/generator/kind", "presburger parameters are integers")
+    for name in ("height", "den"):
+        if name in gen:
+            _count(gen[name], f"/generator/{name}", 1)
+    return gen

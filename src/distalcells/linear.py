@@ -84,15 +84,22 @@ class Atom:
         scale = Fraction(den_lcm, num_gcd)
         return Atom(tuple(c * scale for c in coeffs), self.const * scale, self.rel)
 
-    def value(self, assignment: Sequence[Fraction]) -> Fraction:
-        acc = self.const
+    def _ratio(self, assignment: Sequence[Fraction]) -> tuple[int, int]:
+        """(num, den) in plain ints, den > 0, with value = num / den."""
+        num, den = self.const.numerator, self.const.denominator
         for c, a in zip(self.coeffs, assignment):
             if c:
-                acc += c * a
-        return acc
+                d = c.denominator * a.denominator
+                num = num * d + c.numerator * a.numerator * den
+                den *= d
+        return num, den
+
+    def value(self, assignment: Sequence[Fraction]) -> Fraction:
+        return Fraction(*self._ratio(assignment))
 
     def eval(self, assignment: Sequence[Fraction]) -> bool:
-        return _cmp(self.value(assignment), self.rel)
+        # den > 0, so the numerator carries the sign
+        return _cmp(self._ratio(assignment)[0], self.rel)
 
 
 def _cmp(v: Fraction, rel: str) -> bool:

@@ -150,19 +150,28 @@ class BallForest:
 
 def ball_forest(balls: Sequence[UltrametricBall]) -> BallForest:
     """Containment forest of a deduplicated ball family; by the ultrametric
-    property comparability coincides with intersection."""
+    property comparability coincides with intersection.  A ball's parent is
+    the deepest strictly larger ball around its centre: the first key
+    (level, truncate(centre, level)) present, scanning the levels below its
+    radius deepest first, else the whole line when the family has it."""
     balls = dedupe_balls(balls)
-    n = len(balls)
-    parent: list[Optional[int]] = [None] * n
+    index = {b.key(): i for i, b in enumerate(balls)}
+    levels = sorted({b.radius.level for b in balls if b.radius.is_finite}, reverse=True)
+    whole = index.get((-1, 0, Fraction(0)))
+    parent: list[Optional[int]] = []
     for i, b in enumerate(balls):
         best = None
-        for j, other in enumerate(balls):
-            if i == j or not other.contains(b) or other.same_extent(b):
-                continue
-            if best is None or balls[best].contains(other):
-                best = j
-        parent[i] = best
-    children: list[list[int]] = [[] for _ in range(n)]
+        if b.radius != NEG_INF:
+            for r in levels:
+                if b.radius <= r:
+                    continue
+                best = index.get((0, r, truncate(b.center, b.p, r)))
+                if best is not None:
+                    break
+            else:
+                best = whole
+        parent.append(best)
+    children: list[list[int]] = [[] for _ in balls]
     for i, par in enumerate(parent):
         if par is not None:
             children[par].append(i)
@@ -367,17 +376,22 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, family.param_dim) for b in B]
         forest, tagged = arrangement(special_balls(F, C, B, p))
+        bcache: dict = {}
         vcache: dict = {}
+
+        def at_param(b: tuple):
+            """The centres c(b) and the radii v(f(b)) of one parameter."""
+            got = bcache.get(b)
+            if got is None:
+                got = bcache[b] = ([c(b) for c in C], [valuation(f(b), p) for f in F])
+            return got
 
         def vals_at(t: Fraction, b: tuple):
             key = (t, b)
             got = vcache.get(key)
             if got is None:
-                got = (
-                    [valuation(t - c(b), p) for c in C],
-                    [valuation(f(b), p) for f in F],
-                )
-                vcache[key] = got
+                cbs, vf = at_param(b)
+                got = vcache[key] = ([valuation(t - cb, p) for cb in cbs], vf)
             return got
 
         def make_excluded(sub: Subinterval, swallow_q: Optional[Fraction]):
@@ -393,8 +407,8 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                         if a_l < vf[fi] < a_u and vf[fi] < vtc[ci]:
                             return True
                 if swallow_q is not None:
-                    for c in C:
-                        if valuation(swallow_q - c(b), p) > a_u:
+                    for cb in at_param(b)[0]:
+                        if valuation(swallow_q - cb, p) > a_u:
                             return True
                 return False
 
@@ -415,6 +429,9 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                 )
                 continue
             excl_plain = make_excluded(sub, None)
+            # every cell's exclusion test starts with excl_plain's
+            if any(excl_plain(b) for b in B):
+                continue
             emitted: list[tuple] = []
             for lam in reps:
                 res = valuation_int(lam, p) % n
@@ -437,18 +454,19 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                         return valuation(x - q, p) > Gamma.of(r + marg)
 
                     excl = make_excluded(sub, q) if at_removal else excl_plain
-                    emitted.append((mem, ("edge", r, u), excl))
+                    if excl is excl_plain or not any(excl(b) for b in B):
+                        emitted.append((mem, ("edge", r, u), excl))
             for mem, desc, excl in emitted:
-                cell = CellInstance(
-                    template=f"sub{desc[0]}",
-                    params=(),
-                    member=lambda a, mem=mem: mem(a[0]),
-                    excluded=excl,
-                    extent_key=(sub.key(), desc),
-                    region=Region(forest, ai, sub),
+                cells.append(
+                    CellInstance(
+                        template=f"sub{desc[0]}",
+                        params=(),
+                        member=lambda a, mem=mem: mem(a[0]),
+                        excluded=excl,
+                        extent_key=(sub.key(), desc),
+                        region=Region(forest, ai, sub),
+                    )
                 )
-                if not any(cell.excluded(b) for b in B):
-                    cells.append(cell)
         return cells
 
     return Decomposition(
@@ -527,6 +545,8 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                 )
                 continue
             excl = make_excluded(sub)
+            if any(excl(b) for b in B):
+                continue  # excl is every cell's test for this subinterval
             emitted: list[tuple] = []
             for lam in reps:
                 res = valuation_int(lam, p) % m
@@ -551,16 +571,16 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
 
                     emitted.append((mem, ("edge", r, u)))
             for mem, desc in emitted:
-                cell = CellInstance(
-                    template=f"sub{desc[0]}",
-                    params=(),
-                    member=lambda a, mem=mem: mem(a[0]),
-                    excluded=excl,
-                    extent_key=(sub.key(), desc),
-                    region=Region(forest, ai, sub),
+                cells.append(
+                    CellInstance(
+                        template=f"sub{desc[0]}",
+                        params=(),
+                        member=lambda a, mem=mem: mem(a[0]),
+                        excluded=excl,
+                        extent_key=(sub.key(), desc),
+                        region=Region(forest, ai, sub),
+                    )
                 )
-                if not any(cell.excluded(b) for b in B):
-                    cells.append(cell)
         return cells
 
     return Decomposition(

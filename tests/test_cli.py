@@ -91,6 +91,46 @@ def test_schema_error_plane_point_dim(tmp_path, capsys):
     assert "/family/point_dim" in capsys.readouterr().err
 
 
+PRESBURGER_SPEC = {
+    "structure": "presburger",
+    "family": {
+        "kind": "congruence", "point_dim": 1, "param_dim": 1, "modulus": 2,
+        "predicates": [
+            {"type": "order", "f": [1], "g": [-1], "rel": "trichotomy"},
+            {"type": "mod", "f": [1], "g": [-1], "c": 0},
+            {"type": "mod", "f": [1], "g": [-1], "c": 1},
+        ],
+    },
+    "sizes": [4, 8], "trials": 1, "seed": 1,
+}
+
+
+def _with_mod_atom(**fields):
+    family = json.loads(json.dumps(PRESBURGER_SPEC["family"]))
+    family["predicates"][1].update(fields)
+    return dict(PRESBURGER_SPEC, family=family)
+
+
+@pytest.mark.parametrize("payload, path", [
+    (dict(OMIN_SPEC, verify_instances="two"), "/verify_instances"),
+    (dict(OMIN_SPEC, generator={"height": "abc"}), "/generator/height"),
+    (dict(OMIN_SPEC, generator={"den": 0}), "/generator/den"),
+    (dict(OMIN_SPEC, generator={"kind": "foo"}), "/generator/kind"),
+    (dict(OMIN_SPEC, family=dict(OMIN_SPEC["family"], point_dim="1")), "/family/point_dim"),
+    (dict(PRESBURGER_SPEC, generator={"kind": "rationals"}), "/generator/kind"),
+    (_with_mod_atom(g=["1/2"]), "/family/predicates/1/g/0"),
+    (_with_mod_atom(f={"coeffs": [1], "const": "1/3"}), "/family/predicates/1/f/const"),
+    (_with_mod_atom(c="1/2"), "/family/predicates/1/c"),
+], ids=[
+    "verify-instances", "height", "den", "generator-kind", "point-dim",
+    "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
+])
+def test_schema_error_field(tmp_path, capsys, payload, path):
+    spec = _write_spec(tmp_path, payload)
+    assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"schema error at {path}:" in capsys.readouterr().err
+
+
 def test_schema_error_missing_seed():
     payload = {k: v for k, v in OMIN_SPEC.items() if k != "seed"}
     with pytest.raises(SpecError) as err:

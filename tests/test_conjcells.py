@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from distalcells.conjcells import (
     build_decomposition,
     check_conjunction_property,
@@ -172,3 +175,77 @@ def test_congruence_unrealizable_certificates_match_exhaustive():
                 found = True
         assert not found, f"certificate {cert} but conjunction realizable"
 
+
+
+def test_congruence_atom_rejects_non_integer_values():
+    f = AffineMap.of([1])
+    atoms = [CongAtom(f, AffineMap.of([F(1, 2)], c), "mod") for c in range(2)]
+    fam = congruence_family(atoms, K=2, point_dim=1, param_dim=1)
+    with pytest.raises(ValueError, match="integer values"):
+        conj_decomposition(fam, [F(1), F(2)])
+
+
+# Brute-force oracle for Presburger families at |x| = |y| = 1: plain integer
+# arithmetic on an integer window, sharing no code with the engine's ZSet.
+# Every cut point of the drawn families lies in [-50, 50] and every modulus
+# divides K <= 6, so the window shows every type and every crossing.
+WINDOW = range(-70, 71)
+
+
+def _oracle_atom(atom, K):
+    """x -> b -> truth of the atom, on integers doubled so that half-integer
+    coefficients stay integral."""
+    a, c = int(2 * atom.f.coeffs[0]), int(2 * atom.f.const)
+    k, d = int(2 * atom.g.coeffs[0]), int(2 * atom.g.const)
+    if atom.rel == "mod":
+        return lambda x, b: (a * x + c + k * b + d) % (2 * K) == 0
+    if atom.rel == "<":
+        return lambda x, b: a * x + c < k * b + d
+    if atom.rel == "=":
+        return lambda x, b: a * x + c == k * b + d
+    return lambda x, b: a * x + c > k * b + d
+
+
+@st.composite
+def _congruence_instances(draw):
+    K = draw(st.sampled_from([2, 3, 4, 6]))
+    f_coeff = st.sampled_from([0, 1, -1, 2, -3])
+    half = st.integers(-6, 6).map(lambda k: F(k, 2))
+    atoms = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = AffineMap.of([draw(f_coeff)], draw(st.integers(-2, 2)))
+        g = AffineMap.of([draw(half)], draw(half))
+        atoms += [CongAtom(f, g, r) for r in ("<", "=", ">")]
+    for _ in range(draw(st.integers(1, 2))):
+        f = AffineMap.of([draw(f_coeff)], draw(st.integers(-2, 2)))
+        g_coeff, g_const = draw(st.sampled_from([1, -1, 2])), draw(st.integers(-3, 3))
+        atoms += [CongAtom(f, AffineMap.of([g_coeff], g_const + c), "mod") for c in range(K)]
+    B = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8, unique=True))
+    return congruence_family(atoms, K=K, point_dim=1, param_dim=1), B
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_congruence_instances())
+def test_presburger_cells_match_integer_oracle(instance):
+    fam, B = instance
+    holds = [_oracle_atom(atom, fam.meta["K"]) for atom in fam.preds]
+    cells = conj_decomposition(fam, [F(b) for b in B])
+
+    types = {tuple(h(x, b) for h in holds for b in B) for x in WINDOW}
+    assert len(cells) == len(types)
+
+    tested = sorted(set(B) | set(range(-15, 16, 5)))
+    holds_at = {
+        (i, b): {x for x in WINDOW if h(x, b)} for i, h in enumerate(holds) for b in tested
+    }
+    for cell in cells:
+        chosen = [int(i) for i in cell.template[len("conj{"):-1].split(",") if i]
+        extent = set(WINDOW)
+        for i, (b,) in zip(chosen, cell.params):
+            extent &= holds_at[i, int(b)]
+        assert extent and extent == {x for x in WINDOW if cell.member((F(x),))}
+        for b in tested:
+            crossed = any(
+                0 < len(extent & holds_at[i, b]) < len(extent) for i in range(len(holds))
+            )
+            assert cell.excluded((F(b),)) == crossed, (cell.template, b)

@@ -1,0 +1,27 @@
+"""The example specs' results.csv, pinned: every column but `build` must
+match the file committed under tests/data/ (same spec and seed give the
+same rows, whatever the engines do inside)."""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from distalcells.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rows_without_build(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("build")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("name", ["ordered_halfline", "padic_macintyre", "presburger_parity"])
+def test_example_results_match_golden(tmp_path, name):
+    spec = ROOT / "docs" / "examples" / f"{name}.json"
+    assert main(["run", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    got = _rows_without_build(tmp_path / "results.csv")
+    assert got == _rows_without_build(ROOT / "tests" / "data" / f"{name}_results.csv")

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from distalcells.linear import (
     FALSE,
+    Atom,
     Iv,
     TRUE,
     components_1d,
@@ -26,6 +27,24 @@ def test_atom_normalization_and_eval():
     assert eval_formula(f, [F(3), F(1)])
     assert not eval_formula(f, [F(1), F(3)])
     assert not eval_formula(f, [F(1), F(1)])
+
+
+_rats = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(_rats, min_size=1, max_size=4),
+    _rats,
+    st.sampled_from(["<", "<=", "=", "!="]),
+    st.lists(_rats, min_size=4, max_size=4),
+)
+def test_atom_value_matches_fraction_sum(coeffs, const, rel, point):
+    atom = Atom(tuple(coeffs), const, rel)
+    ref = const + sum((c * a for c, a in zip(coeffs, point)), F(0))
+    assert atom.value(point) == ref
+    expect = {"<": ref < 0, "<=": ref <= 0, "=": ref == 0, "!=": ref != 0}[rel]
+    assert atom.eval(point) == expect
 
 
 def test_boolean_simplification():

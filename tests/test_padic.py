@@ -324,3 +324,37 @@ def test_macintyre_shatter_is_linear():
 
     table = shatter_estimate(decomp, gen, sizes=[4, 8, 16, 32], trials=3, seed=11)
     assert table.slope <= 1.1, table.max_counts
+
+
+def _parents_by_scan(balls):
+    """The minimal strictly larger ball containing each ball, by the O(n^2)
+    pairwise containment scan: the reference for ball_forest's key lookup."""
+    parent = []
+    for i, b in enumerate(balls):
+        best = None
+        for j, other in enumerate(balls):
+            if i == j or not other.contains(b) or other.same_extent(b):
+                continue
+            if best is None or balls[best].contains(other):
+                best = j
+        parent.append(best)
+    return parent
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ball_forest_parents_match_containment_scan(p):
+    rng = SplitMix64(4000 + p)
+    C = [IDENT, AffineMap.of([p], 1), AffineMap.of([1], F(1, p))]
+    Fs = [ZERO, IDENT, AffineMap.of([F(1, p)], p * p)]
+    for trial in range(16):
+        B = []
+        while len(B) < rng.randint(1, 9):
+            b = (F(rng.randint(-3 * p * p, 3 * p * p), rng.choice([1, 1, 2, p, p * p])),)
+            if b not in B:
+                B.append(b)
+        for balls in (special_balls(Fs, C, B, p), laff_balls(C, B, p)):
+            if trial % 4 == 0:
+                balls = balls + [UltrametricBall(F(0), NEG_INF, p)]  # the whole line
+            forest = ball_forest(balls)
+            assert any(b.radius == POS_INF for b in forest.balls)  # point balls
+            assert forest.parent == _parents_by_scan(forest.balls)
