@@ -53,6 +53,17 @@ def _count(value, path: str, least: int) -> int:
     return value
 
 
+def _predicates(family: dict, path: str) -> list[dict]:
+    """The family's predicate entries, a list of JSON objects."""
+    entries = family.get("predicates", [])
+    if not isinstance(entries, list):
+        raise SpecError(f"{path}/predicates", "expected a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SpecError(f"{path}/predicates/{i}", "expected an object")
+    return entries
+
+
 def _integer_entries(obj, path: str) -> None:
     """Reject a non-integer entry of a coefficient list or {coeffs, const}
     object (already parsed by `_affine`)."""
@@ -84,6 +95,8 @@ def _formula(obj, point_dim: int, param_dim: int, path: str):
     if tag == "const":
         return TRUE if body else FALSE
     if tag == "atom":
+        if not isinstance(body, dict):
+            raise SpecError(f"{path}/atom", "atom must be an object")
         x = _rats(body.get("x", []), f"{path}/atom/x")
         y = _rats(body.get("y", []), f"{path}/atom/y")
         if len(x) > point_dim or len(y) > param_dim:
@@ -114,14 +127,14 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
     if kind == "semilinear":
         preds = [
             _formula(f, point_dim, param_dim, f"{path}/predicates/{i}")
-            for i, f in enumerate(obj.get("predicates", []))
+            for i, f in enumerate(_predicates(obj, path))
         ]
         if not preds:
             raise SpecError(f"{path}/predicates", "at least one predicate required")
         return semilinear_family(preds, point_dim, param_dim)
     if kind == "vector-linear":
         atoms = []
-        for i, a in enumerate(obj.get("predicates", [])):
+        for i, a in enumerate(_predicates(obj, path)):
             p = f"{path}/predicates/{i}"
             f = _affine(a.get("f"), f"{p}/f")
             g_map = _affine(a.get("g"), f"{p}/g")
@@ -140,7 +153,7 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
         if not isinstance(K, int) or K < 1:
             raise SpecError(f"{path}/modulus", "positive integer modulus required")
         atoms = []
-        for i, a in enumerate(obj.get("predicates", [])):
+        for i, a in enumerate(_predicates(obj, path)):
             p = f"{path}/predicates/{i}"
             f = _affine(a.get("f"), f"{p}/f")
             g_map = _affine(a.get("g"), f"{p}/g")
@@ -251,6 +264,7 @@ def load_experiment(obj: dict) -> ExperimentSpec:
         raise SpecError("/expected_slope", "number expected")
     verify_instances = _count(obj.get("verify_instances", 2), "/verify_instances", 0)
     generator = _generator(obj.get("generator", {}) or {}, structure)
+    _check_draws(generator, structure, family, max(sizes))
     return ExperimentSpec(
         experiment_id=str(obj.get("experiment_id", "experiment")),
         structure=structure,
@@ -279,3 +293,31 @@ def _generator(gen, structure: str) -> dict:
         if name in gen:
             _count(gen[name], f"/generator/{name}", 1)
     return gen
+
+
+def _check_draws(gen: dict, structure: str, family: ParamFamily, need: int) -> None:
+    """Reject a sampler that cannot draw `need` distinct parameter tuples, on
+    which `run` would never finish.  Mirrors the samplers of
+    `cli._make_generator`: numerators in [-height, height] over the kind's
+    denominators."""
+    kind = gen.get("kind", "integers" if structure == "presburger" else "rationals")
+    height, den = gen.get("height", 60), gen.get("den", 8)
+    dim = family.param_dim
+    if (2 * height + 1) ** dim >= need:
+        return  # the integers alone suffice
+    if kind == "integers":
+        dens = [1]
+    elif kind == "rationals":
+        dens = range(1, den + 1)
+    else:
+        dens = sorted({1, 2, den, family.meta.get("p", 3)})
+    values = set()
+    for d in dens:
+        values.update(Fraction(a, d) for a in range(-height, height + 1))
+        if len(values) ** dim >= need:
+            return
+    raise SpecError(
+        "/generator/height",
+        f"the sampler draws at most {len(values) ** dim} distinct parameters, "
+        f"fewer than the largest size {need}",
+    )

@@ -3,11 +3,15 @@ certificates, Zarankiewicz ratio sweeps on grid point-line systems, the two
 sum-product incidence identities, and trace-growth probes.
 
 Counting is exact over Q; the p-adic runs use rational representatives with
-exact equality, which counts the same sets.
+exact equality, which counts the same sets.  The counters scale each
+instance once by the lcm of its denominators and then compare and sum
+Python ints: they test only equality, order and integrality, which the
+scaling preserves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -16,6 +20,11 @@ from .decomp import fit_loglog_slope
 from .rng import SplitMix64
 
 MAX_KSU_POINTS = 2000  # exhaustive search guard
+
+
+def _common_denominator(values) -> int:
+    """The lcm of the denominators: times it, every value is an int."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 @dataclass
@@ -88,7 +97,11 @@ class Line:
     y2: Fraction
 
     def through(self, x1: Fraction, x2: Fraction) -> bool:
-        return self.y2 * (x1 - self.y1) == x2
+        # y2 (x1 - y1) = x2 with every (nonzero) denominator multiplied out
+        y1, y2 = self.y1, self.y2
+        diff = x1.numerator * y1.denominator - y1.numerator * x1.denominator
+        return (y2.numerator * diff * x2.denominator
+                == x2.numerator * y2.denominator * x1.denominator * y1.denominator)
 
     @property
     def slope_intercept(self) -> tuple[Fraction, Fraction]:
@@ -132,9 +145,13 @@ class GridInstance:
         total = 0
         for ln in self.lines:
             s, t = ln.slope_intercept
+            # y = s x + t is a grid height iff L y = S x + T is a multiple of L
+            L = _common_denominator((s, t))
+            S, T = int(s * L), int(t * L)
+            top = self.height * L
             for x in range(1, self.width + 1):
-                y = s * x + t
-                if 1 <= y <= self.height and y.denominator == 1:
+                num = S * x + T
+                if L <= num <= top and num % L == 0:
                     total += 1
         return total
 
@@ -205,26 +222,25 @@ class SumProductReport:
 
 def sum_product_experiment(A: Sequence[Fraction]) -> SumProductReport:
     """Points (A+A) x (A.A) against the lines through Q = A x A; every line
-    picks up at least |A| points, so the incidence count is at least |A|^3."""
+    picks up at least |A| points, so the incidence count is at least |A|^3.
+
+    Counted on ints: A is scaled by the lcm D of its denominators, so the
+    sums are scaled by D and the products by D^2."""
     A = sorted(set(Fraction(a) for a in A))
     if not A:
         raise ValueError("A must be nonempty")
-    sums = sorted({a + b for a in A for b in A})
-    prods = sorted({a * b for a in A for b in A})
-    prod_set = set(prods)
-    sum_set = set(sums)
+    D = _common_denominator(A)
+    Ai = [int(a * D) for a in A]
+    sums = {a + b for a in Ai for b in Ai}
+    prods = {a * b for a in Ai for b in Ai}
     count = 0
-    for a in A:
-        for b in A:
-            # line y2 = b through (a, 0): points (x1, b*(x1 - a))
-            for x1 in sums:
-                if b * (x1 - a) in prod_set:
-                    count += 1
-    del sum_set
+    for a in Ai:
+        # line y2 = b through (a, 0): points (x1, b*(x1 - a))
+        diffs = [x1 - a for x1 in sums]
+        for b in Ai:
+            count += sum(1 for d in diffs if b * d in prods)
     lower = len(A) ** 3
     mx = max(len(sums), len(prods))
-    import math
-
     expo = math.log(mx) / math.log(len(A)) if len(A) > 1 else 0.0
     return SumProductReport(
         size=len(A), sumset=len(sums), productset=len(prods),
@@ -243,22 +259,25 @@ class SumBBReport:
 
 def sum_bb_experiment(A: Sequence[Fraction], B: Sequence[Fraction]) -> SumBBReport:
     """Points B x (A + B.B) against lines y1 + y2 x1 = x2 through A x B: each
-    line meets exactly one point per first coordinate, so |E| = |A||B|^2."""
+    line meets exactly one point per first coordinate, so |E| = |A||B|^2.
+
+    Counted on ints: with one lcm D over A and B, A is scaled by D^2 and B
+    by D, so A + B.B is scaled by D^2."""
     A = sorted(set(Fraction(a) for a in A))
     B = sorted(set(Fraction(b) for b in B))
     if not A or not B:
         raise ValueError("A, B must be nonempty")
     if set(A) == {Fraction(0)} and set(B) == {Fraction(0)}:
         raise ValueError("degenerate input: both sets are {0}")
-    bb = sorted({b1 * b2 for b1 in B for b2 in B})
-    target = sorted({a + c for a in A for c in bb})
-    target_set = set(target)
+    D = _common_denominator(A + B)
+    Ai = [int(a * D * D) for a in A]
+    Bi = [int(b * D) for b in B]
+    bb = {b1 * b2 for b1 in Bi for b2 in Bi}
+    target = {a + c for a in Ai for c in bb}
     count = 0
-    for a in A:
-        for b in B:
-            for x1 in B:
-                if a + b * x1 in target_set:
-                    count += 1
+    for a in Ai:
+        for b in Bi:
+            count += sum(1 for x1 in Bi if a + b * x1 in target)
     return SumBBReport(
         a_size=len(A), b_size=len(B), sum_bb=len(target),
         incidences=count, expected=len(A) * len(B) ** 2,

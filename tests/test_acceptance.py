@@ -483,6 +483,7 @@ def test_acceptance_8_zarankiewicz():
 
 
 def test_acceptance_9_sum_product():
+    t0 = time.monotonic()
     rng = SplitMix64(9009)
     for structure in ("Q", "Qp"):
         for _ in range(50):
@@ -504,8 +505,10 @@ def test_acceptance_9_sum_product():
         B = _distinct_rationals(rng, sb, num=80, den=3)
         rep = sum_bb_experiment(A, B)
         assert rep.incidences == rep.expected
+    elapsed = time.monotonic() - t0
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _report(9, "|E| >= |A|^3 on 100 sum-product instances (Q and Q in Q_p), "
-               "|E| == |A||B|^2 on 50 line-set instances")
+               f"|E| == |A||B|^2 on 50 line-set instances, {elapsed:.2f}s")
 
 
 # -- 10: determinism -----------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,14 +124,50 @@ def _with_mod_atom(**fields):
     (_with_mod_atom(g=["1/2"]), "/family/predicates/1/g/0"),
     (_with_mod_atom(f={"coeffs": [1], "const": "1/3"}), "/family/predicates/1/f/const"),
     (_with_mod_atom(c="1/2"), "/family/predicates/1/c"),
+    (dict(PRESBURGER_SPEC, family=dict(PRESBURGER_SPEC["family"], predicates=["x"])),
+     "/family/predicates/0"),
+    (dict(OMIN_SPEC, family=dict(OMIN_SPEC["family"], predicates=[{"atom": [1]}])),
+     "/family/predicates/0/atom"),
+    (dict(OMIN_SPEC, family=dict(OMIN_SPEC["family"], predicates=5)), "/family/predicates"),
 ], ids=[
     "verify-instances", "height", "den", "generator-kind", "point-dim",
     "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
+    "predicate-not-object", "atom-not-object", "predicates-not-list",
 ])
 def test_schema_error_field(tmp_path, capsys, payload, path):
     spec = _write_spec(tmp_path, payload)
     assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
     assert f"schema error at {path}:" in capsys.readouterr().err
+
+
+def test_schema_error_too_few_distinct_parameters(tmp_path):
+    # 3 possible parameters {-1, 0, 1} cannot fill a set of 8: the sampler
+    # would redraw forever, so the loader must refuse the spec; a subprocess
+    # with a timeout keeps a hang from stalling the suite
+    payload = dict(OMIN_SPEC, generator={"kind": "integers", "height": 1}, sizes=[8])
+    spec = _write_spec(tmp_path, payload)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "distalcells.cli", "run", "--spec", spec,
+         "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "schema error at /generator/height:" in proc.stderr
+
+
+@pytest.mark.parametrize("generator, sizes", [
+    ({"kind": "integers", "height": 1}, [3]),
+    ({"kind": "rationals", "height": 1, "den": 2}, [5]),
+    ({"kind": "padic-rationals", "height": 1, "den": 2}, [7]),
+])
+def test_generator_range_exactly_enough(generator, sizes):
+    # {-1, 0, 1}; then +-1/2 besides; then +-1/3 (p = 3) besides
+    load_experiment(dict(OMIN_SPEC, generator=generator, sizes=sizes))
+    with pytest.raises(SpecError) as err:
+        load_experiment(dict(OMIN_SPEC, generator=generator, sizes=[sizes[0] + 1]))
+    assert err.value.path == "/generator/height"
 
 
 def test_schema_error_missing_seed():

@@ -1,6 +1,7 @@
-"""The example specs' results.csv, pinned: every column but `build` must
-match the file committed under tests/data/ (same spec and seed give the
-same rows, whatever the engines do inside)."""
+"""The example specs' results.csv and the sumproduct CLI's sumproduct.csv,
+pinned: every column but `build` must match the file committed under
+tests/data/ (same spec or arguments and seed give the same rows, whatever
+the engines and counters do inside)."""
 
 import csv
 from pathlib import Path
@@ -25,3 +26,10 @@ def test_example_results_match_golden(tmp_path, name):
     assert main(["run", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
     got = _rows_without_build(tmp_path / "results.csv")
     assert got == _rows_without_build(ROOT / "tests" / "data" / f"{name}_results.csv")
+
+
+def test_sumproduct_results_match_golden(tmp_path):
+    args = ["--trials", "20", "--max-size", "24", "--seed", "42"]
+    assert main(["sumproduct", *args, "--out-dir", str(tmp_path)]) == 0
+    got = _rows_without_build(tmp_path / "sumproduct.csv")
+    assert got == _rows_without_build(ROOT / "tests" / "data" / "sumproduct.csv")

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from distalcells.incidence import (
     BipartiteInstance,
     BoundProfile,
+    GridInstance,
     Line,
     certify_lines_pairwise_distinct,
     contains_ksu,
@@ -131,6 +133,75 @@ def test_sum_bb_exact_identity_random():
             continue
         rep = sum_bb_experiment(A, B)
         assert rep.incidences == rep.expected
+
+
+# -- differential: the scaled-int counters against plain Fraction oracles ------
+
+_rats = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 5, 9]))
+_rat_sets = st.lists(_rats, min_size=1, max_size=8)
+
+
+def _oracle_sum_product(A):
+    A = set(A)
+    sums = {a + b for a in A for b in A}
+    prods = {a * b for a in A for b in A}
+    count = sum(1 for a in A for b in A for x1 in sums if b * (x1 - a) in prods)
+    return len(A), len(sums), len(prods), count
+
+
+def _oracle_sum_bb(A, B):
+    A, B = set(A), set(B)
+    target = {a + b1 * b2 for a in A for b1 in B for b2 in B}
+    count = sum(1 for a in A for b in B for x1 in B if a + b * x1 in target)
+    return len(target), count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rat_sets)
+@example([F(0)])
+@example([F(-7, 9)])
+@example([F(0), F(-3, 2), F(5, 3), F(1, 5), F(-4, 9), F(2)])
+def test_sum_product_matches_fraction_oracle(A):
+    rep = sum_product_experiment(A)
+    assert (rep.size, rep.sumset, rep.productset, rep.incidences) == _oracle_sum_product(A)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rat_sets, _rat_sets)
+@example([F(0)], [F(-1, 3)])
+@example([F(-2, 5), F(0), F(7, 9)], [F(1, 2), F(-3), F(0), F(4, 3)])
+def test_sum_bb_matches_fraction_oracle(A, B):
+    assume(set(A) != {0} or set(B) != {0})
+    rep = sum_bb_experiment(A, B)
+    assert (rep.sum_bb, rep.incidences) == _oracle_sum_bb(A, B)
+    assert rep.incidences == rep.expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_rats, _rats), min_size=1, max_size=6),
+    st.integers(1, 6), st.integers(1, 12),
+)
+@example([(F(-1, 2), F(3, 2)), (F(2, 3), F(-9, 5)), (F(0), F(1, 9))], 4, 8)
+def test_grid_count_matches_fraction_oracle(params, width, height):
+    lines = [Line(y1, y2) for y1, y2 in params]
+    want = 0
+    for ln in lines:
+        for x in range(1, width + 1):
+            y = ln.y2 * (x - ln.y1)
+            if y.denominator == 1 and 1 <= y <= height:
+                want += 1
+    grid = GridInstance(len(lines), width, height, lines)
+    assert grid.count_incidences() == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rats, _rats, _rats, _rats, st.booleans())
+@example(F(1, 2), F(-3, 5), F(7, 9), F(0), True)
+def test_line_through_matches_fraction_oracle(y1, y2, x1, x2, on_line):
+    if on_line:
+        x2 = y2 * (x1 - y1)
+    assert Line(y1, y2).through(x1, x2) == (y2 * (x1 - y1) == x2)
 
 
 def test_vc_probe_lines():
