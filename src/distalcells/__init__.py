@@ -19,7 +19,7 @@ from .families import (
     type_census_probe,
 )
 from .rng import SplitMix64
-from .scalars import Gamma, NEG_INF, POS_INF, Padic, in_pn, in_qmn, unit_residue, valuation
+from .scalars import Gamma, NEG_INF, POS_INF, in_pn, in_qmn, unit_residue, valuation
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "Gamma",
     "NEG_INF",
     "POS_INF",
-    "Padic",
     "ParamFamily",
     "SplitMix64",
     "TypeCensus",

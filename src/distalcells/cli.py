@@ -158,9 +158,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> int:
 
 
 EXPONENT_TABLE = [
-    ("weakly o-minimal structures", "2|x|-1", "implemented (|x| <= 3 via dimension induction)"),
+    ("weakly o-minimal structures", "2|x|-1", "implemented; run verifies |x|=1, and |x|=2 via dimension induction"),
     ("o-minimal expansions of groups", "2|x|-2 (1 if |x|=1)", "metadata only"),
-    ("ordered vector spaces over ordered division rings", "|x|", "implemented (conjunction cells)"),
+    ("ordered vector spaces over ordered division rings", "|x|", "implemented (conjunction cells, run at |x|=1)"),
     ("Presburger arithmetic", "|x|", "implemented (conjunction cells, |x|=1 over Z)"),
     ("Q_p the valued field", "3|x|-2", "implemented for |x|=1; metadata for |x|>=2"),
     ("Q_p in the linear reduct", "|x|", "implemented for |x|=1"),

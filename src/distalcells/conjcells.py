@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .decomp import CellInstance, Decomposition
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_param, census_probes_1d
-from .linear import Iv, iv_intersect, iv_subset
+from .linear import Iv
 
 # ---------------------------------------------------------------------------
 # Conjunction property and negation closure
@@ -335,123 +335,148 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
         p = family.preds[i]
         return (-(p.g(b)) - p.f.const) / scales[i]
 
-    # per direction: enumerate realizable single-direction conjunction extents,
-    # deduplicating by extent after every predicate (extensionally equal
-    # prefixes refine identically, which keeps the enumeration quadratic)
-    per_dir: list[list[tuple[Iv, tuple]]] = []
+    thresholds = {i: [threshold(i, b) for b in B] for i in range(len(family.preds))}
+
+    # per direction: rank the distinct thresholds, so cut k sits at position
+    # 2k + 1 and the open gaps at the even positions, and every extent is a
+    # closed range of positions; then enumerate the realizable
+    # single-direction conjunction extents, deduplicating by extent after
+    # every predicate (extensionally equal prefixes refine identically, which
+    # keeps the enumeration quadratic)
+    per_dir: list[list[tuple[tuple[int, int], tuple]]] = []
+    axes: list[_Axis] = []
     for d in dir_list:
-        options: dict[tuple, tuple[Iv, tuple]] = {_iv_key(Iv.full()): (Iv.full(), ())}
-        for dp in dirs[d]:
-            vals: dict[Fraction, object] = {}
-            for b in B:
-                vals.setdefault(threshold(dp.pred, b), b)
+        dpreds = dirs[d]
+        cuts = sorted({v for dp in dpreds for v in thresholds[dp.pred]})
+        rank = {v: 2 * k + 1 for k, v in enumerate(cuts)}
+        at_b = {dp.pred: [rank[v] for v in thresholds[dp.pred]] for dp in dpreds}
+        options: dict[tuple[int, int], tuple] = {(0, 2 * len(cuts)): ()}
+        positions: dict[int, list[int]] = {}
+        for dp in dpreds:
+            first: dict[int, object] = {}
+            for b, q in zip(B, at_b[dp.pred]):
+                first.setdefault(q, b)
+            pos = positions[dp.pred] = sorted(first)
             new_options = dict(options)
-            for iv, chosen in options.values():
-                for v, b in sorted(vals.items()):
+            for (lo, hi), chosen in options.items():
+                for q in pos:
                     if dp.rel == "<":
-                        piece = Iv(None, True, v, True)
+                        ext = (lo, min(hi, q - 1))
                     elif dp.rel == ">":
-                        piece = Iv(v, True, None, True)
+                        ext = (max(lo, q + 1), hi)
                     else:
-                        piece = Iv.point(v)
-                    cut = iv_intersect(iv, piece)
-                    if not cut.is_empty():
-                        new_options.setdefault(_iv_key(cut), (cut, chosen + ((dp.pred, b),)))
+                        ext = (max(lo, q), min(hi, q))
+                    if ext[0] <= ext[1]:
+                        new_options.setdefault(ext, chosen + ((dp.pred, first[q]),))
             options = new_options
-        cuts_by_pred = {
-            dp.pred: sorted({threshold(dp.pred, b) for b in B}) for dp in dirs[d]
-        }
-        kept = [
-            (iv, chosen)
-            for iv, chosen in options.values()
-            if not _dir_crossed(iv, dirs[d], cuts_by_pred)
-        ]
-        per_dir.append(kept)
+        per_dir.append([
+            (ext, chosen)
+            for ext, chosen in options.items()
+            if not _dir_crossed(ext, dpreds, positions)
+        ])
+        axes.append(_Axis(d, dpreds, cuts, at_b))
 
     # cartesian product over independent directions
-    cells: list[CellInstance] = []
+    b_index = {b: j for j, b in enumerate(B)}
     combos: list[tuple[list, tuple]] = [([], ())]
     for dpieces in per_dir:
         combos = [
-            (ivs + [iv], chosen + ch)
-            for ivs, chosen in combos
-            for iv, ch in dpieces
+            (exts + [ext], chosen + ch)
+            for exts, chosen in combos
+            for ext, ch in dpieces
         ]
-    for ivs, chosen in combos:
-        cells.append(_make_vl_cell(family, dir_list, ivs, chosen, dirs, scales))
-    return cells
+    return [
+        _make_vl_cell(family, axes, exts, chosen, threshold, b_index)
+        for exts, chosen in combos
+    ]
 
 
-def _iv_key(iv: Iv) -> tuple:
-    return (iv.lo, iv.lo_open, iv.hi, iv.hi_open)
+class _Axis(NamedTuple):
+    """One direction of a vector-linear instance: its predicates, its sorted
+    distinct thresholds over B, and each predicate's threshold position at
+    every b of B."""
+
+    direction: tuple
+    dpreds: list
+    cuts: list
+    at_b: dict
 
 
-def _dir_crossed(iv: Iv, dpreds: list[_DirPred], cuts_by_pred: dict) -> bool:
+def _dir_crossed(ext: tuple[int, int], dpreds: list[_DirPred], positions: dict) -> bool:
     """Is the nonempty direction-line extent crossed by some phi(.; b)?
     Along the direction every predicate instance is a half-line or a point at
-    a known cut, so crossing reduces to a sorted range query on cut values."""
-    lo, lo_open, hi, hi_open = iv.lo, iv.lo_open, iv.hi, iv.hi_open
+    a cut, so crossing is a range query on the sorted cut positions."""
+    lo, hi = ext
     for dp in dpreds:
-        cuts = cuts_by_pred[dp.pred]
-        if not cuts:
-            continue
-        if dp.rel == "<":
-            # (-inf, v) crosses iv iff some member < v and some member >= v
-            i0 = 0 if lo is None else bisect_right(cuts, lo)
-            i1 = len(cuts) if hi is None else (
-                bisect_right(cuts, hi) if not hi_open else bisect_left(cuts, hi)
-            )
-        elif dp.rel == ">":
-            # (v, inf) crosses iv iff some member > v and some member <= v
-            i0 = 0 if lo is None else (
-                bisect_left(cuts, lo) if not lo_open else bisect_right(cuts, lo)
-            )
-            i1 = len(cuts) if hi is None else bisect_left(cuts, hi)
-        else:
-            # {v} crosses iv iff v in iv and iv != {v}
-            if lo is not None and lo == hi:
-                continue
-            i0 = 0 if lo is None else (
-                bisect_left(cuts, lo) if not lo_open else bisect_right(cuts, lo)
-            )
-            i1 = len(cuts) if hi is None else (
-                bisect_right(cuts, hi) if not hi_open else bisect_left(cuts, hi)
-            )
-        if i1 > i0:
+        pos = positions[dp.pred]
+        if dp.rel == "<":  # (-inf, cut) crosses iff lo < q <= hi
+            hit = bisect_right(pos, hi) > bisect_right(pos, lo)
+        elif dp.rel == ">":  # (cut, inf) crosses iff lo <= q < hi
+            hit = bisect_left(pos, hi) > bisect_left(pos, lo)
+        else:  # {cut} crosses iff lo <= q <= hi and the extent is more
+            hit = lo < hi and bisect_right(pos, hi) > bisect_left(pos, lo)
+        if hit:
             return True
     return False
 
 
-def _make_vl_cell(family, dir_list, ivs, chosen, dirs, scales) -> CellInstance:
-    dim = family.point_dim
+def _pos_crossed(ext: tuple[int, int], rel: str, q: int) -> bool:
+    """Does the piece of relation `rel` at position q cross the extent?  An
+    even q is a value strictly inside that gap, so each piece splits it."""
+    lo, hi = ext
+    if q % 2 == 0:
+        return lo <= q <= hi
+    if rel == "<":
+        return lo < q <= hi
+    if rel == ">":
+        return lo <= q < hi
+    return lo <= q <= hi and lo < hi
 
-    def coord(d: tuple, a: tuple) -> Fraction:
-        return sum((c * x for c, x in zip(d, a)), Fraction(0))
 
-    def member(a: tuple) -> bool:
-        return all(iv.member(coord(d, a)) for d, iv in zip(dir_list, ivs))
+def _position(cuts: list, v: Fraction) -> int:
+    k = bisect_left(cuts, v)
+    return 2 * k + 1 if k < len(cuts) and cuts[k] == v else 2 * k
+
+
+def _decode(cuts: list, ext: tuple[int, int]) -> Iv:
+    lo, hi = ext
+    return Iv(
+        None if lo == 0 else cuts[(lo - 1) // 2], lo % 2 == 0,
+        None if hi == 2 * len(cuts) else cuts[hi // 2], hi % 2 == 0,
+    )
+
+
+def _make_vl_cell(family, axes, exts, chosen, threshold, b_index) -> CellInstance:
+    ivs = [_decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
+    if family.point_dim == 1:
+        iv = ivs[0] if ivs else Iv.full()
+
+        def member(a: tuple) -> bool:
+            return iv.member(a[0])
+    else:
+        iv = None
+
+        def member(a: tuple) -> bool:
+            return all(
+                civ.member(sum((c * x for c, x in zip(ax.direction, a)), Fraction(0)))
+                for ax, civ in zip(axes, ivs)
+            )
 
     def excluded(b) -> bool:
         b = as_param(b, family.param_dim)
-        for d, iv in zip(dir_list, ivs):
-            for dp in dirs[d]:
-                p = family.preds[dp.pred]
-                v = (-(p.g(b)) - p.f.const) / scales[dp.pred]
-                if dp.rel == "<":
-                    piece = Iv(None, True, v, True)
-                elif dp.rel == ">":
-                    piece = Iv(v, True, None, True)
+        j = b_index.get(b)
+        for ax, ext in zip(axes, exts):
+            for dp in ax.dpreds:
+                if j is not None:
+                    q = ax.at_b[dp.pred][j]
                 else:
-                    piece = Iv.point(v)
-                if not iv_intersect(iv, piece).is_empty() and not iv_subset(iv, piece):
+                    q = _position(ax.cuts, threshold(dp.pred, b))
+                if _pos_crossed(ext, dp.rel, q):
                     return True
         return False
 
-    key = tuple((iv.lo, iv.lo_open, iv.hi, iv.hi_open) for iv in ivs)
-    interval = None
-    if dim == 1 and len(dir_list) == 1 and dir_list[0] == (Fraction(1),):
-        interval = ivs[0]
-    return _conj_cell(tuple(chosen), key, member, excluded, interval)
+    key = tuple((v.lo, v.lo_open, v.hi, v.hi_open) for v in ivs)
+    return _conj_cell(tuple(chosen), key, member, excluded, iv)
 
 
 def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
@@ -538,13 +563,16 @@ def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
 
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
-    probe_fn = None
+    probe_fn = locator_fn = None
     if family.point_dim == 1:
         probe_fn = lambda B: census_probes_1d(family, B)  # noqa: E731
+        if family.kind == "vector-linear":
+            locator_fn = interval_locator
     return Decomposition(
         name=f"conj-{family.kind}",
         point_dim=family.point_dim,
         param_count=len(family.preds),
         instantiate_fn=lambda B: conj_decomposition(family, B),
         probe_fn=probe_fn,
+        locator_fn=locator_fn,
     )

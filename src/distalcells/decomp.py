@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .families import ParamFamily, as_param, as_point, fast_truth_masks
@@ -33,7 +34,7 @@ class CellInstance:
     - member: point membership; verify, intersect, induction.
     - excluded: the I(Delta) test for one parameter; verify, intersect, the engines.
     - extent_key: canonical extent; dedupe_cells.
-    - interval: the 1-D extent, or None; the omin1d locator, intersect, induction.
+    - interval: the 1-D extent, or None; interval_locator, intersect, induction.
     - sample: a point of an induction cylinder, or None; induction.
     - region: opaque here; read only by the engine's own locator.
     """
@@ -159,23 +160,11 @@ def verify(
     cells = decomp.instantiate(B)
     raw = len(cells)
 
-    pts: list[Point] = []
-    seen_pts = set()
-    if decomp.probe_fn is not None:
-        for a in decomp.probe_fn(B):
-            a = as_point(a, family.point_dim)
-            if a not in seen_pts:
-                seen_pts.add(a)
-                pts.append(a)
-    if probes:
-        for a in probes:
-            a = as_point(a, family.point_dim)
-            if a not in seen_pts:
-                seen_pts.add(a)
-                pts.append(a)
+    # dedupe in first-seen order: sorting the probes' own runs is cheaper
+    own = decomp.probe_fn(B) if decomp.probe_fn is not None else []
+    pts = sorted(dict.fromkeys(as_point(a, family.point_dim) for a in chain(own, probes or ())))
     if not pts:
         raise ValueError("probes are required for this verification")
-    pts.sort()
 
     cells = dedupe_cells(cells)
 
@@ -261,6 +250,35 @@ def verify(
         probe_count=len(pts),
         exclusion_stride=stride,
     )
+
+
+def _iv_order_key(iv: Iv):
+    if iv.lo is None:
+        return (0, Fraction(0), 0)
+    return (1, iv.lo, 0 if not iv.lo_open else 1)
+
+
+def interval_locator(cells: list[CellInstance]):
+    """Binary-search locator over 1-D cells whose `interval`s partition the
+    line: the one cell whose interval holds a[0], or none."""
+    keyed = [(c.interval, ci) for ci, c in enumerate(cells)]
+    keyed.sort(key=lambda t: _iv_order_key(t[0]))
+
+    def locate(a) -> tuple[int, ...]:
+        x = a[0]
+        lo, hi = 0, len(keyed) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            iv = keyed[mid][0]
+            if iv.member(x):
+                return (keyed[mid][1],)
+            if iv.hi is not None and (x > iv.hi or (x == iv.hi and iv.hi_open)):
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return ()
+
+    return locate
 
 
 def intersect(decomps: list[Decomposition]) -> Decomposition:

@@ -22,6 +22,7 @@ from .families import (
     vector_linear_family,
 )
 from .linear import AffineMap, f_and, f_atom, f_not, f_or, FALSE, TRUE
+from .scalars import _is_prime
 
 
 class SpecError(ValueError):
@@ -88,6 +89,21 @@ def _affine(obj, path: str) -> AffineMap:
     )
 
 
+ATOM_RELS = ("<", "<=", "=", "!=", ">", ">=")
+
+
+def _affines(values, path: str) -> list[AffineMap]:
+    if not isinstance(values, list):
+        raise SpecError(path, "expected a list")
+    return [_affine(v, f"{path}/{i}") for i, v in enumerate(values)]
+
+
+def _prime(value, path: str) -> int:
+    if not isinstance(value, int) or value < 3 or not _is_prime(value):
+        raise SpecError(path, "odd prime >= 3 required")
+    return value
+
+
 def _formula(obj, point_dim: int, param_dim: int, path: str):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SpecError(path, "formula must be a single-key object")
@@ -104,6 +120,8 @@ def _formula(obj, point_dim: int, param_dim: int, path: str):
         x = x + [Fraction(0)] * (point_dim - len(x))
         y = y + [Fraction(0)] * (param_dim - len(y))
         rel = body.get("rel", "<")
+        if rel not in ATOM_RELS:
+            raise SpecError(f"{path}/atom/rel", f"bad relation {rel!r}")
         return f_atom(x + y, _rat(body.get("c", 0), f"{path}/atom/c"), rel)
     if tag == "not":
         return f_not(_formula(body, point_dim, param_dim, f"{path}/not"))
@@ -178,26 +196,22 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
                 raise SpecError(f"{p}/type", f"bad atom type {typ!r}")
         return congruence_family(atoms, K, point_dim, param_dim)
     if kind == "valuation-macintyre":
-        p_ = obj.get("prime")
+        p_ = _prime(obj.get("prime"), f"{path}/prime")
         n = obj.get("n")
-        if not isinstance(p_, int) or p_ < 3 or p_ % 2 == 0:
-            raise SpecError(f"{path}/prime", "odd prime >= 3 required")
         if not isinstance(n, int) or n < 2:
             raise SpecError(f"{path}/n", "integer n >= 2 required")
-        F = [_affine(a, f"{path}/F/{i}") for i, a in enumerate(obj.get("F", []))]
-        C = [_affine(a, f"{path}/C/{i}") for i, a in enumerate(obj.get("C", []))]
+        F = _affines(obj.get("F", []), f"{path}/F")
+        C = _affines(obj.get("C", []), f"{path}/C")
         if not C:
             raise SpecError(f"{path}/C", "at least one center function required")
         lams = _rats(obj.get("lambda", [1]), f"{path}/lambda")
         return macintyre_family(F, C, lams, n, p_, param_dim)
     if kind == "valuation-laff":
-        p_ = obj.get("prime")
+        p_ = _prime(obj.get("prime"), f"{path}/prime")
         m, n = obj.get("m"), obj.get("n")
-        if not isinstance(p_, int) or p_ < 3 or p_ % 2 == 0:
-            raise SpecError(f"{path}/prime", "odd prime >= 3 required")
         if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 1:
             raise SpecError(f"{path}/m", "integers m, n >= 1 required")
-        C = [_affine(a, f"{path}/C/{i}") for i, a in enumerate(obj.get("C", []))]
+        C = _affines(obj.get("C", []), f"{path}/C")
         if not C:
             raise SpecError(f"{path}/C", "at least one center function required")
         lams = _rats(obj.get("lambda", [1]), f"{path}/lambda")

@@ -14,8 +14,10 @@ Families are immutable after construction and all evaluation is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .linear import AffineMap, Iv, components_1d, eval_formula, merge_adjacent
@@ -280,12 +282,17 @@ class TypeCensus:
 
 
 def fast_truth_masks(family: ParamFamily, B: Sequence, xs: list) -> Optional[list[int]]:
-    """Packed truth masks for every probe of a SORTED 1-dim probe list,
-    built per (predicate, parameter) column from the component intervals via
-    bisection.  Returns None for kinds without interval components."""
+    """Packed truth masks for every probe of a 1-dim probe list, built per
+    (predicate, parameter) column.  Ordered kinds read the component
+    intervals by bisection (the list must be SORTED); the valuation kinds run
+    on ints scaled once per instance.  Returns None for the other kinds."""
     from bisect import bisect_left, bisect_right
 
-    if family.point_dim != 1 or family.kind not in ("semilinear", "interval", "vector-linear"):
+    if family.point_dim != 1:
+        return None
+    if family.kind in ("valuation-macintyre", "valuation-laff"):
+        return _valuation_masks(family, B, xs)
+    if family.kind not in ("semilinear", "interval", "vector-linear"):
         return None
     vals = [a[0] for a in xs]
     masks = [0] * len(xs)
@@ -305,6 +312,120 @@ def fast_truth_masks(family: ParamFamily, B: Sequence, xs: list) -> Optional[lis
                 for k in range(lo, hi):
                     masks[k] |= mask_bit
             bit += 1
+    return masks
+
+
+# The valuation census keeps its own integer helpers: it checks the p-adic
+# engines, so it shares no code with `scalars` or `padic`.
+
+
+def _split_p(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n / p^v_p(n)) of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _val_unit(r: Fraction, p: int, mod: int) -> tuple[int, int]:
+    """v_p(r) and the unit part of r mod `mod`, for a nonzero rational r."""
+    vn, un = _split_p(r.numerator, p)
+    vd, ud = _split_p(r.denominator, p)
+    return vn - vd, un * pow(ud, -1, mod) % mod
+
+
+@lru_cache(maxsize=None)
+def _nth_power_units(n: int, p: int) -> tuple[int, frozenset]:
+    """p^k with k = 2 v_p(n) + 1, and the units mod p^k that are n-th powers;
+    by Hensel's lemma a unit is an n-th power in Q_p iff its residue is one."""
+    mod = p ** (2 * _split_p(n, p)[0] + 1)
+    return mod, frozenset(pow(x, n, mod) for x in range(1, mod) if x % p != 0)
+
+
+def _valuation_masks(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
+    """Column masks of the Macintyre and affine-reduct kinds.  Probes and
+    centres are scaled by the lcm D of their denominators, so x - c(b) is
+    (X - C) / D with ints X, C; each distinct C gives every probe's
+    valuation and unit residue of X - C once, and each column reads them."""
+    meta = family.meta
+    p = meta["p"]
+    macintyre = family.kind == "valuation-macintyre"
+    if macintyre:
+        n = meta["n"]
+        mod, powers = _nth_power_units(n, p)
+    else:
+        m = meta["m"]
+        mod = p ** meta["n"]
+    centres = [[c(b) for b in B] for c in meta["C"]]
+    D = 1
+    for v in [a[0] for a in xs] + [c for row in centres for c in row]:
+        D = math.lcm(D, v.denominator)
+    X = [a[0].numerator * (D // a[0].denominator) for a in xs]
+    vD, uD = _split_p(D, p)
+    inv_uD = pow(uD, -1, mod)
+
+    # per scaled centre: each probe's (v(X - C), unit residue), None at X = C
+    split_cache: dict[int, list] = {}
+
+    def split_at(c: Fraction) -> list:
+        C = c.numerator * (D // c.denominator)
+        got = split_cache.get(C)
+        if got is None:
+            got = split_cache[C] = []
+            for x in X:
+                if x == C:
+                    got.append(None)
+                else:
+                    v, u = _split_p(x - C, p)
+                    got.append((v, u % mod))
+        return got
+
+    masks = [0] * len(xs)
+    nb = len(B)
+    for i, pred in enumerate(family.preds):
+        tag = pred[0]
+        for j, b in enumerate(B):
+            bit = 1 << (i * nb + j)
+            if tag == "vless":  # v(f(b)) < v(x - c(b))
+                fb = meta["F"][pred[1]](b)
+                if fb == 0:
+                    continue
+                t = _val_unit(fb, p, mod)[0] + vD
+                for k, s in enumerate(split_at(centres[pred[2]][j])):
+                    if s is None or s[0] > t:
+                        masks[k] |= bit
+            elif tag == "pn":  # lam * (x - c(b)) is an n-th power
+                lam = pred[2]
+                if lam == 0:
+                    for k in range(len(xs)):
+                        masks[k] |= bit
+                    continue
+                cols = split_at(centres[pred[1]][j])
+                vl, ul = _val_unit(lam, p, mod)
+                shift, scale = vl - vD, ul * inv_uD % mod
+                for k, s in enumerate(cols):
+                    if s is None or ((s[0] + shift) % n == 0 and s[1] * scale % mod in powers):
+                        masks[k] |= bit
+            elif tag == "vcmp":  # v(x - c_i(b)) < v(x - c_j(b))
+                left = split_at(centres[pred[1]][j])
+                right = split_at(centres[pred[2]][j])
+                for k, (s, r) in enumerate(zip(left, right)):
+                    if s is not None and (r is None or s[0] < r[0]):
+                        masks[k] |= bit
+            else:  # "qmn": x - c_i(b) in lam * Q_{m,n}
+                lam = pred[2]
+                cols = split_at(centres[pred[1]][j])
+                if lam == 0:
+                    for k, s in enumerate(cols):
+                        if s is None:
+                            masks[k] |= bit
+                    continue
+                vl, ul = _val_unit(lam, p, mod)
+                shift, scale = vl + vD, pow(ul * uD, -1, mod)
+                for k, s in enumerate(cols):
+                    if s is not None and (s[0] - shift) % m == 0 and s[1] * scale % mod == 1:
+                        masks[k] |= bit
     return masks
 
 

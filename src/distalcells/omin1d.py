@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .decomp import CellInstance, Decomposition
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_param, census_probes_1d
 from .linear import Iv, crosses
 
@@ -191,31 +191,3 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
         probe_fn=lambda B: census_probes_1d(family, B),
         locator_fn=interval_locator,
     )
-
-
-def _iv_order_key(iv: Iv):
-    if iv.lo is None:
-        return (0, Fraction(0), 0)
-    return (1, iv.lo, 0 if not iv.lo_open else 1)
-
-
-def interval_locator(cells: list[CellInstance]):
-    """Binary-search locator over interval cells that partition the line."""
-    keyed = [(c.interval, ci) for ci, c in enumerate(cells)]
-    keyed.sort(key=lambda t: _iv_order_key(t[0]))
-
-    def locate(a) -> tuple[int, ...]:
-        x = a[0]
-        lo, hi = 0, len(keyed) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = keyed[mid][0]
-            if iv.member(x):
-                return (keyed[mid][1],)
-            if iv.hi is not None and (x > iv.hi or (x == iv.hi and iv.hi_open)):
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ()
-
-    return locate

@@ -8,8 +8,8 @@ Primes are restricted to odd p >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rat = Union[Fraction, int]
@@ -155,30 +155,6 @@ def truncate(a: Rat, p: int, level: int) -> Fraction:
     return Fraction(u) * Fraction(p) ** v
 
 
-@dataclass(frozen=True)
-class Padic:
-    """A rational viewed inside Q_p for a fixed odd prime p.
-
-    No truncated expansions are stored: the valuation and any finite unit
-    residue are computed exactly on demand, which is all the predicates in
-    this package ever need.
-    """
-
-    value: Fraction
-    p: int
-
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
-            raise ValueError("p must be an odd prime >= 3")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def valuation(self) -> Gamma:
-        return valuation(self.value, self.p)
-
-    def unit_residue(self, k: int) -> int:
-        return unit_residue(self.value, self.p, k)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -224,10 +200,17 @@ def in_pn(a: Rat, n: int, p: int) -> bool:
         return True
     if valuation_int(a, p) % n != 0:
         return False
+    k, powers = _pn_residues(n, p)
+    return unit_residue(a, p, k) in powers
+
+
+@lru_cache(maxsize=None)
+def _pn_residues(n: int, p: int) -> tuple[int, frozenset]:
+    """The precision k = 2 v_p(n) + 1 of `in_pn` and the n-th powers among
+    the units mod p^k, computed once per (n, p)."""
     k = 2 * _int_val(n, p) + 1
     mod = p ** k
-    u = unit_residue(a, p, k)
-    return any(pow(x, n, mod) == u for x in range(1, mod) if x % p != 0)
+    return k, frozenset(pow(x, n, mod) for x in range(1, mod) if x % p != 0)
 
 
 def same_pn_coset(a: Rat, b: Rat, n: int, p: int) -> bool:

@@ -108,6 +108,28 @@ PRESBURGER_SPEC = {
 }
 
 
+MAC_SPEC = {
+    "structure": "padic-macintyre",
+    "family": {
+        "kind": "valuation-macintyre", "param_dim": 1, "prime": 3, "n": 2,
+        "F": [[1]], "C": [[1]], "lambda": [1, 2],
+    },
+    "sizes": [4], "trials": 1, "seed": 1,
+}
+LAFF_SPEC = {
+    "structure": "padic-laff",
+    "family": {
+        "kind": "valuation-laff", "param_dim": 1, "prime": 3, "m": 2, "n": 1,
+        "C": [[1], [2]], "lambda": [1],
+    },
+    "sizes": [4], "trials": 1, "seed": 1,
+}
+
+
+def _with_family(spec, **fields):
+    return dict(spec, family=dict(spec["family"], **fields))
+
+
 def _with_mod_atom(**fields):
     family = json.loads(json.dumps(PRESBURGER_SPEC["family"]))
     family["predicates"][1].update(fields)
@@ -129,10 +151,21 @@ def _with_mod_atom(**fields):
     (dict(OMIN_SPEC, family=dict(OMIN_SPEC["family"], predicates=[{"atom": [1]}])),
      "/family/predicates/0/atom"),
     (dict(OMIN_SPEC, family=dict(OMIN_SPEC["family"], predicates=5)), "/family/predicates"),
+    (_with_family(OMIN_SPEC, predicates=[{"atom": {"x": [1], "y": [-1], "rel": "!"}}]),
+     "/family/predicates/0/atom/rel"),
+    (_with_family(MAC_SPEC, F=5), "/family/F"),
+    (_with_family(MAC_SPEC, C={"coeffs": [1]}), "/family/C"),
+    (_with_family(MAC_SPEC, **{"lambda": 2}), "/family/lambda"),
+    (_with_family(MAC_SPEC, prime=9), "/family/prime"),
+    (_with_family(LAFF_SPEC, C=[1]), "/family/C/0"),
+    (_with_family(LAFF_SPEC, C="y"), "/family/C"),
+    (_with_family(LAFF_SPEC, prime=15), "/family/prime"),
 ], ids=[
     "verify-instances", "height", "den", "generator-kind", "point-dim",
     "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
     "predicate-not-object", "atom-not-object", "predicates-not-list",
+    "atom-rel", "mac-F-not-list", "mac-C-not-list", "mac-lambda-not-list",
+    "mac-prime-9", "laff-C-entry", "laff-C-not-list", "laff-prime-15",
 ])
 def test_schema_error_field(tmp_path, capsys, payload, path):
     spec = _write_spec(tmp_path, payload)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.linear import AffineMap
+from distalcells.linear import AffineMap, Iv, iv_intersect, iv_subset
 from distalcells.rng import SplitMix64
 
 
@@ -249,3 +250,103 @@ def test_presburger_cells_match_integer_oracle(instance):
                 0 < len(extent & holds_at[i, b]) < len(extent) for i in range(len(holds))
             )
             assert cell.excluded((F(b),)) == crossed, (cell.template, b)
+
+
+# Plain-Fraction reference for vector-linear cells: per direction, every
+# nonempty conjunction of half-lines and points at the thresholds, deduped by
+# extent after each predicate, minus the crossed ones; then the product over
+# directions.  Thresholds are recomputed at every use, as Fraction intervals.
+def _reference_vl_cells(fam, B):
+    dirs = {}
+    for i, p in enumerate(fam.preds):
+        scale = next(c for c in p.f.coeffs if c != 0)
+        rel = p.rel if scale > 0 else {"<": ">", ">": "<", "=": "="}[p.rel]
+        dirs.setdefault(tuple(c / scale for c in p.f.coeffs), []).append((i, rel, scale))
+
+    def piece(i, rel, scale, b):
+        p = fam.preds[i]
+        v = (-p.g(b) - p.f.const) / scale
+        return v, (Iv(None, True, v, True) if rel == "<" else (
+            Iv(v, True, None, True) if rel == ">" else Iv.point(v)))
+
+    def crossed(iv, dpreds, b):
+        for dp in dpreds:
+            pc = piece(*dp, b)[1]
+            if not iv_intersect(iv, pc).is_empty() and not iv_subset(iv, pc):
+                return True
+        return False
+
+    key = lambda iv: (iv.lo, iv.lo_open, iv.hi, iv.hi_open)  # noqa: E731
+    axes = []
+    for d in sorted(dirs):
+        options = {key(Iv.full()): (Iv.full(), ())}
+        for dp in dirs[d]:
+            vals = {}
+            for b in B:
+                vals.setdefault(piece(*dp, b), b)
+            new = dict(options)
+            for iv, chosen in options.values():
+                for (_, pc), b in sorted(vals.items(), key=lambda t: t[0][0]):
+                    cut = iv_intersect(iv, pc)
+                    if not cut.is_empty():
+                        new.setdefault(key(cut), (cut, chosen + ((dp[0], b),)))
+            options = new
+        axes.append([
+            (iv, chosen) for iv, chosen in options.values()
+            if not any(crossed(iv, dirs[d], b) for b in B)
+        ])
+    combos = [([], ())]
+    for kept in axes:
+        combos = [(ivs + [iv], ch + c) for ivs, ch in combos for iv, c in kept]
+    cells = []
+    for ivs, chosen in combos:
+        interval = (ivs[0] if ivs else Iv.full()) if fam.point_dim == 1 else None
+        excluded = lambda b, ivs=ivs: any(  # noqa: E731
+            crossed(iv, dirs[d], b) for d, iv in zip(sorted(dirs), ivs)
+        )
+        cells.append((
+            "conj{" + ",".join(str(i) for i, _ in chosen) + "}",
+            tuple(b for _, b in chosen),
+            tuple(key(iv) for iv in ivs),
+            interval,
+            excluded,
+        ))
+    return cells
+
+
+def _vl_instance(rng, dim):
+    atoms = []
+    if dim == 1:
+        for _ in range(rng.randint(1, 3)):
+            f = AffineMap.of([rng.choice([1, 2, -1, F(-1, 2)])], rng.randint(-2, 2))
+            g = AffineMap.of([rng.choice([1, -1, 2, 0])], rng.fraction(4, 2))
+            atoms += vl_trichotomy(f, g)
+    else:
+        for d in rng.choice([[[1, 0], [0, 1]], [[1, 1], [2, -1]], [[0, 3]]]):
+            s = rng.choice([1, -2, F(1, 3)])
+            g = AffineMap.of([rng.choice([1, -1, 2])], rng.fraction(4, 2))
+            atoms += vl_trichotomy(AffineMap.of([s * c for c in d], rng.randint(-1, 1)), g)
+    B = sorted({(rng.fraction(10, 3),) for _ in range(rng.randint(1, 8))})
+    return vector_linear_family(atoms, dim, 1), B
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_vector_linear_cells_match_fraction_reference(dim):
+    rng = SplitMix64(1009 + dim)
+    for _ in range(40):
+        fam, B = _vl_instance(rng, dim)
+        outside = [(rng.fraction(10, 3),) for _ in range(4)] + [(B[0][0] + F(1, 997),)]
+        cells = conj_decomposition(fam, B)
+        ref = _reference_vl_cells(fam, B)
+        assert len(cells) == len(ref)
+        for cell, (template, params, key, interval, excluded) in zip(cells, ref):
+            assert (cell.template, cell.params, cell.extent_key) == (template, params, key)
+            assert cell.interval == interval
+            for b in B + [b for b in outside if b not in B]:
+                assert cell.excluded(b) == excluded(b), (cell.template, b)
+        if dim == 1:
+            decomp = build_decomposition(fam)
+            scan = dataclasses.replace(decomp, locator_fn=None)
+            rep = verify(decomp, fam, B)
+            assert rep.passed
+            assert rep.to_dict() == verify(scan, fam, B).to_dict()

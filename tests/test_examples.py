@@ -1,9 +1,10 @@
-"""The example specs' results.csv and the sumproduct CLI's sumproduct.csv,
-pinned: every column but `build` must match the file committed under
-tests/data/ (same spec or arguments and seed give the same rows, whatever
-the engines and counters do inside)."""
+"""The example specs' results.csv and summary.json and the sumproduct CLI's
+sumproduct.csv, pinned: everything but `build` must match the file committed
+under tests/data/ (same spec or arguments and seed give the same rows and
+verification reports, whatever the engines and counters do inside)."""
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,11 @@ def test_example_results_match_golden(tmp_path, name):
     assert main(["run", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
     got = _rows_without_build(tmp_path / "results.csv")
     assert got == _rows_without_build(ROOT / "tests" / "data" / f"{name}_results.csv")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    golden = json.loads((ROOT / "tests" / "data" / f"{name}_summary.json").read_text())
+    summary.pop("build")
+    golden.pop("build")
+    assert summary == golden
 
 
 def test_sumproduct_results_match_golden(tmp_path):

@@ -9,6 +9,7 @@ from distalcells.families import (
     census_probes_1d,
     congruence_family,
     grid_probes,
+    laff_family,
     macintyre_family,
     semilinear_family,
     type_census_1d,
@@ -17,6 +18,7 @@ from distalcells.families import (
     vl_trichotomy,
 )
 from distalcells.linear import AffineMap, f_atom
+from distalcells.rng import SplitMix64
 
 
 def _x_lt_y():
@@ -142,3 +144,122 @@ def test_interval_kind_component_bound_enforced():
     fam = interval_family([(three_pieces, 2)], param_dim=1)
     with pytest.raises(ValueError):
         fam.components(0, F(0))
+
+
+# fast_truth_masks against ParamFamily.truth_mask, the per-point evaluator:
+# equal masks on the sorted census probes of verified instances.
+
+
+def _ordered_instances(rng):
+    """A verified (family, decomposition, B) of each ordered kind."""
+    from distalcells import conjcells, omin1d
+    from distalcells.families import interval_family
+    from distalcells.linear import Iv, f_and, f_or
+
+    a, w = rng.fraction(8, 3), abs(rng.fraction(5, 3)) + F(1, 5)
+    semi = semilinear_family([
+        f_atom([1, -1], -a, rng.choice(["<", "<=", "=", "!="])),
+        f_or(
+            f_and(f_atom([1, -2], -a, ">"), f_atom([1, -1], -(a + w), "<=")),
+            f_atom([1, -1], -(a + w + 3), ">"),
+        ),
+    ], 1, 1)
+
+    def two_pieces(b, w=w):
+        return [Iv(b[0], True, b[0] + w, False), Iv(b[0] + w + 1, False, None, True)]
+
+    interval = interval_family([(two_pieces, 2), (lambda b: [Iv.point(2 * b[0])], 1)], 1)
+    vl = vector_linear_family(
+        vl_trichotomy(AffineMap.of([rng.choice([1, -2])]), AffineMap.of([1], rng.fraction(4, 2)))
+        + vl_trichotomy(AffineMap.of([F(1, 2)]), AffineMap.of([-1])), 1, 1,
+    )
+    B = [(b,) for b in sorted({rng.fraction(20, 4) for _ in range(rng.randint(1, 7))})]
+    return [
+        (semi, omin1d.build_decomposition(semi), B),
+        (interval, omin1d.build_decomposition(interval), B),
+        (vl, conjcells.build_decomposition(vl), B),
+    ]
+
+
+def test_fast_truth_masks_match_truth_mask_ordered_kinds():
+    from distalcells.decomp import verify
+    from distalcells.families import fast_truth_masks
+
+    rng = SplitMix64(4242)
+    for _ in range(15):
+        for fam, decomp, B in _ordered_instances(rng):
+            assert verify(decomp, fam, B).passed, fam.kind
+            xs = sorted(census_probes_1d(fam, B))
+            assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs], fam.kind
+
+
+# The valuation kinds' integer column masks against truth_mask, which
+# evaluates each (point, predicate, parameter) on Fractions through scalars.
+
+
+def _padic_rational(draw, p, height=3):
+    """u * p^e / w with e in [-2, 2]: p can sit in the numerator or the
+    denominator, and w = 2 gives a unit part other than 1."""
+    u = draw(st.integers(-p ** height, p ** height))
+    return F(u) * F(p) ** draw(st.integers(-2, 2)) / draw(st.sampled_from([1, 1, 2]))
+
+
+def _valuation_probes(draw, fam, B, centres, p):
+    """Census probes, every centre c(b) (where v(x - c(b)) is +inf), and
+    nearby points at a few valuations."""
+    probes = set(census_probes_1d(fam, B)[:40])
+    for c in centres:
+        probes.add((c,))
+        for e in (-1, 0, 1, 3):
+            probes.add((c + F(p) ** e * draw(st.sampled_from([1, 2, p - 1])),))
+    return sorted(probes)
+
+
+def _padic_params(draw, p, most):
+    """Distinct parameters k / d with d in {1, 2, p}, as 1-tuples."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(-p ** 3, p ** 3), st.sampled_from([1, 2, p])),
+        min_size=1, max_size=most,
+    ))
+    return [(b,) for b in dict.fromkeys(F(k, d) for k, d in pairs)]
+
+
+@st.composite
+def _macintyre_instances(draw):
+    p, n = draw(st.sampled_from([3, 5, 7])), draw(st.sampled_from([2, 3]))
+    B = _padic_params(draw, p, 4)
+    # F(y) = y - B[0] vanishes at the first parameter
+    Fs = [AffineMap.of([1], -B[0][0]), AffineMap.of([draw(st.integers(-3, 3))], _padic_rational(draw, p))]
+    C = [AffineMap.of([draw(st.sampled_from([1, 2, -1]))], _padic_rational(draw, p))]
+    lams = [_padic_rational(draw, p) for _ in range(2)] + [F(p), F(1, p), F(0)]
+    fam = macintyre_family(Fs, C, lams, n=n, p=p, param_dim=1)
+    return fam, B, _valuation_probes(draw, fam, B, [C[0](b) for b in B], p)
+
+
+@st.composite
+def _laff_instances(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    m, n = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    B = _padic_params(draw, p, 3)
+    C = [AffineMap.of([1]), AffineMap.of([draw(st.sampled_from([2, -1, 3]))], _padic_rational(draw, p))]
+    lams = [F(0), F(1), F(p), _padic_rational(draw, p)]
+    fam = laff_family(C, m=m, n=n, Lambda=lams, p=p, param_dim=1)
+    return fam, B, _valuation_probes(draw, fam, B, [c(b) for c in C for b in B], p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_macintyre_instances())
+def test_macintyre_masks_match_truth_mask(instance):
+    from distalcells.families import fast_truth_masks
+
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_laff_instances())
+def test_laff_masks_match_truth_mask(instance):
+    from distalcells.families import fast_truth_masks
+
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]

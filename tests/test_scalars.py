@@ -7,7 +7,6 @@ from distalcells.scalars import (
     Gamma,
     NEG_INF,
     POS_INF,
-    Padic,
     in_pn,
     in_qmn,
     pn_coset_representatives,
@@ -183,13 +182,3 @@ def test_truncate_canonical_key():
         for level in range(-3, 4):
             t = truncate(x, 3, level)
             assert valuation(x - t, 3) > Gamma.of(level)
-
-
-def test_padic_wrapper_validates_prime():
-    with pytest.raises(ValueError):
-        Padic(F(1), 4)
-    with pytest.raises(ValueError):
-        Padic(F(1), 2)
-    z = Padic(F(18), 3)
-    assert z.valuation() == Gamma.of(2)
-    assert z.unit_residue(1) == 2
