@@ -7,7 +7,6 @@ from .decomp import (
     Decomposition,
     VerificationReport,
     dedupe_cells,
-    intersect,
     shatter_estimate,
     verify,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "dedupe_cells",
     "in_pn",
     "in_qmn",
-    "intersect",
     "shatter_estimate",
     "type_census_1d",
     "type_census_probe",

@@ -90,59 +90,33 @@ def _first_difference(vals) -> Optional[int]:
     return None
 
 
-def negation_closure_check(family: ParamFamily, rng, samples: int = 1000) -> bool:
-    """Empirical check that each negated predicate equals its designated
-    disjunction of family members (trichotomy / residue complement)."""
-    partners = _negation_partners(family)
-    for _ in range(samples):
-        a = tuple(rng.fraction() for _ in range(family.point_dim))
-        b = tuple(rng.fraction() for _ in range(family.param_dim))
-        if family.kind == "congruence":
-            a = tuple(Fraction(rng.randint(-50, 50)) for _ in range(family.point_dim))
-            b = tuple(Fraction(rng.randint(-50, 50)) for _ in range(family.param_dim))
-        for i, js in partners.items():
-            neg = not family.evaluate(i, a, b)
-            disj = any(family.evaluate(j, a, b) for j in js)
-            if neg != disj:
-                return False
-    return True
-
-
-def _negation_partners(family: ParamFamily) -> dict:
-    partners: dict = {}
+def check_negation_closed(family: ParamFamily) -> None:
+    """Raise ValueError unless every negated predicate is a disjunction of
+    family members: order atoms come in trichotomy triples (<, =, >) and the
+    congruence atoms of one (f, g) shape carry all K residues."""
     if family.kind == "vector-linear":
-        groups: dict = {}
-        for i, p in enumerate(family.preds):
-            groups.setdefault((p.f, p.g), {})[p.rel] = i
-        for i, p in enumerate(family.preds):
-            trio = groups[(p.f, p.g)]
-            if set(trio) != {"<", "=", ">"}:
-                raise ValueError("vector-linear family is not negation-closed "
-                                 "(trichotomy triple missing)")
-            partners[i] = [trio[r] for r in ("<", "=", ">") if r != p.rel]
-        return partners
+        trios: dict = {}
+        for p in family.preds:
+            trios.setdefault((p.f, p.g), set()).add(p.rel)
+        if any(rels != {"<", "=", ">"} for rels in trios.values()):
+            raise ValueError("vector-linear family is not negation-closed "
+                             "(trichotomy triple missing)")
+        return
     if family.kind == "congruence":
         K = family.meta["K"]
-        order_groups: dict = {}
-        mod_groups: dict = {}
-        for i, p in enumerate(family.preds):
+        groups: dict = {}
+        for p in family.preds:
             if p.rel == "mod":
-                mod_groups.setdefault((p.f, p.g.coeffs), {})[int(p.g.const) % K] = i
+                groups.setdefault(("mod", p.f, p.g.coeffs), set()).add(int(p.g.const) % K)
             else:
-                order_groups.setdefault((p.f, p.g), {})[p.rel] = i
-        for i, p in enumerate(family.preds):
+                groups.setdefault(("order", p.f, p.g), set()).add(p.rel)
+        for p in family.preds:
             if p.rel == "mod":
-                grp = mod_groups[(p.f, p.g.coeffs)]
-                if set(grp) != set(range(K)):
+                if groups[("mod", p.f, p.g.coeffs)] != set(range(K)):
                     raise ValueError("congruence family must carry all K residues")
-                me = int(p.g.const) % K
-                partners[i] = [grp[c] for c in range(K) if c != me]
-            else:
-                trio = order_groups[(p.f, p.g)]
-                if set(trio) != {"<", "=", ">"}:
-                    raise ValueError("congruence order atoms need trichotomy triples")
-                partners[i] = [trio[r] for r in ("<", "=", ">") if r != p.rel]
-        return partners
+            elif groups[("order", p.f, p.g)] != {"<", "=", ">"}:
+                raise ValueError("congruence order atoms need trichotomy triples")
+        return
     raise ValueError(family.kind)
 
 
@@ -304,7 +278,7 @@ def conj_decomposition(family: ParamFamily, B: Sequence) -> list[CellInstance]:
     """T(B) for a conjunction-closed family: all conjunctions with one chosen
     instance per predicate that are nonempty and not crossed by any phi(.; b),
     deduplicated by extent.  Cells biject with the realized types."""
-    _negation_partners(family)  # validates closure
+    check_negation_closed(family)
     B = [as_param(b, family.param_dim) for b in B]
     if family.kind == "vector-linear":
         return _conj_cells_vl(family, B)
@@ -570,8 +544,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
             locator_fn = interval_locator
     return Decomposition(
         name=f"conj-{family.kind}",
-        point_dim=family.point_dim,
-        param_count=len(family.preds),
         instantiate_fn=lambda B: conj_decomposition(family, B),
         probe_fn=probe_fn,
         locator_fn=locator_fn,

@@ -1,5 +1,5 @@
 """Distal cell decompositions: instantiation, the coverage / non-crossing
-verifier, the intersection combinator, and shatter-function estimation.
+verifier, and shatter-function estimation.
 
 A decomposition is a map B -> list of cells, where each cell carries an exact
 membership predicate, an exact exclusion predicate I(Delta) over single
@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .families import ParamFamily, as_param, as_point, fast_truth_masks
-from .linear import Iv, iv_intersect
+from .linear import Iv, _lo_key
 from .rng import SplitMix64
 
 Point = tuple[Fraction, ...]
@@ -29,12 +28,12 @@ Point = tuple[Fraction, ...]
 class CellInstance:
     """One cell of a decomposition instance.  Each field, and what reads it:
 
-    - template: the template's name; verify's crossing witness, intersect, induction.
-    - params: the parameters from B that define the cell; intersect, induction.
-    - member: point membership; verify, intersect, induction.
-    - excluded: the I(Delta) test for one parameter; verify, intersect, the engines.
+    - template: the template's name; verify's crossing witness, induction.
+    - params: the parameters from B that define the cell; induction.
+    - member: point membership; verify, induction.
+    - excluded: the I(Delta) test for one parameter; verify, the engines.
     - extent_key: canonical extent; dedupe_cells.
-    - interval: the 1-D extent, or None; interval_locator, intersect, induction.
+    - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
     - region: opaque here; read only by the engine's own locator.
     """
@@ -43,7 +42,7 @@ class CellInstance:
     params: tuple
     member: Callable[[Point], bool]
     excluded: Callable[[tuple], bool]
-    extent_key: object = None
+    extent_key: object
     interval: Optional[Iv] = None
     sample: Optional[Point] = None
     region: object = None
@@ -55,8 +54,6 @@ class Decomposition:
     `locate(a)`: the indices of the cells that can contain the point a."""
 
     name: str
-    point_dim: int
-    param_count: int
     instantiate_fn: Callable[[list], list[CellInstance]]
     probe_fn: Optional[Callable[[list], list[Point]]] = None
     locator_fn: Optional[Callable[[list], Callable[[Point], Iterable[int]]]] = None
@@ -130,13 +127,10 @@ def _fmt_witness(w):
 
 def dedupe_cells(cells: list[CellInstance]) -> list[CellInstance]:
     """One representative per extent key (extensional keys are the engines'
-    responsibility; cells with key None are kept as-is)."""
+    responsibility)."""
     seen = set()
     out = []
     for c in cells:
-        if c.extent_key is None:
-            out.append(c)
-            continue
         if c.extent_key not in seen:
             seen.add(c.extent_key)
             out.append(c)
@@ -252,17 +246,11 @@ def verify(
     )
 
 
-def _iv_order_key(iv: Iv):
-    if iv.lo is None:
-        return (0, Fraction(0), 0)
-    return (1, iv.lo, 0 if not iv.lo_open else 1)
-
-
 def interval_locator(cells: list[CellInstance]):
     """Binary-search locator over 1-D cells whose `interval`s partition the
     line: the one cell whose interval holds a[0], or none."""
     keyed = [(c.interval, ci) for ci, c in enumerate(cells)]
-    keyed.sort(key=lambda t: _iv_order_key(t[0]))
+    keyed.sort(key=lambda t: _lo_key(t[0].lo, t[0].lo_open))
 
     def locate(a) -> tuple[int, ...]:
         x = a[0]
@@ -279,63 +267,6 @@ def interval_locator(cells: list[CellInstance]):
         return ()
 
     return locate
-
-
-def intersect(decomps: list[Decomposition]) -> Decomposition:
-    """Product decomposition: cells are nonempty intersections, exclusion sets
-    are unions; valid for the union of the input families."""
-    if not decomps:
-        raise ValueError("need at least one decomposition")
-    dim = decomps[0].point_dim
-    if any(d.point_dim != dim for d in decomps):
-        raise ValueError("point dimension mismatch")
-
-    def inst(B: list) -> list[CellInstance]:
-        layers = [d.instantiate(B) for d in decomps]
-        combos: list[list[CellInstance]] = [[]]
-        for layer in layers:
-            combos = [prev + [c] for prev in combos for c in layer]
-        cells = []
-        for combo in combos:
-            ivs = [c.interval for c in combo]
-            interval = None
-            if all(iv is not None for iv in ivs):
-                interval = reduce(iv_intersect, ivs)
-                if interval.is_empty():
-                    continue
-            parts = tuple(c for c in combo)
-            cells.append(
-                CellInstance(
-                    template="cap(" + ",".join(c.template for c in parts) + ")",
-                    params=tuple(p for c in parts for p in c.params),
-                    member=lambda a, parts=parts: all(c.member(a) for c in parts),
-                    excluded=lambda b, parts=parts: any(c.excluded(b) for c in parts),
-                    extent_key=tuple(c.extent_key for c in parts),
-                    interval=interval,
-                )
-            )
-        return cells
-
-    def probe_union(B: list) -> list[Point]:
-        pts: list[Point] = []
-        seen = set()
-        for d in decomps:
-            if d.probe_fn is None:
-                continue
-            for a in d.probe_fn(B):
-                if a not in seen:
-                    seen.add(a)
-                    pts.append(a)
-        return pts
-
-    has_probes = any(d.probe_fn is not None for d in decomps)
-    return Decomposition(
-        name="cap(" + ",".join(d.name for d in decomps) + ")",
-        point_dim=dim,
-        param_count=sum(d.param_count for d in decomps),
-        instantiate_fn=inst,
-        probe_fn=probe_union if has_probes else None,
-    )
 
 
 @dataclass

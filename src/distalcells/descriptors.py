@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .conjcells import check_negation_closed
 from .families import (
     CongAtom,
     ParamFamily,
@@ -155,6 +156,8 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
         for i, a in enumerate(_predicates(obj, path)):
             p = f"{path}/predicates/{i}"
             f = _affine(a.get("f"), f"{p}/f")
+            if not any(f.coeffs):
+                raise SpecError(f"{p}/f", "the x-part f must be nonzero")
             g_map = _affine(a.get("g"), f"{p}/g")
             c = _rat(a.get("c", 0), f"{p}/c")
             g = AffineMap(g_map.coeffs, g_map.const + c)
@@ -262,6 +265,11 @@ def load_experiment(obj: dict) -> ExperimentSpec:
         raise SpecError("/family/point_dim", "dim-induction needs |x| = 2")
     if engine in ("omin1d", "padic", "conj-cells") and family.point_dim != 1:
         raise SpecError("/family/point_dim", f"{engine} needs |x| = 1")
+    if engine == "conj-cells":
+        try:
+            check_negation_closed(family)
+        except ValueError as e:
+            raise SpecError("/family/predicates", str(e))
     sizes = obj.get("sizes")
     if not isinstance(sizes, list) or not sizes or not all(
         isinstance(n, int) and n >= 1 for n in sizes

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .linear import AffineMap, Iv, components_1d, eval_formula, merge_adjacent
+from .linear import AffineMap, Iv, components_1d, eval_formula, formula_atoms, merge_adjacent
 from .scalars import in_pn, in_qmn, valuation
 
 Point = tuple[Fraction, ...]
@@ -178,7 +178,7 @@ class ParamFamily:
                 return 1
             # truth along the point variable changes only at roots of atoms
             # that mention it: k roots give at most k+1 maximal components
-            k = sum(1 for a in _semilinear_atoms(f) if a.coeffs and a.coeffs[0] != 0)
+            k = sum(1 for a in formula_atoms(f) if a.coeffs and a.coeffs[0] != 0)
             return k + 1
         raise ValueError(self.kind)
 
@@ -193,12 +193,6 @@ def _is_convex_shape(f) -> bool:
     if f[0] in ("true", "false"):
         return True
     return False
-
-
-def _semilinear_atoms(f):
-    from .linear import formula_atoms
-
-    return formula_atoms(f)
 
 
 # ---------------------------------------------------------------------------

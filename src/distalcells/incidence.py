@@ -1,6 +1,6 @@
 """Incidence combinatorics at desk scale: complete-bipartite-freeness
-certificates, Zarankiewicz ratio sweeps on grid point-line systems, the two
-sum-product incidence identities, and trace-growth probes.
+certificates, Zarankiewicz ratio sweeps on grid point-line systems, and the
+two sum-product incidence identities.
 
 Counting is exact over Q; the p-adic runs use rational representatives with
 exact equality, which counts the same sets.  The counters scale each
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .decomp import fit_loglog_slope
-from .rng import SplitMix64
-
 MAX_KSU_POINTS = 2000  # exhaustive search guard
 
 
@@ -32,9 +29,6 @@ class BipartiteInstance:
     P: list
     Q: list
     edge: Callable[[object, object], bool]
-
-    def count_edges(self) -> int:
-        return sum(1 for p in self.P for q in self.Q if self.edge(p, q))
 
 
 @dataclass(frozen=True)
@@ -282,57 +276,3 @@ def sum_bb_experiment(A: Sequence[Fraction], B: Sequence[Fraction]) -> SumBBRepo
         a_size=len(A), b_size=len(B), sum_bb=len(target),
         incidences=count, expected=len(A) * len(B) ** 2,
     )
-
-
-# ---------------------------------------------------------------------------
-# Trace growth (dual shatter) probes
-# ---------------------------------------------------------------------------
-
-
-def line_trace_count(points: Sequence[tuple[Fraction, Fraction]]) -> int:
-    """Exact number of distinct traces A cap L over all lines L of the plane:
-    the empty set, singletons, and the collinear closures of pairs."""
-    pts = sorted(set(points))
-    traces: set[frozenset] = {frozenset()}
-    for p in pts:
-        traces.add(frozenset([p]))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            (x1, y1), (x2, y2) = pts[i], pts[j]
-            a, b = y2 - y1, x1 - x2
-            c = -(a * x1 + b * y1)
-            closure = frozenset(
-                q for q in pts if a * q[0] + b * q[1] + c == 0
-            )
-            traces.add(closure)
-    return len(traces)
-
-
-def equality_trace_count(points: Sequence[Fraction]) -> int:
-    """Traces of {x = b}: the singletons plus the empty set."""
-    return len(set(points)) + 1
-
-
-def constant_false_trace_count(points: Sequence) -> int:
-    return 1
-
-
-def vc_density_probe(
-    trace_counter: Callable[[Sequence], int],
-    sampler: Callable[[SplitMix64, int], Sequence],
-    sizes: Sequence[int],
-    trials: int,
-    seed: int,
-) -> tuple[float, list[int]]:
-    """Fitted growth exponent of the maximal trace count over random sample
-    sets of each size."""
-    master = SplitMix64(seed)
-    maxima = []
-    for n in sizes:
-        best = 0
-        for t in range(trials):
-            rng = master.split(n, t)
-            best = max(best, trace_counter(sampler(rng, n)))
-        maxima.append(best)
-    slope, _ = fit_loglog_slope(list(sizes), maxima)
-    return slope, maxima

@@ -30,6 +30,7 @@ from .linear import (
     FALSE,
     TRUE,
     Atom,
+    _subst_affine,
     dnf_simplify,
     eliminate_exists,
     eval_formula,
@@ -39,24 +40,20 @@ from .linear import (
     f_or,
     fold_atom,
     formula_atoms,
+    map_atoms,
 )
 
 
 def _subst_var(f, var: int, target: int):
     """vars[var] := vars[target] (a plain variable swap-in)."""
-    from .linear import _subst_affine
-
     coeffs = tuple(Fraction(0) for _ in range(target)) + (Fraction(1),)
     return _subst_affine(f, var, coeffs, Fraction(0))
 
 
 def _remap(f, mapping):
     """Rebuild a formula with variable indices remapped."""
-    tag = f[0]
-    if tag in ("true", "false"):
-        return f
-    if tag == "atom":
-        a: Atom = f[1]
+
+    def rule(a: Atom):
         new: dict[int, Fraction] = {}
         for i, c in enumerate(a.coeffs):
             if c:
@@ -64,13 +61,8 @@ def _remap(f, mapping):
         size = max(new) + 1 if new else 0
         coeffs = tuple(new.get(i, Fraction(0)) for i in range(size))
         return fold_atom(Atom(coeffs, a.const, a.rel))
-    if tag == "and":
-        return f_and(*(_remap(g, mapping) for g in f[1]))
-    if tag == "or":
-        return f_or(*(_remap(g, mapping) for g in f[1]))
-    if tag == "not":
-        return f_not(_remap(f[1], mapping))
-    raise ValueError(tag)
+
+    return map_atoms(f, rule)
 
 
 def _shift_y_block(f, d: int, e: int, block: int):
@@ -282,8 +274,6 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
     return Decomposition(
         name=f"dim-induction-{d}d",
-        point_dim=d,
-        param_count=2 * (d - 1) + 2,
         instantiate_fn=inst,
         probe_fn=None,
     )

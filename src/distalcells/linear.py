@@ -200,14 +200,21 @@ def formula_atoms(f) -> Iterable[Atom]:
         yield from formula_atoms(f[1])
 
 
-def max_var(f) -> int:
-    """Highest variable index with a nonzero coefficient, or -1."""
-    hi = -1
-    for a in formula_atoms(f):
-        for i, c in enumerate(a.coeffs):
-            if c and i > hi:
-                hi = i
-    return hi
+def map_atoms(f, rule):
+    """Rebuild f with each atom a replaced by the formula rule(a); the
+    and/or/not structure is rebuilt with f_and, f_or and f_not."""
+    tag = f[0]
+    if tag in ("true", "false"):
+        return f
+    if tag == "atom":
+        return rule(f[1])
+    if tag == "and":
+        return f_and(*(map_atoms(g, rule) for g in f[1]))
+    if tag == "or":
+        return f_or(*(map_atoms(g, rule) for g in f[1]))
+    if tag == "not":
+        return f_not(map_atoms(f[1], rule))
+    raise ValueError(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -217,85 +224,53 @@ def max_var(f) -> int:
 
 def _subst_affine(f, var: int, coeffs: Vec, const: Fraction):
     """Substitute vars[var] := affine expression (coeffs, const)."""
-    tag = f[0]
-    if tag in ("true", "false"):
-        return f
-    if tag == "atom":
-        a: Atom = f[1]
+
+    def rule(a: Atom):
         c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
         if c == 0:
-            return f
-        return fold_atom(Atom(*_subst_into(a, var, c, coeffs, const), a.rel))
-    if tag == "and":
-        return f_and(*(_subst_affine(g, var, coeffs, const) for g in f[1]))
-    if tag == "or":
-        return f_or(*(_subst_affine(g, var, coeffs, const) for g in f[1]))
-    if tag == "not":
-        return f_not(_subst_affine(f[1], var, coeffs, const))
-    raise ValueError(tag)
+            return ("atom", a)
+        return _subst_atom(a, var, c, coeffs, const, a.rel)
+
+    return map_atoms(f, rule)
 
 
-def _subst_into(a: Atom, var: int, c: Fraction, coeffs: Vec, const: Fraction):
-    n = max(len(a.coeffs), len(coeffs))
-    new = [Fraction(0)] * n
-    for i, ci in enumerate(a.coeffs):
-        new[i] = ci
-    new[var] = Fraction(0)
-    for i, ci in enumerate(coeffs):
-        new[i] += c * ci
-    return tuple(new), a.const + c * const
+def _subst_atom(a: Atom, var: int, c: Fraction, coeffs: Vec, const: Fraction, rel: str):
+    """a with vars[var] := (coeffs, const) and relation rel; c = a's
+    coefficient of vars[var]."""
+    return fold_atom(Atom(tuple(_apply_sub(a.coeffs, var, c, coeffs)), a.const + c * const, rel))
 
 
 def _subst_affine_eps(f, var: int, coeffs: Vec, const: Fraction):
     """Substitute vars[var] := (expression) + epsilon for infinitesimal
     epsilon > 0; the sign contribution of epsilon resolves statically."""
-    tag = f[0]
-    if tag in ("true", "false"):
-        return f
-    if tag == "atom":
-        a: Atom = f[1]
+
+    def rule(a: Atom):
         c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
         if c == 0:
-            return f
+            return ("atom", a)
         if a.rel == "=":
             return FALSE  # v + c*eps is never exactly 0 when c != 0
         if a.rel == "!=":
             return TRUE
-        v_coeffs, v_const = _subst_into(a, var, c, coeffs, const)
         # v + c*eps REL 0 for infinitesimal eps > 0: v < 0, or v = 0 and c < 0
-        rel = "<=" if c < 0 else "<"
-        return fold_atom(Atom(v_coeffs, v_const, rel))
-    if tag == "and":
-        return f_and(*(_subst_affine_eps(g, var, coeffs, const) for g in f[1]))
-    if tag == "or":
-        return f_or(*(_subst_affine_eps(g, var, coeffs, const) for g in f[1]))
-    if tag == "not":
-        return f_not(_subst_affine_eps(f[1], var, coeffs, const))
-    raise ValueError(tag)
+        return _subst_atom(a, var, c, coeffs, const, "<=" if c < 0 else "<")
+
+    return map_atoms(f, rule)
 
 
 def _subst_neg_inf(f, var: int):
-    tag = f[0]
-    if tag in ("true", "false"):
-        return f
-    if tag == "atom":
-        a: Atom = f[1]
+    def rule(a: Atom):
         c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
         if c == 0:
-            return f
+            return ("atom", a)
         if a.rel == "=":
             return FALSE
         if a.rel == "!=":
             return TRUE
         # c*(-inf) dominates: value -> -inf if c > 0 else +inf
         return TRUE if c > 0 else FALSE
-    if tag == "and":
-        return f_and(*(_subst_neg_inf(g, var) for g in f[1]))
-    if tag == "or":
-        return f_or(*(_subst_neg_inf(g, var) for g in f[1]))
-    if tag == "not":
-        return f_not(_subst_neg_inf(f[1], var))
-    raise ValueError(tag)
+
+    return map_atoms(f, rule)
 
 
 def eliminate_exists(f, var: int) -> tuple:
@@ -498,14 +473,18 @@ def conj_satisfiable(atoms) -> bool:
     ineqs = [(list(a.coeffs), a.const, a.rel) for a in atoms if a.rel in ("<", "<=")]
     neqs = [(list(a.coeffs), a.const) for a in atoms if a.rel == "!="]
     subst: list[tuple[int, list[Fraction], Fraction]] = []
-    work = [(list(a.coeffs), a.const) for a in eqs]
-    while work:
-        coeffs, const = work.pop()
+
+    def reduce(coeffs, const):
         for var, rep_coeffs, rep_const in subst:
             c = coeffs[var] if var < len(coeffs) else Fraction(0)
             if c:
                 coeffs = _apply_sub(coeffs, var, c, rep_coeffs)
-                const += c * rep_const
+                const = const + c * rep_const
+        return coeffs, const
+
+    work = [(list(a.coeffs), a.const) for a in eqs]
+    while work:
+        coeffs, const = reduce(*work.pop())
         piv = next((i for i, c in enumerate(coeffs) if c), None)
         if piv is None:
             if const != 0:
@@ -515,14 +494,6 @@ def conj_satisfiable(atoms) -> bool:
         rep_coeffs = [-ci / c if i != piv else Fraction(0) for i, ci in enumerate(coeffs)]
         rep_const = -const / c
         subst.append((piv, rep_coeffs, rep_const))
-
-    def reduce(coeffs, const):
-        for var, rep_coeffs, rep_const in subst:
-            c = coeffs[var] if var < len(coeffs) else Fraction(0)
-            if c:
-                coeffs = _apply_sub(coeffs, var, c, rep_coeffs)
-                const = const + c * rep_const
-        return coeffs, const
 
     red_ineqs = []
     for coeffs, const, rel in ineqs:
@@ -552,6 +523,8 @@ def conj_satisfiable(atoms) -> bool:
 
 
 def _apply_sub(coeffs, var, c, rep_coeffs):
+    """The coefficient list with the term c * vars[var] replaced by
+    c * (rep_coeffs . vars); c is coeffs[var]."""
     n = max(len(coeffs), len(rep_coeffs))
     out = [Fraction(0)] * n
     for i, ci in enumerate(coeffs):

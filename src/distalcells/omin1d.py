@@ -48,11 +48,6 @@ class DownwardSet:
     extent: tuple | Cut
 
 
-def convex_components(family: ParamFamily, pred: int, b) -> list[Iv]:
-    """Ordered maximal convex components of pred(M; b); exact endpoints."""
-    return family.components(pred, b)
-
-
 def _closure_leq(comp: Optional[Iv]):
     # downward closure including the component: exists x0 in comp with x <= x0
     if comp is None:
@@ -79,7 +74,7 @@ def downward_family(family: ParamFamily, B: Sequence) -> list[DownwardSet]:
     for pi in range(len(family.preds)):
         bound = family.component_bound(pi)
         for bi, b in enumerate(B):
-            comps = convex_components(family, pi, b)
+            comps = family.components(pi, b)
             if len(comps) > bound:
                 raise ValueError(f"predicate {pi} exceeds its component bound")
             # realized components only; index 0 is kept for the empty set so
@@ -152,7 +147,7 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     def comps_of(pi: int, b) -> list[Iv]:
         key = (pi, b)
         if key not in comp_cache:
-            comp_cache[key] = convex_components(family, pi, b)
+            comp_cache[key] = family.components(pi, b)
         return comp_cache[key]
 
     def make_excluded(iv: Iv):
@@ -185,8 +180,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
 
     return Decomposition(
         name="omin1d",
-        point_dim=1,
-        param_count=2,
         instantiate_fn=inst,
         probe_fn=lambda B: census_probes_1d(family, B),
         locator_fn=interval_locator,

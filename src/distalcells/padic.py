@@ -127,10 +127,6 @@ class BallForest:
     children: list[list[int]]
     roots: list[int]
 
-    @property
-    def hasse_edges(self) -> list[tuple[int, int]]:
-        return [(p, c) for c, p in enumerate(self.parent) if p is not None]
-
     def locate(self, x: Fraction) -> int:
         """Index of the deepest ball containing x; len(balls) for the outer
         region."""
@@ -471,8 +467,6 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
 
     return Decomposition(
         name="padic-macintyre",
-        point_dim=1,
-        param_count=3,
         instantiate_fn=inst,
         probe_fn=lambda B: family_probes(family, B),
         locator_fn=_forest_locator,
@@ -585,8 +579,6 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
 
     return Decomposition(
         name="padic-laff",
-        point_dim=1,
-        param_count=3,
         instantiate_fn=inst,
         probe_fn=lambda B: family_probes(family, B),
         locator_fn=_forest_locator,

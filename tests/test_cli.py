@@ -108,6 +108,16 @@ PRESBURGER_SPEC = {
 }
 
 
+VL_SPEC = {
+    "structure": "vector-linear",
+    "family": {
+        "kind": "vector-linear", "point_dim": 1, "param_dim": 1,
+        "predicates": [{"f": [1], "g": [-1], "rel": "trichotomy"}],
+    },
+    "sizes": [4, 8], "trials": 1, "seed": 1,
+}
+
+
 MAC_SPEC = {
     "structure": "padic-macintyre",
     "family": {
@@ -160,12 +170,19 @@ def _with_mod_atom(**fields):
     (_with_family(LAFF_SPEC, C=[1]), "/family/C/0"),
     (_with_family(LAFF_SPEC, C="y"), "/family/C"),
     (_with_family(LAFF_SPEC, prime=15), "/family/prime"),
+    (_with_family(VL_SPEC, predicates=[{"f": [1], "g": [-1], "rel": "<"}]),
+     "/family/predicates"),
+    (_with_family(PRESBURGER_SPEC, predicates=PRESBURGER_SPEC["family"]["predicates"][:2]),
+     "/family/predicates"),
+    (_with_family(VL_SPEC, predicates=[{"f": [0], "g": [-1], "rel": "trichotomy"}]),
+     "/family/predicates/0/f"),
 ], ids=[
     "verify-instances", "height", "den", "generator-kind", "point-dim",
     "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
     "predicate-not-object", "atom-not-object", "predicates-not-list",
     "atom-rel", "mac-F-not-list", "mac-C-not-list", "mac-lambda-not-list",
     "mac-prime-9", "laff-C-entry", "laff-C-not-list", "laff-prime-15",
+    "vl-no-trichotomy", "presburger-missing-residue", "vl-zero-f",
 ])
 def test_schema_error_field(tmp_path, capsys, payload, path):
     spec = _write_spec(tmp_path, payload)

@@ -8,7 +8,6 @@ from distalcells.conjcells import (
     build_decomposition,
     check_conjunction_property,
     conj_decomposition,
-    negation_closure_check,
 )
 from distalcells.decomp import verify
 from distalcells.families import (
@@ -55,12 +54,6 @@ def test_conjunction_property_equal_parities():
     fam = _presburger_parity()
     res = check_conjunction_property(fam, [F(0), F(2)])
     assert res.witnesses[3] == (F(0),)
-
-
-def test_negation_closure_random():
-    rng = SplitMix64(99)
-    assert negation_closure_check(_trichotomy_x_minus_y(), rng, samples=300)
-    assert negation_closure_check(_presburger_parity(), rng, samples=300)
 
 
 def test_vl_cells_trichotomy():

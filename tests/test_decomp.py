@@ -5,9 +5,7 @@ import pytest
 
 from distalcells import conjcells, padic
 from distalcells.decomp import (
-    dedupe_cells,
     fit_loglog_slope,
-    intersect,
     shatter_estimate,
     verify,
     Decomposition,
@@ -31,10 +29,6 @@ def _x_lt_y():
     return semilinear_family([f_atom([1, -1], 0, "<")], 1, 1)
 
 
-def _x_le_shift(c):
-    return semilinear_family([f_atom([1, -1], -c, "<=")], 1, 1)
-
-
 def _trivial_decomp():
     from distalcells.linear import Iv
 
@@ -47,59 +41,7 @@ def _trivial_decomp():
             )
         ]
 
-    return Decomposition("trivial", 1, 0, inst, probe_fn=lambda B: [(F(0),)])
-
-
-def test_intersect_singleton_is_identity():
-    fam = _x_lt_y()
-    d = build_decomposition(fam)
-    cap = intersect([d])
-    B = [F(0), F(2)]
-    assert len(dedupe_cells(cap.instantiate(B))) == len(dedupe_cells(d.instantiate(B)))
-    rep = verify(cap, fam, B)
-    assert rep.passed
-
-
-def test_intersect_two_chains():
-    fam1 = _x_lt_y()
-    fam2 = _x_le_shift(F(1, 2))
-    d1, d2 = build_decomposition(fam1), build_decomposition(fam2)
-    cap = intersect([d1, d2])
-    B = [F(0), F(2)]
-    cells = cap.instantiate(B)
-    assert len(cells) <= len(d1.instantiate(B)) * len(d2.instantiate(B))
-    # nonempty intersections only
-    for c in cells:
-        assert not c.interval.is_empty()
-    union = semilinear_family(
-        [f_atom([1, -1], 0, "<"), f_atom([1, -1], F(-1, 2), "<=")], 1, 1
-    )
-    rep = verify(cap, union, B)
-    assert rep.covered and rep.uncrossed
-
-
-def test_intersect_with_trivial_is_identity_extent():
-    fam = _x_lt_y()
-    d = build_decomposition(fam)
-    cap = intersect([d, _trivial_decomp()])
-    B = [F(0), F(2)]
-    ivs1 = sorted(str(c.interval) for c in cap.instantiate(B))
-    ivs2 = sorted(str(c.interval) for c in d.instantiate(B))
-    assert ivs1 == ivs2
-
-
-def test_intersect_preserves_validity_random():
-    rng = SplitMix64(314)
-    for _ in range(10):
-        c1, c2 = rng.fraction(5, 2), rng.fraction(5, 2)
-        fam1, fam2 = _x_le_shift(c1), _x_le_shift(c2)
-        cap = intersect([build_decomposition(fam1), build_decomposition(fam2)])
-        union = semilinear_family(
-            [f_atom([1, -1], -c1, "<="), f_atom([1, -1], -c2, "<=")], 1, 1
-        )
-        B = sorted({rng.fraction(10, 2) for _ in range(4)})
-        rep = verify(cap, union, B)
-        assert rep.covered and rep.uncrossed
+    return Decomposition("trivial", inst, probe_fn=lambda B: [(F(0),)])
 
 
 def test_boolean_lift_disjunction():

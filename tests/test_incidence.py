@@ -11,13 +11,9 @@ from distalcells.incidence import (
     certify_lines_pairwise_distinct,
     contains_ksu,
     elekes_grid_instance,
-    equality_trace_count,
-    constant_false_trace_count,
     line_edge,
-    line_trace_count,
     sum_bb_experiment,
     sum_product_experiment,
-    vc_density_probe,
     zarankiewicz_check,
     zarankiewicz_sweep,
 )
@@ -202,35 +198,3 @@ def test_line_through_matches_fraction_oracle(y1, y2, x1, x2, on_line):
     if on_line:
         x2 = y2 * (x1 - y1)
     assert Line(y1, y2).through(x1, x2) == (y2 * (x1 - y1) == x2)
-
-
-def test_vc_probe_lines():
-    def sampler(rng, n):
-        pts = set()
-        while len(pts) < n:
-            pts.add((F(rng.randint(-40, 40)), F(rng.randint(-40, 40))))
-        return sorted(pts)
-
-    slope, maxima = vc_density_probe(line_trace_count, sampler, [8, 16, 32, 64], 2, 3)
-    assert slope <= 2.2
-    assert maxima[-1] > maxima[0]
-
-
-def test_vc_probe_equality():
-    def sampler(rng, n):
-        vals = set()
-        while len(vals) < n:
-            vals.add(F(rng.randint(-1000, 1000)))
-        return sorted(vals)
-
-    slope, _ = vc_density_probe(equality_trace_count, sampler, [8, 16, 32, 64], 2, 4)
-    assert slope <= 1.2
-
-
-def test_vc_probe_constant_false():
-    def sampler(rng, n):
-        return list(range(n))
-
-    slope, maxima = vc_density_probe(constant_false_trace_count, sampler, [8, 16, 32], 2, 5)
-    assert slope == 0.0
-    assert maxima == [1, 1, 1]

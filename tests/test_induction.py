@@ -1,16 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distalcells.decomp import dedupe_cells, verify
 from distalcells.families import semilinear_family, type_census_probe
 from distalcells.induction import (
+    _drop_first_var,
+    _shift_y_block,
+    _subst_var,
     derive_family,
     fiber_sources,
     induct,
     plane_probes,
 )
-from distalcells.linear import components_1d, eval_formula, f_atom, f_and
+from distalcells.linear import components_1d, eval_formula, f_and, f_atom, f_not, f_or
 from distalcells.rng import SplitMix64
 
 
@@ -155,3 +159,65 @@ def test_induct_d3_smoke():
     rep = verify(decomp, fam, B, probes=probes)
     assert rep.covered and rep.uncrossed
     assert rep.census_lower_bound >= 3  # below 0, between, above 1
+
+
+_rats = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
+
+
+@st.composite
+def _formulas(draw, nvars: int, free_first: bool = False):
+    """A random and/or/not formula over nvars variables with rational
+    coefficients; with free_first, variable 0 occurs in no atom."""
+
+    def build(depth):
+        if depth == 0:
+            coeffs = [draw(_rats) for _ in range(nvars)]
+            if free_first:
+                coeffs[0] = F(0)
+            rel = draw(st.sampled_from(["<", "<=", "=", "!=", ">", ">="]))
+            return f_atom(coeffs, draw(_rats), rel)
+        kind = draw(st.sampled_from(["and", "or", "not"]))
+        if kind == "not":
+            return f_not(build(depth - 1))
+        sub = [build(depth - 1) for _ in range(2)]
+        return f_and(*sub) if kind == "and" else f_or(*sub)
+
+    return build(draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f=_formulas(4),
+    var=st.integers(0, 3),
+    target=st.integers(0, 5),
+    point=st.lists(_rats, min_size=6, max_size=6),
+)
+def test_subst_var_preserves_truth(f, var, target, point):
+    moved = list(point)
+    moved[var] = point[target]
+    assert eval_formula(_subst_var(f, var, target), point) == eval_formula(f, moved)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    d=st.integers(1, 2),
+    e=st.integers(1, 2),
+    block=st.integers(0, 2),
+)
+def test_shift_y_block_preserves_truth(data, d, e, block):
+    # the shifted formula reads the parameter block [d + block*e, d + (block+1)*e)
+    f = data.draw(_formulas(d + e))
+    point = data.draw(st.lists(_rats, min_size=d + 3 * e, max_size=d + 3 * e))
+    src = [point[i] if i < d else point[i + block * e] for i in range(d + e)]
+    assert eval_formula(_shift_y_block(f, d, e, block), point) == eval_formula(f, src)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f=_formulas(4, free_first=True),
+    x0=_rats,
+    point=st.lists(_rats, min_size=3, max_size=3),
+)
+def test_drop_first_var_preserves_truth(f, x0, point):
+    assert eval_formula(_drop_first_var(f), point) == eval_formula(f, [x0] + point)

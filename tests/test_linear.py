@@ -7,6 +7,7 @@ from distalcells.linear import (
     Atom,
     Iv,
     TRUE,
+    _subst_affine,
     components_1d,
     crosses,
     eliminate_exists,
@@ -138,3 +139,19 @@ def test_eliminated_formula_is_var_free(f, y, z):
     e1 = eval_formula(elim, [F(-99), F(y), F(z)])
     e2 = eval_formula(elim, [F(99), F(y), F(z)])
     assert e1 == e2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f=_formulas(),
+    var=st.integers(0, 2),
+    coeffs=st.lists(_rats, min_size=4, max_size=4),
+    const=_rats,
+    point=st.lists(_rats, min_size=4, max_size=4),
+)
+def test_subst_affine_preserves_truth(f, var, coeffs, const, point):
+    # f[vars[var] := e] holds at a iff f holds at a with a[var] replaced by e(a)
+    g = _subst_affine(f, var, tuple(coeffs), const)
+    moved = list(point)
+    moved[var] = const + sum((c * a for c, a in zip(coeffs, point)), F(0))
+    assert eval_formula(g, point) == eval_formula(f, moved)

@@ -16,7 +16,6 @@ from distalcells.omin1d import (
     Cut,
     build_decomposition,
     chain_atoms,
-    convex_components,
     cut_key,
     downward_family,
 )
@@ -33,7 +32,7 @@ def _y_lt_x():
 
 def test_convex_components_halfline():
     fam = _x_lt_y()
-    assert convex_components(fam, 0, F(2)) == [Iv(None, True, F(2), True)]
+    assert fam.components(0, F(2)) == [Iv(None, True, F(2), True)]
 
 
 def test_convex_components_two_pieces():
@@ -43,14 +42,14 @@ def test_convex_components_two_pieces():
         f_and(f_atom([1, -1], -2, ">"), f_atom([1, -1], -3, "<")),
     )
     fam = semilinear_family([f], 1, 1)
-    comps = convex_components(fam, 0, F(0))
+    comps = fam.components(0, F(0))
     assert comps == [Iv(F(0), True, F(1), True), Iv(F(2), True, F(3), True)]
 
 
 def test_convex_components_empty():
     f = f_and(f_atom([1, -1], 0, "<"), f_atom([1, -1], 0, ">"))
     fam = semilinear_family([f], 1, 1)
-    assert convex_components(fam, 0, F(0)) == []
+    assert fam.components(0, F(0)) == []
 
 
 def test_downward_family_x_lt_y():
@@ -137,7 +136,7 @@ def test_verify_corrupted_decomposition_reports_uncovered():
     from distalcells.decomp import Decomposition
 
     bad = Decomposition(
-        name="broken", point_dim=1, param_count=2,
+        name="broken",
         instantiate_fn=broken, probe_fn=base.probe_fn, locator_fn=base.locator_fn,
     )
     rep = verify(bad, fam, [F(0), F(2)])
@@ -165,7 +164,7 @@ def test_exclusion_soundness_definition():
     crossed = Iv(None, True, F(2), True)
     from distalcells.linear import crosses
 
-    assert crosses(convex_components(fam, 0, F(0)), crossed)
+    assert crosses(fam.components(0, F(0)), crossed)
 
 
 def _random_interval_pred(rng: SplitMix64):

@@ -58,13 +58,13 @@ def test_special_balls_empty():
 
 def test_ball_forest_nested_chain():
     forest = ball_forest([B3(0, 1), B3(0, 0)])
-    assert len(forest.hasse_edges) == 1
+    assert sum(p is not None for p in forest.parent) == 1
     assert len(forest.roots) == 1
 
 
 def test_ball_forest_disjoint():
     forest = ball_forest([B3(0, 0), B3(1, 0)])
-    assert len(forest.hasse_edges) == 0
+    assert forest.parent == [None, None]
     assert len(forest.roots) == 2
 
 
