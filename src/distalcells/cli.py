@@ -89,6 +89,9 @@ def _verification_probes(spec: ExperimentSpec, B: list):
     return None  # one-dimensional engines supply exact probes themselves
 
 
+DIM_INDUCTION_VERIFY_CAP = 12
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> int:
     decomp = _build_decomposition(spec)
     generator = _make_generator(spec)
@@ -101,10 +104,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> int:
     reports = []
     for n in spec.sizes[: max(1, spec.verify_instances)]:
         rng = master.split(10_000 + n)
-        size = min(n, 12 if spec.engine == "dim-induction" else n)
+        # dimension induction is verified on at most 12 parameters, and the
+        # report says so when it caps a size
+        size = min(n, DIM_INDUCTION_VERIFY_CAP) if spec.engine == "dim-induction" else n
         B = generator(rng, size)
         rep = verify(decomp, spec.family, B, probes=_verification_probes(spec, B))
-        reports.append({"n": size, **rep.to_dict()})
+        reports.append({"n": size, **({"capped_from": n} if size != n else {}), **rep.to_dict()})
         rows.append({
             "experiment_id": spec.experiment_id, "structure": spec.structure,
             "engine": spec.engine, "n": size, "trial": "verify",

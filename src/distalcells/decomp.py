@@ -35,7 +35,8 @@ class CellInstance:
     - extent_key: canonical extent; dedupe_cells.
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
-    - region: opaque here; read only by the engine's own locator.
+    - region: opaque here; read only by the engine that made the cell (the
+      p-adic locator, or induction's membership test of a cylinder above).
     """
 
     template: str

@@ -223,7 +223,7 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
 
 
 STRUCTURES = {
-    "rationals-order": ("omin1d", ("semilinear", "interval")),
+    "rationals-order": ("omin1d", ("semilinear",)),
     "vector-linear": ("conj-cells", ("vector-linear",)),
     "presburger": ("conj-cells", ("congruence",)),
     "padic-macintyre": ("padic", ("valuation-macintyre",)),

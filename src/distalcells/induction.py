@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import omin1d
@@ -30,10 +31,13 @@ from .linear import (
     FALSE,
     TRUE,
     Atom,
+    Iv,
+    _cmp,
+    _int_row,
     _subst_affine,
+    _to_ints,
     dnf_simplify,
     eliminate_exists,
-    eval_formula,
     f_and,
     f_atom,
     f_not,
@@ -46,20 +50,19 @@ from .linear import (
 
 def _subst_var(f, var: int, target: int):
     """vars[var] := vars[target] (a plain variable swap-in)."""
-    coeffs = tuple(Fraction(0) for _ in range(target)) + (Fraction(1),)
-    return _subst_affine(f, var, coeffs, Fraction(0))
+    return _subst_affine(f, var, (0,) * target + (1,), 0)
 
 
 def _remap(f, mapping):
     """Rebuild a formula with variable indices remapped."""
 
     def rule(a: Atom):
-        new: dict[int, Fraction] = {}
+        new: dict[int, int] = {}
         for i, c in enumerate(a.coeffs):
             if c:
-                new[mapping(i)] = new.get(mapping(i), Fraction(0)) + c
+                new[mapping(i)] = new.get(mapping(i), 0) + c
         size = max(new) + 1 if new else 0
-        coeffs = tuple(new.get(i, Fraction(0)) for i in range(size))
+        coeffs = tuple(new.get(i, 0) for i in range(size))
         return fold_atom(Atom(coeffs, a.const, a.rel))
 
     return map_atoms(f, rule)
@@ -131,7 +134,7 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
                 prev = w
             order_chain.append((prev, 0))
             for lo, hi in order_chain:
-                coeffs = [Fraction(0)] * (max(lo, hi) + 1)
+                coeffs = [0] * (max(lo, hi) + 1)
                 coeffs[lo] += 1
                 if hi == 0:
                     coeffs[0] -= 1
@@ -151,8 +154,8 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
                 continue
             t = fresh
             comp_t = _subst_var(comp, 0, t)
-            le_t = f_atom([Fraction(1)] + [Fraction(0)] * (t - 1) + [Fraction(-1)], 0, "<=")
-            ge_t = f_atom([Fraction(1)] + [Fraction(0)] * (t - 1) + [Fraction(-1)], 0, ">=")
+            le_t = f_atom([1] + [0] * (t - 1) + [-1], 0, "<=")
+            ge_t = f_atom([1] + [0] * (t - 1) + [-1], 0, ">=")
             leq = dnf_simplify(eliminate_exists(f_and(comp_t, le_t), t))
             lt = dnf_simplify(f_not(eliminate_exists(f_and(comp_t, ge_t), t)))
             out.append(FiberSource(pi, i, "<=", leq))
@@ -254,6 +257,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, e) for b in B]
+        scale = _PointInts()
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
@@ -265,10 +269,11 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 tuples = [(B[0], B[0])]
             for b1, b2 in tuples:
                 B_der = [b1 + b2 + b for b in B]
+                der = _derived_params(b1, b2, B, B_der)
+                fiber = _fiber_test(tpl.formula, d, b1 + b2)
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(family, df, ti, b1, b2, base_cell)
-                    # T(B) keeps only potential cells missed by every I(Delta)
-                    if cell is not None and not any(cell.excluded(b) for b in B):
+                    cell = _cyl_cell(family, df, ti, b1, b2, base_cell, B_der, der, fiber, scale)
+                    if cell is not None:
                         cells.append(cell)
         return cells
 
@@ -285,32 +290,61 @@ def _base_sample(base_cell: CellInstance) -> Optional[tuple]:
     return base_cell.sample
 
 
+def _derived_params(b1, b2, B: list, B_der: list):
+    """b -> b1 + b2 + b, returning the very tuple of B_der for the members of
+    B, so that the base instance finds them in its caches by identity."""
+    by_id = {id(b): (b, bd) for b, bd in zip(B, B_der)}
+
+    def der(b: tuple) -> tuple:
+        hit = by_id.get(id(b))
+        if hit is not None and hit[0] is b:
+            return hit[1]
+        return b1 + b2 + b
+
+    return der
+
+
 def _cyl_cell(
-    family, df: DerivedFamily, ti: int, b1, b2, base_cell: CellInstance
+    family,
+    df: DerivedFamily,
+    ti: int,
+    b1,
+    b2,
+    base_cell: CellInstance,
+    B_der: list,
+    der,
+    fiber,
+    scale,
 ) -> Optional[CellInstance]:
-    """The cylinder of template df over base_cell, or None when it is empty."""
+    """The cylinder of template df over base_cell, or None when it is empty
+    or excluded by a parameter of the instance (T(B) keeps only potential
+    cells missed by every I(Delta))."""
     tpl = df.template
     psi = tpl.formula
-    d = family.point_dim
-
-    def member(a: tuple) -> bool:
-        if not base_cell.member(a[1:]):
-            return False
-        return eval_formula(psi, list(a) + list(b1) + list(b2))
-
     base_pt = _base_sample(base_cell)
 
-    def excluded(b) -> bool:
-        b = as_param(b, family.param_dim)
-        b_der = b1 + b2 + b
+    def excluded_der(b_der) -> bool:
+        # theta*: the fiber template is crossed somewhere over the base; the
+        # crossing predicate is part of the derived family, so on a valid
+        # base cell its value at the sample decides it everywhere.  It is
+        # tested first, being cheaper than the base cell's own test.
+        if base_pt is not None and df.family.evaluate(0, base_pt, b_der):
+            return True
         if base_cell.excluded(b_der):
             return True
         if base_pt is None:
             raise ValueError("base cell carries no sample point")
-        # theta*: the fiber template is crossed somewhere over the base; the
-        # crossing predicate is part of the derived family, so on a valid
-        # base cell its value at the sample decides it everywhere
-        return df.family.evaluate(0, base_pt, b_der)
+        return False
+
+    if any(excluded_der(b_der) for b_der in B_der):
+        return None
+
+    # membership on points scaled to ints; the base is a chain-engine
+    # interval or a cylinder of the level below, whose region is this test
+    base_test = base_cell.region if base_cell.interval is None else _interval_test(base_cell.interval)
+
+    def member_ints(pt: tuple) -> bool:
+        return base_test(pt[1:]) and fiber(pt)
 
     sample = None
     if base_pt is not None:
@@ -341,11 +375,95 @@ def _cyl_cell(
     return CellInstance(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
-        member=member,
-        excluded=excluded,
+        member=lambda a: member_ints(scale(a)),
+        excluded=lambda b: excluded_der(der(as_param(b, family.param_dim))),
         extent_key=(ti, b1, b2, base_cell.extent_key),
         sample=sample,
+        region=member_ints,
     )
+
+
+class _PointInts:
+    """A point as ints (n_1, ..., n_d, q) with x_i = n_i / q.  The last point
+    is kept, since verify asks every cell about one probe before the next."""
+
+    def __init__(self):
+        self.last = None
+        self.ints = None
+
+    def __call__(self, a: tuple) -> tuple:
+        if a is not self.last:
+            nums, q = _to_ints(a)
+            self.ints = (*nums, q)
+            self.last = a
+        return self.ints
+
+
+def _interval_test(iv: Iv):
+    """iv.member on a scaled value (n, q), x = n / q, by int cross-multiplication."""
+    lo, lo_open, hi, hi_open = iv.lo, iv.lo_open, iv.hi, iv.hi_open
+    lo_n, lo_d = (lo.numerator, lo.denominator) if lo is not None else (0, 0)
+    hi_n, hi_d = (hi.numerator, hi.denominator) if hi is not None else (0, 0)
+
+    def test(pt: tuple) -> bool:
+        n, q = pt
+        if lo is not None:
+            c = n * lo_d - lo_n * q
+            if c < 0 or (c == 0 and lo_open):
+                return False
+        if hi is not None:
+            c = n * hi_d - hi_n * q
+            if c > 0 or (c == 0 and hi_open):
+                return False
+        return True
+
+    return test
+
+
+def _fiber_test(psi, d: int, params: tuple):
+    """psi at the fixed parameters, as a test on points scaled to ints.  On
+    the first call every atom becomes an int row over x: with the parameters
+    scaled to ints y_j / L, the atom times L reads  sum_i (c_i L) x_i + s."""
+    compiled = None
+
+    def test(pt: tuple) -> bool:
+        nonlocal compiled
+        if compiled is None:
+            ys, den = _to_ints(params)
+
+            def row(a: Atom):
+                coeffs, const = _int_row(a)
+                xs = [den * coeffs[i] if i < len(coeffs) else 0 for i in range(d)]
+                s = const * den + sum(c * y for c, y in zip(coeffs[d:], ys))
+                if not any(xs):
+                    return TRUE if _cmp(s, a.rel) else FALSE
+                return ("row", (*xs, s), a.rel)
+
+            compiled = map_atoms(psi, row)
+        return _holds(compiled, pt)
+
+    return test
+
+
+def _holds(node, pt: tuple) -> bool:
+    """A formula over int rows ("row", (r_1, ..., r_d, s), rel) at a point
+    scaled to ints (n_1, ..., n_d, q)."""
+    tag = node[0]
+    if tag == "row":
+        return _cmp(sum(map(mul, node[1], pt)), node[2])
+    if tag == "and":
+        for g in node[1]:
+            if not _holds(g, pt):
+                return False
+        return True
+    if tag == "or":
+        for g in node[1]:
+            if _holds(g, pt):
+                return True
+        return False
+    if tag == "not":
+        return not _holds(node[1], pt)
+    return tag == "true"
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +478,16 @@ def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40, pad: int = 2
     if family.point_dim != 2:
         raise ValueError("plane probes are for |x| = 2")
     B = [as_param(b, family.param_dim) for b in B]
-    lines: list[tuple[Fraction, Fraction, Fraction]] = []  # a*x1 + b*x2 + c = 0
+    lines: list[tuple[int, int, Fraction]] = []  # a*x1 + b*x2 + c = 0
     vals: list[Fraction] = [Fraction(0)]
     for f in family.preds:
         for atom in formula_atoms(f):
             for b in B:
-                cs = list(atom.coeffs) + [Fraction(0)] * (2 + len(b) - len(atom.coeffs))
+                cs = list(atom.coeffs) + [0] * (2 + len(b) - len(atom.coeffs))
                 a1, a2 = cs[0], cs[1]
-                c = atom.const + sum(ci * bi for ci, bi in zip(cs[2:], b))
+                # a Fraction even with no parameter, so the divisions below
+                # by the int coefficients stay exact
+                c = sum((ci * bi for ci, bi in zip(cs[2:], b)), Fraction(atom.const))
                 if a1 or a2:
                     lines.append((a1, a2, c))
     for b in B:

@@ -2,8 +2,13 @@
 extraction in one variable, and quantifier elimination by virtual substitution.
 
 Formulas are nested tuples over `Atom`s; an atom is an affine expression
-compared to zero.  Everything is decided with `fractions.Fraction`, so the
-component extraction and the eliminated formulas are exact, which is what the
+compared to zero.  Atoms in formulas are kept in canonical form: coprime
+`int` coefficients and constant, fixed up to a positive factor.  Quantifier
+elimination, the Fourier-Motzkin satisfiability test and the component
+extraction work on those int rows, scaling a substituted root by its
+coefficient instead of dividing by it.  Points and parameters are
+`fractions.Fraction`s, and so are the interval endpoints (atom roots) that
+`components_1d` returns.  Everything is exact, which is what the
 decomposition engines rely on.
 """
 
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -47,10 +53,11 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class Atom:
-    """coeffs . vars + const  REL  0, with REL canonicalized to <, <=, =, !=."""
+    """coeffs . vars + const  REL  0, with REL canonicalized to <, <=, =, !=.
+    `make` stores Fractions; the canonical form in formulas stores ints."""
 
-    coeffs: Vec
-    const: Fraction
+    coeffs: tuple
+    const: Fraction | int
     rel: str
 
     @staticmethod
@@ -66,23 +73,11 @@ class Atom:
         return Atom(coeffs, const, rel)
 
     def scaled_canonical(self) -> "Atom":
-        """Scale by a positive rational so coefficients are coprime integers;
-        trailing zero coefficients are trimmed.  Improves dedup hits."""
-        coeffs = list(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        nums = [c for c in coeffs + [self.const] if c != 0]
-        if not nums:
-            return Atom((), self.const, self.rel)
-        from math import gcd
-        den_lcm = 1
-        for c in nums:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in nums:
-            num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-        scale = Fraction(den_lcm, num_gcd)
-        return Atom(tuple(c * scale for c in coeffs), self.const * scale, self.rel)
+        """Scale by a positive rational so the coefficients and constant are
+        coprime ints; trailing zero coefficients are trimmed.  Improves dedup
+        hits."""
+        coeffs, const = _int_row(self)
+        return _canonical(list(coeffs), const, self.rel)
 
     def _ratio(self, assignment: Sequence[Fraction]) -> tuple[int, int]:
         """(num, den) in plain ints, den > 0, with value = num / den."""
@@ -112,12 +107,47 @@ def _cmp(v: Fraction, rel: str) -> bool:
     return v != 0
 
 
+def _to_ints(values) -> tuple[list[int], int]:
+    """Rationals (or ints) scaled by the lcm of their denominators: the
+    scaled ints and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_row(a: Atom) -> tuple[tuple, int]:
+    """a's coefficients and constant as ints: as they are when they are ints
+    already (canonical atoms), else scaled by the lcm of their denominators."""
+    coeffs, const = a.coeffs, a.const
+    # a sum of ints is an int; one Fraction (or float) among them is not
+    if type(const) is int and type(sum(coeffs)) is int:
+        return coeffs, const
+    ints, _ = _to_ints((*coeffs, const))
+    return tuple(ints[:-1]), ints[-1]
+
+
+def _canonical(coeffs: list[int], const: int, rel: str) -> Atom:
+    """The atom coeffs . vars + const REL 0 divided by the gcd of its ints,
+    with trailing zero coefficients trimmed (`coeffs` is consumed)."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    g = gcd(const, *coeffs)
+    if g > 1:
+        return Atom(tuple(c // g for c in coeffs), const // g, rel)
+    return Atom(tuple(coeffs), const, rel)
+
+
+def _fold_ints(coeffs: list[int], const: int, rel: str) -> tuple:
+    """fold_atom for an int row."""
+    if not any(coeffs):
+        return TRUE if _cmp(const, rel) else FALSE
+    return ("atom", _canonical(coeffs, const, rel))
+
+
 def fold_atom(atom: Atom) -> tuple:
     """Wrap an atom as a formula, resolving variable-free atoms to TRUE/FALSE
     and scaling the rest to canonical integer form."""
-    if not any(atom.coeffs):
-        return TRUE if _cmp(atom.const, atom.rel) else FALSE
-    return ("atom", atom.scaled_canonical())
+    coeffs, const = _int_row(atom)
+    return _fold_ints(list(coeffs), const, atom.rel)
 
 
 def f_atom(coeffs, const, rel) -> tuple:
@@ -222,45 +252,47 @@ def map_atoms(f, rule):
 # ---------------------------------------------------------------------------
 
 
-def _subst_affine(f, var: int, coeffs: Vec, const: Fraction):
+def _subst_affine(f, var: int, coeffs: Sequence, const):
     """Substitute vars[var] := affine expression (coeffs, const)."""
+    ints, den = _to_ints((*coeffs, const))
+    return _subst(f, var, ints[:-1], ints[-1], den, eps=False)
+
+
+def _subst(f, var: int, num: list[int], k: int, den: int, eps: bool):
+    """Substitute vars[var] := (num . vars + k) / den with den > 0, plus an
+    infinitesimal epsilon > 0 when `eps`; the sign contribution of epsilon
+    resolves statically.  Each rewritten atom is scaled by den, so the
+    arithmetic stays on ints."""
 
     def rule(a: Atom):
-        c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
+        c = a.coeffs[var] if var < len(a.coeffs) else 0
         if c == 0:
             return ("atom", a)
-        return _subst_atom(a, var, c, coeffs, const, a.rel)
-
-    return map_atoms(f, rule)
-
-
-def _subst_atom(a: Atom, var: int, c: Fraction, coeffs: Vec, const: Fraction, rel: str):
-    """a with vars[var] := (coeffs, const) and relation rel; c = a's
-    coefficient of vars[var]."""
-    return fold_atom(Atom(tuple(_apply_sub(a.coeffs, var, c, coeffs)), a.const + c * const, rel))
-
-
-def _subst_affine_eps(f, var: int, coeffs: Vec, const: Fraction):
-    """Substitute vars[var] := (expression) + epsilon for infinitesimal
-    epsilon > 0; the sign contribution of epsilon resolves statically."""
-
-    def rule(a: Atom):
-        c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
-        if c == 0:
-            return ("atom", a)
-        if a.rel == "=":
-            return FALSE  # v + c*eps is never exactly 0 when c != 0
-        if a.rel == "!=":
-            return TRUE
-        # v + c*eps REL 0 for infinitesimal eps > 0: v < 0, or v = 0 and c < 0
-        return _subst_atom(a, var, c, coeffs, const, "<=" if c < 0 else "<")
+        rel = a.rel
+        if eps:
+            if rel == "=":
+                return FALSE  # v + c*eps is never exactly 0 when c != 0
+            if rel == "!=":
+                return TRUE
+            # v + c*eps REL 0 for infinitesimal eps > 0: v < 0, or v = 0 and c < 0
+            rel = "<=" if c < 0 else "<"
+        coeffs, const = _int_row(a)
+        c = coeffs[var]
+        out = [den * ci for ci in coeffs] if den != 1 else list(coeffs)
+        if len(num) > len(out):
+            out.extend([0] * (len(num) - len(out)))
+        out[var] = 0
+        for i, ni in enumerate(num):
+            if ni:
+                out[i] += c * ni
+        return _fold_ints(out, den * const + c * k, rel)
 
     return map_atoms(f, rule)
 
 
 def _subst_neg_inf(f, var: int):
     def rule(a: Atom):
-        c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
+        c = a.coeffs[var] if var < len(a.coeffs) else 0
         if c == 0:
             return ("atom", a)
         if a.rel == "=":
@@ -277,26 +309,31 @@ def eliminate_exists(f, var: int) -> tuple:
     """Quantifier-free equivalent of  exists vars[var] . f  over Q.
 
     Test points: -infinity, every atom root, and every root plus epsilon.
-    The result never mentions vars[var].
+    The root of c*vars[var] + r (c != 0) is substituted as
+    (-sign(c) * r) / |c|, so an atom a with coefficient c_a becomes
+    |c| * a - sign(c) * c_a * (c*vars[var] + r), an int row.  The result
+    never mentions vars[var].
     """
-    roots: list[tuple[Vec, Fraction]] = []
-    seen = set()
+    roots: dict = {}
     for a in formula_atoms(f):
-        c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
+        c = a.coeffs[var] if var < len(a.coeffs) else 0
         if c == 0:
             continue
-        coeffs = tuple(
-            (-ci / c if i != var else Fraction(0)) for i, ci in enumerate(a.coeffs)
-        )
-        const = -a.const / c
-        key = (coeffs, const)
-        if key not in seen:
-            seen.add(key)
-            roots.append(key)
+        coeffs, const = _int_row(a)
+        c = coeffs[var]
+        s = -1 if c > 0 else 1
+        num = [s * ci for ci in coeffs]
+        num[var] = 0
+        k = s * const
+        # atoms with the same root give the same key (up to trailing zeros)
+        g = gcd(k, *num, c)
+        key = (tuple(n // g for n in num), k // g, abs(c) // g)
+        if key not in roots:
+            roots[key] = (num, k, abs(c))
     parts = [_subst_neg_inf(f, var)]
-    for coeffs, const in roots:
-        parts.append(_subst_affine(f, var, coeffs, const))
-        parts.append(_subst_affine_eps(f, var, coeffs, const))
+    for num, k, den in roots.values():
+        parts.append(_subst(f, var, num, k, den, eps=False))
+        parts.append(_subst(f, var, num, k, den, eps=True))
     return f_or(*parts)
 
 
@@ -408,11 +445,22 @@ def crosses(components: list[Iv], delta: Iv) -> bool:
     (Both delta-inside and delta-outside parts nonempty.)"""
     if delta.is_empty():
         return False
-    hit = any(not iv_intersect(c, delta).is_empty() for c in components)
-    if not hit:
+    if not any(_meets(c, delta) for c in components):
         return False
     contained = any(iv_subset(delta, c) for c in components)
     return not contained
+
+
+def _meets(a: Iv, b: Iv) -> bool:
+    """Do the nonempty intervals a and b intersect?  Each must start no later
+    than the other ends, and at a shared endpoint both must be closed."""
+    if a.lo is not None and b.hi is not None:
+        if a.lo > b.hi or (a.lo == b.hi and (a.lo_open or b.hi_open)):
+            return False
+    if b.lo is not None and a.hi is not None:
+        if b.lo > a.hi or (b.lo == a.hi and (b.lo_open or a.hi_open)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -467,33 +515,37 @@ def _dnf_conjuncts(f, negate: bool, limit: int) -> Optional[list[frozenset]]:
 
 
 def conj_satisfiable(atoms) -> bool:
-    """Exact satisfiability over Q of a conjunction of canonical atoms, by
-    Gaussian substitution of equalities and Fourier-Motzkin elimination."""
-    eqs = [a for a in atoms if a.rel == "="]
-    ineqs = [(list(a.coeffs), a.const, a.rel) for a in atoms if a.rel in ("<", "<=")]
-    neqs = [(list(a.coeffs), a.const) for a in atoms if a.rel == "!="]
-    subst: list[tuple[int, list[Fraction], Fraction]] = []
+    """Exact satisfiability over Q of a conjunction of atoms, by Gaussian
+    substitution of equalities and Fourier-Motzkin elimination, all on int
+    rows: eliminating a variable scales the rows by positive ints instead of
+    dividing by a pivot."""
+    eqs, ineqs, neqs = [], [], []
+    for a in atoms:
+        coeffs, const = _int_row(a)
+        if a.rel == "=":
+            eqs.append((coeffs, const))
+        elif a.rel == "!=":
+            neqs.append((coeffs, const))
+        else:
+            ineqs.append((coeffs, const, a.rel))
+    subst: list[tuple[int, tuple, int]] = []  # (pivot, row, const) of an equality
 
     def reduce(coeffs, const):
-        for var, rep_coeffs, rep_const in subst:
-            c = coeffs[var] if var < len(coeffs) else Fraction(0)
+        for piv, row, rk in subst:
+            c = coeffs[piv] if piv < len(coeffs) else 0
             if c:
-                coeffs = _apply_sub(coeffs, var, c, rep_coeffs)
-                const = const + c * rep_const
+                p = row[piv]
+                coeffs, const = _combine(abs(p), coeffs, const, -c if p > 0 else c, row, rk)
         return coeffs, const
 
-    work = [(list(a.coeffs), a.const) for a in eqs]
-    while work:
-        coeffs, const = reduce(*work.pop())
+    for coeffs, const in eqs:
+        coeffs, const = reduce(coeffs, const)
         piv = next((i for i, c in enumerate(coeffs) if c), None)
         if piv is None:
             if const != 0:
                 return False
             continue
-        c = coeffs[piv]
-        rep_coeffs = [-ci / c if i != piv else Fraction(0) for i, ci in enumerate(coeffs)]
-        rep_const = -const / c
-        subst.append((piv, rep_coeffs, rep_const))
+        subst.append((piv, coeffs, const))
 
     red_ineqs = []
     for coeffs, const, rel in ineqs:
@@ -522,23 +574,28 @@ def conj_satisfiable(atoms) -> bool:
     return True
 
 
-def _apply_sub(coeffs, var, c, rep_coeffs):
-    """The coefficient list with the term c * vars[var] replaced by
-    c * (rep_coeffs . vars); c is coeffs[var]."""
-    n = max(len(coeffs), len(rep_coeffs))
-    out = [Fraction(0)] * n
-    for i, ci in enumerate(coeffs):
-        out[i] = ci
-    out[var] = Fraction(0)
-    for i, ri in enumerate(rep_coeffs):
-        if ri:
-            out[i] += c * ri
-    return out
+def _combine(p: int, u, uk: int, q: int, v, vk: int) -> tuple[list[int], int]:
+    """The int row p*u + q*v (constant p*uk + q*vk), divided by the gcd of
+    its entries."""
+    n = max(len(u), len(v))
+    out = [p * ui for ui in u]
+    if n > len(out):
+        out.extend([0] * (n - len(out)))
+    for i, vi in enumerate(v):
+        if vi:
+            out[i] += q * vi
+    k = p * uk + q * vk
+    g = gcd(k, *out)
+    if g > 1:
+        return [x // g for x in out], k // g
+    return out, k
 
 
 def _fm_sat(ineqs) -> bool:
-    """Fourier-Motzkin satisfiability for strict/weak inequalities over Q."""
-    ineqs = [(list(c), k, r) for c, k, r in ineqs]
+    """Fourier-Motzkin satisfiability over Q of int rows (coeffs, const, rel),
+    each  coeffs . vars + const REL 0  with REL in {<, <=}.  A lower row l
+    (pivot coefficient lc < 0) and an upper row u (uc > 0) combine into
+    uc*l + |lc|*u, which is strict when either side is."""
     while True:
         var = None
         for coeffs, _, _ in ineqs:
@@ -548,26 +605,18 @@ def _fm_sat(ineqs) -> bool:
                 break
         if var is None:
             return all(_cmp(k, r) for _, k, r in ineqs)
-        lowers, uppers, rest = [], [], []
+        lowers, uppers, new = [], [], []
         for coeffs, k, r in ineqs:
-            c = coeffs[var] if var < len(coeffs) else Fraction(0)
+            c = coeffs[var] if var < len(coeffs) else 0
             if c == 0:
-                rest.append((coeffs, k, r))
+                new.append((coeffs, k, r))
             elif c > 0:
                 uppers.append((coeffs, k, r, c))
             else:
-                lowers.append((coeffs, k, r, c))
-        new = rest
+                lowers.append((coeffs, k, r, -c))
         for lc, lk, lr, lcoef in lowers:
             for uc, uk, ur, ucoef in uppers:
-                n = max(len(lc), len(uc))
-                coeffs = [Fraction(0)] * n
-                for i in range(n):
-                    a = lc[i] if i < len(lc) else Fraction(0)
-                    b = uc[i] if i < len(uc) else Fraction(0)
-                    coeffs[i] = a / (-lcoef) + b / ucoef
-                coeffs[var] = Fraction(0)
-                k = lk / (-lcoef) + uk / ucoef
+                coeffs, k = _combine(ucoef, lc, lk, lcoef, uc, uk)
                 r = "<" if (lr == "<" or ur == "<") else "<="
                 if not any(coeffs):
                     if not _cmp(k, r):
@@ -605,35 +654,105 @@ def dnf_simplify(f, limit: int = 512):
 
 def components_1d(f, var: int, assignment: list[Fraction]) -> list[Iv]:
     """Maximal convex components of {x : f holds with vars[var] = x}, with the
-    other variables fixed by `assignment` (whose var slot is ignored)."""
-    roots: set[Fraction] = set()
+    other variables fixed by `assignment` (whose var slot is ignored).
+
+    The fixed values are scaled once to ints over their common denominator L,
+    so an atom reads c*x + s/L with ints c, s and its root is -s/(c*L).  The
+    k distinct roots are ranked on ints and cut the line into 2k+1 pieces
+    (piece 2j+1 is the j-th root).  An atom's truth on every piece is a bit
+    mask read off its root's rank, and one walk of f over those masks gives
+    the pieces where f holds; runs of adjacent pieces merge into components.
+    """
+    fixed, den = _to_ints(assignment[:var] + assignment[var + 1:])
+    fixed.insert(var, 0)
+    rows: dict = {}  # id(atom) -> (rel, c, s)
+    m = 1  # root * den * m is the int -s * (m / c) once m is a multiple of every |c|
     for a in formula_atoms(f):
-        c = a.coeffs[var] if var < len(a.coeffs) else Fraction(0)
-        if c == 0:
+        if id(a) in rows:
             continue
-        rest = a.const
-        for i, ci in enumerate(a.coeffs):
-            if ci and i != var:
-                rest += ci * assignment[i]
-        roots.add(-rest / c)
-    cuts = sorted(roots)
-    env = list(assignment)
-    if var >= len(env):
-        env.extend([Fraction(0)] * (var + 1 - len(env)))
-
-    def holds(x: Fraction) -> bool:
-        env[var] = x
-        return eval_formula(f, env)
-
-    pieces: list[tuple[Iv, bool]] = []
-    if not cuts:
-        return [Iv.full()] if holds(Fraction(0)) else []
-    pieces.append((Iv(None, True, cuts[0], True), holds(cuts[0] - 1)))
-    for i, r in enumerate(cuts):
-        pieces.append((Iv.point(r), holds(r)))
-        nxt = cuts[i + 1] if i + 1 < len(cuts) else None
-        if nxt is None:
-            pieces.append((Iv(r, True, None, True), holds(r + 1)))
+        coeffs, const = _int_row(a)
+        s = const * den
+        c = 0
+        for i, ci in enumerate(coeffs):
+            if ci:
+                if i == var:
+                    c = ci
+                else:
+                    s += ci * fixed[i]
+        rows[id(a)] = (a.rel, c, s)
+        if c:
+            m = lcm(m, c)
+    keys = {}
+    for aid, (rel, c, s) in rows.items():
+        if c:
+            keys[aid] = -s * (m // c)
+    cuts = sorted(set(keys.values()))
+    rank = {key: j for j, key in enumerate(cuts)}
+    full = (1 << (2 * len(cuts) + 1)) - 1
+    masks = {}
+    for aid, (rel, c, s) in rows.items():
+        if c == 0:
+            masks[aid] = full if _cmp(s, rel) else 0
+            continue
+        at = 2 << (2 * rank[keys[aid]])
+        below = at - 1
+        neg = below if c > 0 else full ^ below ^ at
+        if rel == "<":
+            masks[aid] = neg
+        elif rel == "<=":
+            masks[aid] = neg | at
+        elif rel == "=":
+            masks[aid] = at
         else:
-            pieces.append((Iv(r, True, nxt, True), holds((r + nxt) / 2)))
-    return merge_adjacent([iv for iv, ok in pieces if ok])
+            masks[aid] = full ^ at
+    held = _mask_of(f, masks, full)
+    out: list[Iv] = []
+    p = 0
+    scale = den * m
+    while held:
+        if not held & 1:
+            held >>= 1
+            p += 1
+            continue
+        start = p
+        while held & 2:
+            held >>= 1
+            p += 1
+        held >>= 1
+        # pieces start..p; an even piece 2j is the open gap below root j
+        if start % 2:
+            lo, lo_open = Fraction(cuts[start // 2], scale), False
+        else:
+            lo, lo_open = (Fraction(cuts[start // 2 - 1], scale) if start else None), True
+        if p % 2:
+            hi, hi_open = (lo if start == p else Fraction(cuts[p // 2], scale)), False
+        else:
+            hi, hi_open = (Fraction(cuts[p // 2], scale) if p // 2 < len(cuts) else None), True
+        out.append(Iv(lo, lo_open, hi, hi_open))
+        p += 1
+    return out
+
+
+def _mask_of(f, masks: dict, full: int) -> int:
+    """The pieces (bits of `full`) where f holds, given each atom's mask by
+    id."""
+    tag = f[0]
+    if tag == "atom":
+        return masks[id(f[1])]
+    if tag == "and":
+        m = full
+        for g in f[1]:
+            m &= _mask_of(g, masks, full)
+        return m
+    if tag == "or":
+        m = 0
+        for g in f[1]:
+            m |= _mask_of(g, masks, full)
+        return m
+    if tag == "not":
+        return full ^ _mask_of(f[1], masks, full)
+    if tag == "true":
+        return full
+    if tag == "false":
+        return 0
+    raise ValueError(f"bad formula tag {tag!r}")

@@ -66,15 +66,39 @@ def _closure_lt(comp: Optional[Iv]):
     return Cut(comp.lo, closed=comp.lo_open)
 
 
-def downward_family(family: ParamFamily, B: Sequence) -> list[DownwardSet]:
+class ComponentTable:
+    """family.components of every predicate at each parameter, computed once
+    per decomposition instance.  Lookups go by the parameter's identity, so
+    a hit hashes no Fraction."""
+
+    def __init__(self, family: ParamFamily):
+        self.family = family
+        self._by_id: dict[int, tuple] = {}  # id(b) -> (b, comps); holds b alive
+
+    def __call__(self, b: tuple) -> list[list[Iv]]:
+        hit = self._by_id.get(id(b))
+        if hit is None or hit[0] is not b:
+            fam = self.family
+            comps = [fam.components(pi, b) for pi in range(len(fam.preds))]
+            hit = self._by_id[id(b)] = (b, comps)
+        return hit[1]
+
+
+def downward_family(
+    family: ParamFamily, B: Sequence, table: Optional[ComponentTable] = None
+) -> list[DownwardSet]:
     """All component closures over Phi x B, sorted by inclusion (ties keep
-    predicate / component / flavor / parameter order)."""
+    predicate / component / flavor / parameter order).  An instance passes
+    its own `table`, which keeps the components for its exclusion tests."""
     B = [as_param(b, family.param_dim) for b in B]
+    if table is None:
+        table = ComponentTable(family)
     sets: list[DownwardSet] = []
+    per_b = [table(b) for b in B]
     for pi in range(len(family.preds)):
         bound = family.component_bound(pi)
-        for bi, b in enumerate(B):
-            comps = family.components(pi, b)
+        for bi in range(len(B)):
+            comps = per_b[bi][pi]
             if len(comps) > bound:
                 raise ValueError(f"predicate {pi} exceeds its component bound")
             # realized components only; index 0 is kept for the empty set so
@@ -142,25 +166,17 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     if family.point_dim != 1:
         raise ValueError("omin1d requires |x| = 1")
 
-    comp_cache: dict = {}
-
-    def comps_of(pi: int, b) -> list[Iv]:
-        key = (pi, b)
-        if key not in comp_cache:
-            comp_cache[key] = family.components(pi, b)
-        return comp_cache[key]
-
-    def make_excluded(iv: Iv):
-        def excluded(b) -> bool:
-            b = as_param(b, family.param_dim)
-            return any(crosses(comps_of(pi, b), iv) for pi in range(len(family.preds)))
-
-        return excluded
-
     def inst(B: list) -> list[CellInstance]:
         B = [as_param(b, family.param_dim) for b in B]
-        comp_cache.clear()
-        sets = downward_family(family, B)
+        table = ComponentTable(family)
+        sets = downward_family(family, B, table)
+
+        def make_excluded(iv: Iv):
+            def excluded(b) -> bool:
+                return any(crosses(comps, iv) for comps in table(as_param(b, family.param_dim)))
+
+            return excluded
+
         cells = []
         for iv, lo_src, hi_src in chain_atoms(sets):
             params = tuple(

@@ -42,11 +42,6 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(0, i)
-            seq[i], seq[j] = seq[j], seq[i]
-
     def fraction(self, num_range: int = 50, den_range: int = 12) -> Fraction:
         """Small random rational; heights stay low to keep arithmetic cheap."""
         num = self.randint(-num_range, num_range)

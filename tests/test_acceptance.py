@@ -6,10 +6,8 @@ import math
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from distalcells import conjcells, induction, omin1d, padic
-from distalcells.decomp import dedupe_cells, shatter_estimate, verify
+from distalcells.decomp import shatter_estimate, verify
 from distalcells.families import (
     CongAtom,
     congruence_family,
@@ -31,7 +29,6 @@ from distalcells.incidence import (
 from distalcells.linear import AffineMap, f_and, f_atom, f_or
 from distalcells.rng import SplitMix64
 from distalcells.scalars import (
-    POS_INF,
     in_pn,
     in_qmn,
     valuation,

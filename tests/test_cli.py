@@ -176,13 +176,14 @@ def _with_mod_atom(**fields):
      "/family/predicates"),
     (_with_family(VL_SPEC, predicates=[{"f": [0], "g": [-1], "rel": "trichotomy"}]),
      "/family/predicates/0/f"),
+    (_with_family(OMIN_SPEC, kind="interval"), "/family/kind"),
 ], ids=[
     "verify-instances", "height", "den", "generator-kind", "point-dim",
     "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
     "predicate-not-object", "atom-not-object", "predicates-not-list",
     "atom-rel", "mac-F-not-list", "mac-C-not-list", "mac-lambda-not-list",
     "mac-prime-9", "laff-C-entry", "laff-C-not-list", "laff-prime-15",
-    "vl-no-trichotomy", "presburger-missing-residue", "vl-zero-f",
+    "vl-no-trichotomy", "presburger-missing-residue", "vl-zero-f", "interval-kind",
 ])
 def test_schema_error_field(tmp_path, capsys, payload, path):
     spec = _write_spec(tmp_path, payload)
@@ -306,3 +307,32 @@ def test_sumproduct_subcommand(tmp_path):
     ]) == 0
     text = (tmp_path / "sumproduct.csv").read_text()
     assert len(text.splitlines()) == 11  # header + 2 rows per trial
+
+
+PLANE_SPEC = {
+    "experiment_id": "plane-xlty",
+    "structure": "semilinear-plane",
+    "family": {
+        "kind": "semilinear", "point_dim": 2, "param_dim": 1,
+        "predicates": [{"atom": {"x": [1, 0], "y": [-1], "rel": "<"}}],
+    },
+    "sizes": [2, 13], "trials": 1, "seed": 5,
+}
+
+
+def test_run_plane_reports_capped_verification(tmp_path):
+    # dimension induction is verified on at most 12 parameters: the size-13
+    # report says which size it stands for, the size-2 report is not capped
+    spec = _write_spec(tmp_path, PLANE_SPEC)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", spec, "--out-dir", str(out)]) == 0
+    reports = json.loads((out / "summary.json").read_text())["verification"]
+    assert [r["n"] for r in reports] == [2, 12]
+    assert "capped_from" not in reports[0]
+    assert reports[1]["capped_from"] == 13
+    assert all(r["passed"] for r in reports)
+    verify_rows = [
+        line.split(",") for line in (out / "results.csv").read_text().splitlines()
+        if ",verify," in line
+    ]
+    assert [row[3] for row in verify_rows] == ["2", "12"]

@@ -20,7 +20,7 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.linear import AffineMap, f_atom, f_not, f_or, f_and
+from distalcells.linear import AffineMap, f_atom, f_not, f_or
 from distalcells.omin1d import build_decomposition
 from distalcells.rng import SplitMix64
 

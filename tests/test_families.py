@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from distalcells.families import (
     CongAtom,
-    VLAtom,
     census_probes_1d,
     congruence_family,
     grid_probes,

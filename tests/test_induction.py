@@ -1,10 +1,9 @@
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from distalcells.decomp import dedupe_cells, verify
-from distalcells.families import semilinear_family, type_census_probe
+from distalcells.families import semilinear_family
 from distalcells.induction import (
     _drop_first_var,
     _shift_y_block,
@@ -14,7 +13,7 @@ from distalcells.induction import (
     induct,
     plane_probes,
 )
-from distalcells.linear import components_1d, eval_formula, f_and, f_atom, f_not, f_or
+from distalcells.linear import eval_formula, f_and, f_atom, f_not, f_or
 from distalcells.rng import SplitMix64
 
 
@@ -130,7 +129,9 @@ def test_fiber_consistency_random():
     base_vals = sorted(by_base)
     checked = 0
     order = list(range(len(cells) * len(base_vals)))
-    rng.shuffle(order)
+    for i in range(len(order) - 1, 0, -1):  # Fisher-Yates
+        j = rng.randint(0, i)
+        order[i], order[j] = order[j], order[i]
     for k in order:
         if checked >= 500:
             break
@@ -221,3 +222,12 @@ def test_shift_y_block_preserves_truth(data, d, e, block):
 )
 def test_drop_first_var_preserves_truth(f, x0, point):
     assert eval_formula(_drop_first_var(f), point) == eval_formula(f, [x0] + point)
+
+
+def test_plane_probes_stay_rational_without_parameters():
+    # canonical atoms hold ints; with no parameter the line constants are
+    # ints too, and an int / int division would turn a probe into a float
+    fam = semilinear_family([f_atom([1, 1], 0, "<"), f_atom([1, -1], 1, "<")], 2, 0)
+    probes = plane_probes(fam, [()], steps=2)
+    assert (F(-1, 2), F(1, 2)) in probes  # the two lines cross there
+    assert all(type(v) is F for p in probes for v in p)

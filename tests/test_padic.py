@@ -7,10 +7,7 @@ from distalcells.families import laff_family, macintyre_family, type_census_1d
 from distalcells.linear import AffineMap
 from distalcells.padic import (
     ArrangementError,
-    BallForest,
-    Subinterval,
     UltrametricBall,
-    arrangement,
     ball_forest,
     coset_transfer_check,
     laff_balls,
@@ -22,7 +19,7 @@ from distalcells.padic import (
     t_val_candidate_centers,
 )
 from distalcells.rng import SplitMix64
-from distalcells.scalars import Gamma, NEG_INF, POS_INF, in_pn, valuation
+from distalcells.scalars import Gamma, NEG_INF, POS_INF, valuation
 
 ZERO = AffineMap.of([0])
 IDENT = AffineMap.of([1])
