@@ -1,25 +1,23 @@
-"""Ultrametric ball arrangements over Q_p and the one-dimensional valued
-field cell decompositions.
+"""The one-dimensional valued field cell decompositions over Q_p, on the
+ball arrangements of `ultrametric`.
 
-Open balls B_r(c) = {x : v(x-c) > r} are kept with exact rational centers and
-value-group radii; radius +inf denotes the degenerate point ball {c}.  The
-special-ball family of a parameter set is closed under pairwise-distance
-recentering, which forces all children of a node in the containment forest to
-share one radius; the boolean-algebra atoms then normalize to "outer ball
-minus at most p-1 same-radius subballs" and carry a well-defined displacement
-valuation from their center.
+Cells pair a subinterval atom with a multiplicative type: a coset constraint
+on the interior displacement levels (margins keep Hensel lifting valid), or a
+single deeper ball at the levels near the two radii.  Exclusion predicates
+are uniformly definable from the cell descriptor: a parameter is excluded
+when one of its balls would cut strictly between the atom's two radii, or
+(for boundary cells at the outer removal level) when its ball swallows the
+cell.
 
-Cells pair an atom with a multiplicative type: a coset constraint on the
-interior displacement levels (margins keep Hensel lifting valid), or a single
-deeper ball at the levels near the two radii.  Exclusion predicates are
-uniformly definable from the cell descriptor: a parameter is excluded when
-one of its balls would cut strictly between the atom's two radii, or (for
-boundary cells at the outer removal level) when its ball swallows the cell.
+Each instance runs on the ints of its centres' `_Scale`: the exclusion tests
+read a table of centre distances indexed by the position of a parameter in
+B (a parameter outside B takes the same tests on exact valuations), and the
+membership tests and probes compare a rational a/d with a centre X / D
+through a D - X d, building no Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -27,242 +25,33 @@ from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_param
 from .scalars import (
     Gamma,
-    NEG_INF,
     POS_INF,
     in_pn,
-    in_qmn,
     pn_coset_representatives,
+    pn_residues,
     qmn_coset_representatives,
-    truncate,
+    split_p,
     valuation,
-    valuation_int,
 )
-
-
-class ArrangementError(ValueError):
-    """The ball family is not closed enough for the subinterval normal form."""
-
-
-@dataclass(frozen=True)
-class UltrametricBall:
-    center: Fraction
-    radius: Gamma
-    p: int
-
-    def member(self, x: Fraction) -> bool:
-        if self.radius == POS_INF:
-            return x == self.center
-        return valuation(x - self.center, self.p) > self.radius
-
-    def same_extent(self, other: "UltrametricBall") -> bool:
-        if self.radius != other.radius:
-            return False
-        if self.radius == POS_INF:
-            return self.center == other.center
-        return valuation(self.center - other.center, self.p) > self.radius
-
-    def contains(self, other: "UltrametricBall") -> bool:
-        """self superseteq other (as sets)."""
-        if self.radius == POS_INF:
-            return other.radius == POS_INF and other.center == self.center
-        if other.radius == POS_INF:
-            return self.member(other.center)
-        return other.radius >= self.radius and self.member(other.center)
-
-    def key(self) -> tuple:
-        if self.radius == POS_INF:
-            return (1, 0, self.center)
-        if not self.radius.is_finite:  # -inf: the whole line
-            return (-1, 0, Fraction(0))
-        r = self.radius.level
-        return (0, r, truncate(self.center, self.p, r))
-
-
-def dedupe_balls(balls: Sequence[UltrametricBall]) -> list[UltrametricBall]:
-    seen: dict[tuple, UltrametricBall] = {}
-    for b in balls:
-        seen.setdefault(b.key(), b)
-    return [seen[k] for k in sorted(seen)]
-
-
-def special_balls(F, C, B: Sequence, p: int) -> list[UltrametricBall]:
-    """Deduplicated special balls of a parameter set: around each center
-    c(b) a ball of radius v(f(b)) for every f in F, plus balls reaching from
-    every center to every other center."""
-    balls: list[UltrametricBall] = []
-    for b in B:
-        for c in C:
-            cb = c(b)
-            for f in F:
-                balls.append(UltrametricBall(cb, valuation(f(b), p), p))
-    centers = [c(b) for b in B for c in C]
-    for t1 in centers:
-        for t2 in centers:
-            balls.append(UltrametricBall(t1, valuation(t1 - t2, p), p))
-    return dedupe_balls(balls)
-
-
-def laff_balls(C, B: Sequence, p: int) -> list[UltrametricBall]:
-    """Ball family for the affine reduct: pairwise-distance balls plus, per
-    parameter, balls of every same-parameter distance radius around each of
-    its centers."""
-    balls: list[UltrametricBall] = []
-    centers = [c(b) for b in B for c in C]
-    for t1 in centers:
-        for t2 in centers:
-            balls.append(UltrametricBall(t1, valuation(t1 - t2, p), p))
-    for b in B:
-        ts = [c(b) for c in C]
-        for t_center in ts:
-            for tj in ts:
-                for tk in ts:
-                    balls.append(UltrametricBall(t_center, valuation(tj - tk, p), p))
-    return dedupe_balls(balls)
-
-
-@dataclass
-class BallForest:
-    balls: list[UltrametricBall]
-    parent: list[Optional[int]]
-    children: list[list[int]]
-    roots: list[int]
-
-    def locate(self, x: Fraction) -> int:
-        """Index of the deepest ball containing x; len(balls) for the outer
-        region."""
-        cur = len(self.balls)
-        frontier = self.roots
-        while True:
-            nxt = None
-            for j in frontier:
-                if self.balls[j].member(x):
-                    nxt = j
-                    break
-            if nxt is None:
-                return cur
-            cur = nxt
-            frontier = self.children[cur]
-
-
-def ball_forest(balls: Sequence[UltrametricBall]) -> BallForest:
-    """Containment forest of a deduplicated ball family; by the ultrametric
-    property comparability coincides with intersection.  A ball's parent is
-    the deepest strictly larger ball around its centre: the first key
-    (level, truncate(centre, level)) present, scanning the levels below its
-    radius deepest first, else the whole line when the family has it."""
-    balls = dedupe_balls(balls)
-    index = {b.key(): i for i, b in enumerate(balls)}
-    levels = sorted({b.radius.level for b in balls if b.radius.is_finite}, reverse=True)
-    whole = index.get((-1, 0, Fraction(0)))
-    parent: list[Optional[int]] = []
-    for i, b in enumerate(balls):
-        best = None
-        if b.radius != NEG_INF:
-            for r in levels:
-                if b.radius <= r:
-                    continue
-                best = index.get((0, r, truncate(b.center, b.p, r)))
-                if best is not None:
-                    break
-            else:
-                best = whole
-        parent.append(best)
-    children: list[list[int]] = [[] for _ in balls]
-    for i, par in enumerate(parent):
-        if par is not None:
-            children[par].append(i)
-    roots = [i for i, par in enumerate(parent) if par is None]
-    return BallForest(balls, parent, children, roots)
-
-
-@dataclass(frozen=True)
-class Subinterval:
-    """Atom of the ball boolean algebra: an outer ball around `center` minus
-    at most p-1 removed balls at the single radius `alpha_u`.
-
-    alpha_l = +inf encodes the point atom {center}; alpha_l = -inf encodes
-    the complement of the root balls.
-    """
-
-    center: Fraction
-    alpha_l: Gamma
-    alpha_u: Gamma
-    removed: tuple[Fraction, ...]
-    p: int
-
-    def member(self, x: Fraction) -> bool:
-        if self.alpha_l == POS_INF:
-            return x == self.center
-        if not valuation(x - self.center, self.p) > self.alpha_l:
-            return False
-        for rep in self.removed:
-            if self.alpha_u == POS_INF:
-                if x == rep:
-                    return False
-            elif valuation(x - rep, self.p) > self.alpha_u:
-                return False
-        return True
-
-    def key(self) -> tuple:
-        lvl = self.alpha_l.level if self.alpha_l.is_finite else None
-        ulvl = self.alpha_u.level if self.alpha_u.is_finite else None
-        c = self.center if lvl is None else truncate(self.center, self.p, lvl)
-        return (self.alpha_l.rank, lvl, c, self.alpha_u.rank, ulvl, self.removed)
-
-    def t_val(self, x: Fraction) -> Gamma:
-        return valuation(x - self.center, self.p)
-
-
-def arrangement(balls: Sequence[UltrametricBall]) -> tuple[BallForest, list[tuple[int, Subinterval]]]:
-    """Forest plus atoms tagged by forest node (the outer atom carries the
-    virtual node index len(balls)).  A node exactly tiled by its p children
-    contributes no atom."""
-    forest = ball_forest(balls)
-    if not forest.balls:
-        return forest, [(0, Subinterval(Fraction(0), NEG_INF, POS_INF, (), 3))]
-    p = forest.balls[0].p
-
-    def removal(outer_radius: Gamma, inner: list[UltrametricBall]) -> Optional[Subinterval]:
-        radii = {b.radius for b in inner}
-        if len(radii) > 1:
-            raise ArrangementError("sibling balls at unequal radii")
-        a_u = next(iter(radii))
-        centers = sorted(b.center for b in inner)
-        if len(inner) > p:
-            raise ArrangementError("more than p sibling balls")
-        if len(inner) == p:
-            if not a_u.is_finite:
-                raise ArrangementError("p point siblings cannot tile a ball")
-            for i in range(len(centers)):
-                for j in range(i + 1, len(centers)):
-                    if valuation(centers[i] - centers[j], p) != a_u:
-                        raise ArrangementError("p siblings not at a common sphere")
-            if not (outer_radius < a_u - 1):
-                return None  # the children tile the node exactly
-            return Subinterval(centers[0], outer_radius, a_u - 1, (centers[0],), p)
-        return Subinterval(centers[0], outer_radius, a_u, tuple(centers), p)
-
-    atoms: list[tuple[int, Subinterval]] = []
-    for i, ball in enumerate(forest.balls):
-        kids = [forest.balls[j] for j in forest.children[i]]
-        if ball.radius == POS_INF:
-            atoms.append((i, Subinterval(ball.center, POS_INF, POS_INF, (), p)))
-        elif not kids:
-            atoms.append((i, Subinterval(ball.center, ball.radius, POS_INF, (), p)))
-        else:
-            sub = removal(ball.radius, kids)
-            if sub is not None:
-                atoms.append((i, sub))
-    root_balls = [forest.balls[i] for i in forest.roots]
-    if not any(b.radius == NEG_INF for b in root_balls):
-        sub = removal(NEG_INF, root_balls)
-        if sub is not None:
-            atoms.append((len(forest.balls), sub))
-    return forest, atoms
-
-
-def subinterval_atoms(balls: Sequence[UltrametricBall]) -> list[Subinterval]:
-    return [sub for _, sub in arrangement(balls)[1]]
+from .ultrametric import (  # with the ball layer's public names, re-exported
+    INF,
+    ArrangementError,
+    BallForest,
+    Subinterval,
+    UltrametricBall,
+    _Centres,
+    _f_levels,
+    _laff,
+    _level,
+    _Scale,
+    _special,
+    arrangement,
+    ball_forest,
+    dedupe_balls,
+    laff_balls,
+    special_balls,
+    subinterval_atoms,
+)
 
 
 def t_val(a, atoms: list[Subinterval]) -> Gamma:
@@ -297,7 +86,7 @@ def coset_transfer_check(x, y, a, n: int, p: int) -> bool:
     if x == a or y == a:
         raise ValueError("x, y must differ from a")
     if x != y:
-        vpn = _vp(n, p)
+        vpn = split_p(n, p)[0]
         if not valuation(y - x, p) > valuation(y - a, p) + 2 * vpn:
             raise ValueError("precondition unmet")
     return in_pn((x - a) / (y - a), n, p)
@@ -308,40 +97,40 @@ def coset_transfer_check(x, y, a, n: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _units(p: int, prec: int) -> list[int]:
     return [u for u in range(1, p ** prec) if u % p != 0]
 
 
-def _level_in_window(lo: Gamma, hi: Gamma, residue: int, period: int) -> bool:
+def _level_in_window(lo, hi, residue: int, period: int) -> bool:
     """Is there an integer level in [lo, hi] congruent to residue mod period?
     Infinite ends make the window unbounded."""
-    if not lo.is_finite or not hi.is_finite:
+    if not (-INF < lo < INF and -INF < hi < INF):
         return True
-    first, last = lo.level, hi.level
-    if last - first + 1 >= period:
-        return last >= first
-    return any((r - residue) % period == 0 for r in range(first, last + 1))
+    if hi - lo + 1 >= period:
+        return hi >= lo
+    return any((r - residue) % period == 0 for r in range(lo, hi + 1))
 
 
-def _edge_levels(sub: Subinterval, lo_width: int, hi_width: int) -> list[int]:
-    """Finite levels in (alpha_l, alpha_u] within lo_width above alpha_l or
-    hi_width below alpha_u (inclusive of alpha_u itself)."""
+def _edge_levels(a_l, a_u, lo_width: int, hi_width: int) -> list[int]:
+    """Finite levels in (a_l, a_u] within lo_width above a_l or hi_width
+    below a_u (inclusive of a_u itself)."""
     levels: set[int] = set()
-    if sub.alpha_l.is_finite:
-        for i in range(1, lo_width + 1):
-            levels.add(sub.alpha_l.level + i)
-    if sub.alpha_u.is_finite:
-        for i in range(0, hi_width + 1):
-            levels.add(sub.alpha_u.level - i)
-    return [r for r in sorted(levels) if sub.alpha_l < Gamma.of(r) <= sub.alpha_u]
+    if -INF < a_l < INF:
+        levels.update(range(a_l + 1, a_l + lo_width + 1))
+    if -INF < a_u < INF:
+        levels.update(range(a_u - hi_width, a_u + 1))
+    return [r for r in sorted(levels) if a_l < r <= a_u]
+
+
+def _lam_parts(reps: list[Fraction], p: int) -> list[tuple[int, int, int]]:
+    """(v(lam), num, den) per coset representative lam = p^v(lam) num / den,
+    with num and den prime to p."""
+    out = []
+    for lam in reps:
+        vn, num = split_p(lam.numerator, p)
+        vd, den = split_p(lam.denominator, p)
+        out.append((vn - vd, num, den))
+    return out
 
 
 class Region(NamedTuple):
@@ -351,6 +140,48 @@ class Region(NamedTuple):
     forest: BallForest
     node: int
     sub: Subinterval
+
+
+def _point_cell(region: Region) -> CellInstance:
+    """The cell of a point atom {t}, which no parameter excludes.  Within an
+    instance the forest node names the atom, so every cell's extent key is
+    (node, type)."""
+    return CellInstance(
+        template="sub(pt)", params=(),
+        member=lambda a, t=region.sub.center: a[0] == t,
+        excluded=lambda b: False,
+        extent_key=(region.node, ("pt",)),
+        region=region,
+    )
+
+
+def _mac_cut(row, ks, vf, a_l, a_u) -> bool:
+    """The Macintyre exclusion test without the swallow part: a centre c_k,
+    k in ks, at a level row[k] = v(t - c_k) strictly between the radii, or a
+    level w of v(f(b)) strictly between them and below such a centre level."""
+    for k in ks:
+        v = row[k]
+        if a_l < v < a_u:
+            return True
+        for w in vf:
+            if a_l < w < a_u and w < v:
+                return True
+    return False
+
+
+def _laff_cut(to_t, to_reps, among, a_l, a_u) -> bool:
+    """The affine-reduct exclusion test of one parameter with centres t_i:
+    to_t[i] = v(t_i - t), to_reps[i] the levels v(t_i - rep) over the removed
+    representatives, among[i][k] = v(t_i - t_k)."""
+    if a_u != INF:
+        # missed sibling: a centre on the removal sphere but not inside any
+        # removed representative's ball
+        for vt, vr in zip(to_t, to_reps):
+            if vt == a_u and not any(v > a_u for v in vr):
+                return True
+    if any(a_l < v < a_u for row in among for v in row) and any(a_l < vt for vt in to_t):
+        return True
+    return any(a_l < vt < a_u for vt in to_t)
 
 
 # ---------------------------------------------------------------------------
@@ -365,104 +196,112 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
         raise ValueError("macintyre_dcd needs a valuation-macintyre family")
     meta = family.meta
     F, C, n, p = meta["F"], meta["C"], meta["n"], meta["p"]
-    marg = 2 * _vp(n, p)
+    dim = family.param_dim
+    marg = 2 * split_p(n, p)[0]
     prec = marg + 1
     reps = pn_coset_representatives(n, p)
+    lams = _lam_parts(reps, p)
+    units = _units(p, prec)
+    _, powers = pn_residues(n, p)
+    mod = p ** prec
 
     def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, family.param_dim) for b in B]
-        forest, tagged = arrangement(special_balls(F, C, B, p))
-        bcache: dict = {}
-        vcache: dict = {}
+        B = [as_param(b, dim) for b in B]
+        cen = _Centres(C, B, p)
+        vf = _f_levels(F, B, p)
+        forest, tagged = arrangement(_special(cen, vf))
+        scale, dist, xs, fracs = cen.scale, cen.dist, cen.xs, cen.fracs
+        pos = {b: j for j, b in enumerate(B)}
+        everywhere = range(len(xs))
 
-        def at_param(b: tuple):
-            """The centres c(b) and the radii v(f(b)) of one parameter."""
-            got = bcache.get(b)
-            if got is None:
-                got = bcache[b] = ([c(b) for c in C], [valuation(f(b), p) for f in F])
-            return got
+        def swallowed(kt: int, r: int, u: int, ks) -> bool:
+            """Is some centre c_k, k in ks, in the ball B_r(t + p^r u)?  Only
+            a centre with v(t - c_k) = r can be: otherwise v(t + p^r u - c_k)
+            is min(v(t - c_k), r)."""
+            row, X = dist[kt], xs[kt]
+            return any(row[k] == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r) for k in ks)
 
-        def vals_at(t: Fraction, b: tuple):
-            key = (t, b)
-            got = vcache.get(key)
-            if got is None:
-                cbs, vf = at_param(b)
-                got = vcache[key] = ([valuation(t - cb, p) for cb in cbs], vf)
-            return got
-
-        def make_excluded(sub: Subinterval, swallow_q: Optional[Fraction]):
-            a_l, a_u, t = sub.alpha_l, sub.alpha_u, sub.center
+        def make_excluded(kt: int, a_l, a_u, u: Optional[int] = None):
+            row = dist[kt]
 
             def excluded(b) -> bool:
-                b = as_param(b, family.param_dim)
-                vtc, vf = vals_at(t, b)
-                for ci in range(len(C)):
-                    if a_l < vtc[ci] < a_u:
-                        return True
-                    for fi in range(len(F)):
-                        if a_l < vf[fi] < a_u and vf[fi] < vtc[ci]:
-                            return True
-                if swallow_q is not None:
-                    for cb in at_param(b)[0]:
-                        if valuation(swallow_q - cb, p) > a_u:
-                            return True
-                return False
+                b = as_param(b, dim)
+                j = pos.get(b)
+                if j is not None:
+                    ks = cen.ids[j]
+                    return _mac_cut(row, ks, vf[j], a_l, a_u) or (u is not None and swallowed(kt, a_u, u, ks))
+                # b outside B: the same tests on exact valuations
+                t, cbs = fracs[kt], [c(b) for c in C]
+                to_t = [_level(valuation(t - cb, p)) for cb in cbs]
+                if _mac_cut(to_t, range(len(cbs)), _f_levels(F, [b], p)[0], a_l, a_u):
+                    return True
+                if u is None:
+                    return False
+                q = t + Fraction(p) ** a_u * u
+                return any(_level(valuation(q - cb, p)) > a_u for cb in cbs)
 
             return excluded
 
+        def coset_member(X: int, lo, hi, vl: int, ln: int, ld: int):
+            def member(a) -> bool:
+                # lo < v(x - t) < hi and (x - t) / lam an n-th power
+                s = scale.unit_split(a[0], X)
+                if s is None or not lo < s[0] < hi or (s[0] - vl) % n:
+                    return False
+                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod in powers
+
+            return member
+
+        def edge_member(X: int, r: int, u: int):
+            def member(a) -> bool:
+                # v(x - (t + p^r u)) > r + marg
+                N, e, w = scale.offset(a[0], X)
+                M, f = scale.shift(N, e, w, r, -u)
+                return scale.inside(M, f, r + marg)
+
+            return member
+
         cells: list[CellInstance] = []
         for ai, sub in tagged:
-            t = sub.center
+            region = Region(forest, ai, sub)
             if sub.alpha_l == POS_INF:
-                cells.append(
-                    CellInstance(
-                        template="sub(pt)", params=(),
-                        member=lambda a, t=t: a[0] == t,
-                        excluded=lambda b: False,
-                        extent_key=(sub.key(), ("pt",)),
-                        region=Region(forest, ai, sub),
-                    )
-                )
+                cells.append(_point_cell(region))
                 continue
-            excl_plain = make_excluded(sub, None)
-            # every cell's exclusion test starts with excl_plain's
-            if any(excl_plain(b) for b in B):
+            kt = cen.at[scale.x(sub.center)]
+            a_l, a_u = _level(sub.alpha_l), _level(sub.alpha_u)
+            row = dist[kt]
+            # every cell's exclusion test starts with this one
+            if any(_mac_cut(row, ks, vfj, a_l, a_u) for ks, vfj in zip(cen.ids, vf)):
                 continue
-            emitted: list[tuple] = []
-            for lam in reps:
-                res = valuation_int(lam, p) % n
-                if not _level_in_window(sub.alpha_l + (marg + 1), sub.alpha_u - (marg + 1), res, n):
-                    continue
-
-                def mem(x, t=t, lam=lam, sub=sub, marg=marg):
-                    tv = valuation(x - t, p)
-                    if not (sub.alpha_l + marg < tv and tv < sub.alpha_u - marg):
-                        return False
-                    return in_pn((x - t) / lam, n, p)
-
-                emitted.append((mem, ("coset", lam), excl_plain))
-            for r in _edge_levels(sub, marg, marg):
-                at_removal = sub.alpha_u.is_finite and r == sub.alpha_u.level
-                for u in _units(p, prec):
-                    q = t + Fraction(p) ** r * u
-
-                    def mem(x, q=q, r=r, marg=marg):
-                        return valuation(x - q, p) > Gamma.of(r + marg)
-
-                    excl = make_excluded(sub, q) if at_removal else excl_plain
-                    if excl is excl_plain or not any(excl(b) for b in B):
-                        emitted.append((mem, ("edge", r, u), excl))
-            for mem, desc, excl in emitted:
-                cells.append(
-                    CellInstance(
-                        template=f"sub{desc[0]}",
-                        params=(),
-                        member=lambda a, mem=mem: mem(a[0]),
-                        excluded=excl,
-                        extent_key=(sub.key(), desc),
-                        region=Region(forest, ai, sub),
+            excl_plain = make_excluded(kt, a_l, a_u)
+            X = xs[kt]
+            for lam, (vl, ln, ld) in zip(reps, lams):
+                if _level_in_window(a_l + marg + 1, a_u - marg - 1, vl % n, n):
+                    cells.append(
+                        CellInstance(
+                            template="subcoset", params=(),
+                            member=coset_member(X, a_l + marg, a_u - marg, vl, ln, ld),
+                            excluded=excl_plain,
+                            extent_key=(ai, ("coset", lam)),
+                            region=region,
+                        )
                     )
-                )
+            for r in _edge_levels(a_l, a_u, marg, marg):
+                for u in units:
+                    excl = excl_plain
+                    if r == a_u:  # at the removal level the cell's ball can be swallowed
+                        if swallowed(kt, r, u, everywhere):
+                            continue
+                        excl = make_excluded(kt, a_l, a_u, u)
+                    cells.append(
+                        CellInstance(
+                            template="subedge", params=(),
+                            member=edge_member(X, r, u),
+                            excluded=excl,
+                            extent_key=(ai, ("edge", r, u)),
+                            region=region,
+                        )
+                    )
         return cells
 
     return Decomposition(
@@ -490,91 +329,105 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
         raise ValueError("only the one-dimensional decomposition is built")
     meta = family.meta
     C, m, n, p = meta["C"], meta["m"], meta["n"], meta["p"]
+    dim = family.param_dim
     marg = n
     prec = n
     reps = qmn_coset_representatives(m, n, p)
-
-    def make_excluded(sub: Subinterval):
-        a_l, a_u, t = sub.alpha_l, sub.alpha_u, sub.center
-
-        def excluded(b) -> bool:
-            b = as_param(b, family.param_dim)
-            ts = [c(b) for c in C]
-            if a_u.is_finite:
-                # missed sibling: a center on the removal sphere but not
-                # inside any removed representative's ball
-                for tb in ts:
-                    if valuation(tb - t, p) == a_u and not any(
-                        valuation(tb - rep, p) > a_u for rep in sub.removed
-                    ):
-                        return True
-            for tj in ts:
-                for tk in ts:
-                    if a_l < valuation(tj - tk, p) < a_u:
-                        for ti in ts:
-                            if a_l < valuation(ti - t, p):
-                                return True
-            for ti in ts:
-                if a_l < valuation(t - ti, p) < a_u:
-                    return True
-            return False
-
-        return excluded
+    lams = _lam_parts(reps, p)
+    units = _units(p, prec)
+    mod = p ** n
 
     def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, family.param_dim) for b in B]
-        forest, tagged = arrangement(laff_balls(C, B, p))
+        B = [as_param(b, dim) for b in B]
+        cen = _Centres(C, B, p)
+        forest, tagged = arrangement(_laff(cen))
+        scale, dist, xs, fracs = cen.scale, cen.dist, cen.xs, cen.fracs
+        pos = {b: j for j, b in enumerate(B)}
+
+        def cut_at(kt: int, rems: list[int], ks: list[int], a_l, a_u) -> bool:
+            return _laff_cut(
+                [dist[k][kt] for k in ks],
+                [[dist[k][kr] for kr in rems] for k in ks],
+                [[dist[i][k] for k in ks] for i in ks],
+                a_l, a_u,
+            )
+
+        def make_excluded(kt: int, rems: list[int], sub: Subinterval, a_l, a_u):
+            def excluded(b) -> bool:
+                b = as_param(b, dim)
+                j = pos.get(b)
+                if j is not None:
+                    return cut_at(kt, rems, cen.ids[j], a_l, a_u)
+                # b outside B: the same test on exact valuations
+                t, ts = fracs[kt], [c(b) for c in C]
+                return _laff_cut(
+                    [_level(valuation(ti - t, p)) for ti in ts],
+                    [[_level(valuation(ti - rep, p)) for rep in sub.removed] for ti in ts],
+                    [[_level(valuation(ti - tk, p)) for tk in ts] for ti in ts],
+                    a_l, a_u,
+                )
+
+            return excluded
+
+        def coset_member(X: int, lo, hi, vl: int, ln: int, ld: int):
+            def member(a) -> bool:
+                # lo <= v(x - t) <= hi and x - t in lam Q_{m,n}
+                s = scale.unit_split(a[0], X)
+                if s is None or not lo <= s[0] <= hi or (s[0] - vl) % m:
+                    return False
+                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod == 1
+
+            return member
+
+        def edge_member(X: int, r: int, u: int, a_l, a_u, removed: list[int]):
+            def member(a) -> bool:
+                # v(x - (t + p^r u)) >= r + marg, and x in the subinterval
+                N, e, w = scale.offset(a[0], X)
+                if not scale.inside(*scale.shift(N, e, w, r, -u), r + marg - 1):
+                    return False
+                if not scale.inside(N, e, a_l):
+                    return False
+                d = a[0].denominator  # x - rep = (N + (X - R) d) / (w p^e D)
+                return not any(scale.inside(N + (X - R) * d, e, a_u) for R in removed)
+
+            return member
+
         cells: list[CellInstance] = []
         for ai, sub in tagged:
-            t = sub.center
+            region = Region(forest, ai, sub)
             if sub.alpha_l == POS_INF:
-                cells.append(
-                    CellInstance(
-                        template="sub(pt)", params=(),
-                        member=lambda a, t=t: a[0] == t,
-                        excluded=lambda b: False,
-                        extent_key=(sub.key(), ("pt",)),
-                        region=Region(forest, ai, sub),
-                    )
-                )
+                cells.append(_point_cell(region))
                 continue
-            excl = make_excluded(sub)
-            if any(excl(b) for b in B):
+            kt = cen.at[scale.x(sub.center)]
+            rems = [cen.at[scale.x(c)] for c in sub.removed]
+            a_l, a_u = _level(sub.alpha_l), _level(sub.alpha_u)
+            if any(cut_at(kt, rems, ks, a_l, a_u) for ks in cen.ids):
                 continue  # excl is every cell's test for this subinterval
-            emitted: list[tuple] = []
-            for lam in reps:
-                res = valuation_int(lam, p) % m
-                if not _level_in_window(sub.alpha_l + marg, sub.alpha_u - marg, res, m):
-                    continue
-
-                def mem(x, t=t, lam=lam, sub=sub, marg=marg):
-                    tv = valuation(x - t, p)
-                    if not (sub.alpha_l + marg <= tv and tv <= sub.alpha_u - marg):
-                        return False
-                    return in_qmn(x - t, lam, m, n, p)
-
-                emitted.append((mem, ("coset", lam)))
-            for r in _edge_levels(sub, marg - 1, marg - 1):
-                for u in _units(p, prec):
-                    q = t + Fraction(p) ** r * u
-
-                    def mem(x, q=q, r=r, marg=marg, sub=sub):
-                        if not valuation(x - q, p) >= Gamma.of(r + marg):
-                            return False
-                        return sub.member(x)
-
-                    emitted.append((mem, ("edge", r, u)))
-            for mem, desc in emitted:
-                cells.append(
-                    CellInstance(
-                        template=f"sub{desc[0]}",
-                        params=(),
-                        member=lambda a, mem=mem: mem(a[0]),
-                        excluded=excl,
-                        extent_key=(sub.key(), desc),
-                        region=Region(forest, ai, sub),
+            excl = make_excluded(kt, rems, sub, a_l, a_u)
+            X = xs[kt]
+            for lam, (vl, ln, ld) in zip(reps, lams):
+                if _level_in_window(a_l + marg, a_u - marg, vl % m, m):
+                    cells.append(
+                        CellInstance(
+                            template="subcoset", params=(),
+                            member=coset_member(X, a_l + marg, a_u - marg, vl, ln, ld),
+                            excluded=excl,
+                            extent_key=(ai, ("coset", lam)),
+                            region=region,
+                        )
                     )
-                )
+            removed = [xs[k] for k in rems]
+            for r in _edge_levels(a_l, a_u, marg - 1, marg - 1):
+                for u in units:
+                    cells.append(
+                        CellInstance(
+                            template="subedge", params=(),
+                            member=edge_member(X, r, u, a_l, a_u, removed),
+                            excluded=excl,
+                            extent_key=(ai, ("edge", r, u)),
+                            region=region,
+                        )
+                    )
         return cells
 
     return Decomposition(
@@ -608,7 +461,7 @@ def _forest_locator(cells: list[CellInstance]):
 def _probe_params(family: ParamFamily) -> tuple:
     meta = family.meta
     if family.kind == "valuation-macintyre":
-        marg = 2 * _vp(meta["n"], meta["p"])
+        marg = 2 * split_p(meta["n"], meta["p"])[0]
         return meta["p"], marg, marg + 1, meta["n"]
     if family.kind == "valuation-laff":
         return meta["p"], meta["n"], meta["n"], meta["m"]
@@ -644,6 +497,7 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
         atoms = subinterval_atoms(special_balls(meta["F"], meta["C"], B, p))
     else:
         atoms = subinterval_atoms(laff_balls(meta["C"], B, p))
+    scale = _Scale([c(b) for b in B for c in meta["C"]], p)
     W = marg + period + 1
     units = _units(p, prec)
     probes: list[tuple] = []
@@ -659,23 +513,27 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
             emit(sub.center)
             continue
         levels: set[int] = set()
-        lo, hi = sub.alpha_l, sub.alpha_u
-        if lo.is_finite:
-            levels.update(range(lo.level + 1, lo.level + W + 1))
-            if not hi.is_finite:
-                levels.update(range(lo.level + W + 1, lo.level + W + 1 + period))
-        if hi.is_finite:
-            levels.update(range(hi.level - W, hi.level + 1))
-            if not lo.is_finite:
-                levels.update(range(hi.level - W - period, hi.level - W))
-        if not lo.is_finite and not hi.is_finite:
+        lo, hi = _level(sub.alpha_l), _level(sub.alpha_u)
+        if lo != -INF:
+            levels.update(range(lo + 1, lo + W + 1))
+            if hi == INF:
+                levels.update(range(lo + W + 1, lo + W + 1 + period))
+        if hi != INF:
+            levels.update(range(hi - W, hi + 1))
+            if lo == -INF:
+                levels.update(range(hi - W - period, hi - W))
+        if lo == -INF and hi == INF:
             levels.update(range(-W, W + 1))
+        X = scale.x(sub.center)
+        gaps = [X - scale.x(rep) for rep in sub.removed]  # t - rep, scaled
         for r in sorted(levels):
-            if not (lo < Gamma.of(r) <= hi):
+            if not lo < r <= hi:
                 continue
-            scale = Fraction(p) ** r
             for u in units:
-                x = sub.center + scale * u
-                if sub.member(x):
-                    emit(x)
+                # x = t + p^r u lies in the outer ball; drop it when it lies
+                # in a removed one
+                if any(scale.inside(*scale.shift(g, 0, 1, r, u), hi) for g in gaps):
+                    continue
+                M, f = scale.shift(X, 0, 1, r, u)
+                emit(Fraction(M, scale.D * scale.pw(f)))
     return probes

@@ -1,9 +1,11 @@
 """Exact scalar kernel: rationals, p-adic valuations, unit residues, and the
 multiplicative predicates used by the valued-field engines.
 
-All values are `fractions.Fraction` (arbitrary precision, canonical form), so
-every predicate here is decided exactly; there is no floating point anywhere.
-Primes are restricted to odd p >= 3.
+The functions here take rationals (`fractions.Fraction` or int, arbitrary
+precision) and decide every predicate exactly; there is no floating point
+anywhere.  `split_p` and `pn_residues` work on Python ints: the p-adic
+engines scale each instance's rationals to ints once and call them on
+those.  Primes are restricted to odd p >= 3.
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ POS_INF = Gamma(1, 0)
 NEG_INF = Gamma(-1, 0)
 
 
-def _int_val(n: int, p: int) -> int:
-    # n != 0
+def split_p(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n / p^v_p(n)) of a nonzero int; the p-free part keeps n's
+    sign."""
     v = 0
-    n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 def valuation(a: Rat, p: int) -> Gamma:
@@ -112,15 +114,15 @@ def valuation(a: Rat, p: int) -> Gamma:
     a = Fraction(a)
     if a == 0:
         return POS_INF
-    return Gamma.of(_int_val(a.numerator, p) - _int_val(a.denominator, p))
+    return Gamma.of(split_p(a.numerator, p)[0] - split_p(a.denominator, p)[0])
 
 
 def valuation_int(a: Rat, p: int) -> int:
-    """Finite valuation of a nonzero rational, as a plain int (hot path)."""
+    """Finite valuation of a nonzero rational, as a plain int."""
     a = Fraction(a)
     if a == 0:
         raise ZeroDivisionError("valuation_int of 0")
-    return _int_val(a.numerator, p) - _int_val(a.denominator, p)
+    return split_p(a.numerator, p)[0] - split_p(a.denominator, p)[0]
 
 
 def unit_residue(a: Rat, p: int, k: int) -> int:
@@ -131,10 +133,7 @@ def unit_residue(a: Rat, p: int, k: int) -> int:
         raise ZeroDivisionError("unit residue of 0 is undefined")
     if k < 1:
         raise ValueError("k must be >= 1")
-    num, den = a.numerator, a.denominator
-    vn, vd = _int_val(num, p), _int_val(den, p)
-    num //= p ** vn
-    den //= p ** vd
+    num, den = split_p(a.numerator, p)[1], split_p(a.denominator, p)[1]
     mod = p ** k
     return (num * pow(den, -1, mod)) % mod
 
@@ -200,15 +199,15 @@ def in_pn(a: Rat, n: int, p: int) -> bool:
         return True
     if valuation_int(a, p) % n != 0:
         return False
-    k, powers = _pn_residues(n, p)
+    k, powers = pn_residues(n, p)
     return unit_residue(a, p, k) in powers
 
 
 @lru_cache(maxsize=None)
-def _pn_residues(n: int, p: int) -> tuple[int, frozenset]:
+def pn_residues(n: int, p: int) -> tuple[int, frozenset]:
     """The precision k = 2 v_p(n) + 1 of `in_pn` and the n-th powers among
     the units mod p^k, computed once per (n, p)."""
-    k = 2 * _int_val(n, p) + 1
+    k = 2 * split_p(n, p)[0] + 1
     mod = p ** k
     return k, frozenset(pow(x, n, mod) for x in range(1, mod) if x % p != 0)
 
@@ -224,7 +223,7 @@ def same_pn_coset(a: Rat, b: Rat, n: int, p: int) -> bool:
 def pn_coset_representatives(n: int, p: int) -> list[Fraction]:
     """A full list of coset representatives of Q_p^x / P_n^x, found by brute
     force over p^j * u with 0 <= j < n and u a unit residue."""
-    k = 2 * _int_val(n, p) + 1
+    k = 2 * split_p(n, p)[0] + 1
     reps: list[Fraction] = []
     for j in range(n):
         for u in range(1, p ** k):

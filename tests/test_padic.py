@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distalcells.decomp import verify
 from distalcells.families import laff_family, macintyre_family, type_census_1d
@@ -19,7 +20,8 @@ from distalcells.padic import (
     t_val_candidate_centers,
 )
 from distalcells.rng import SplitMix64
-from distalcells.scalars import Gamma, NEG_INF, POS_INF, valuation
+from distalcells.scalars import Gamma, NEG_INF, POS_INF, truncate, valuation
+from distalcells.ultrametric import INF, _level, _Scale
 
 ZERO = AffineMap.of([0])
 IDENT = AffineMap.of([1])
@@ -355,3 +357,140 @@ def test_ball_forest_parents_match_containment_scan(p):
             forest = ball_forest(balls)
             assert any(b.radius == POS_INF for b in forest.balls)  # point balls
             assert forest.parent == _parents_by_scan(forest.balls)
+
+
+# -- a second probe source -----------------------------------------------------
+
+
+def _brute_probes(fam, B, depth):
+    """x = c(b) + p^k u for every centre, every level k from 4 below the
+    lowest to 4 above the highest finite level among the centre distances
+    and radii, and every unit u mod p^depth: built from the parameters
+    alone, with no atoms and no engine probes."""
+    p, C = fam.meta["p"], fam.meta["C"]
+    centres = sorted({c(b) for b in B for c in C})
+    levels = {valuation(s - t, p) for s in centres for t in centres}
+    levels |= {valuation(f(b), p) for f in fam.meta.get("F", []) for b in B}
+    finite = [g.level for g in levels if g.is_finite] or [0]
+    units = [u for u in range(1, p ** depth) if u % p]
+    pts = {(t,) for t in centres}
+    for t in centres:
+        for k in range(min(finite) - 4, max(finite) + 5):
+            for u in units:
+                pts.add((t + u * F(p) ** k,))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("kind", ["macintyre", "laff"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verify_on_brute_force_probes(kind, p):
+    rng = SplitMix64(9100 + p)
+    B = []
+    while len(B) < 3:
+        b = (F(rng.randint(-p ** 3, p ** 3), rng.choice([1, 2, p, p * p])),)
+        if b not in B:
+            B.append(b)
+    if kind == "macintyre":
+        n = 3 if p == 3 else 2  # at p = 3, n = 3 has margins 2 v_3(3) = 2
+        fam = macintyre_family(
+            [ZERO, AffineMap.of([1], 1)], [IDENT, AffineMap.of([p], F(1, p))], [1, 2],
+            n=n, p=p, param_dim=1,
+        )
+        decomp = macintyre_dcd(fam)
+        depth = 2 * (n == 3) + 2  # one digit past the engine's precision
+    else:
+        fam = laff_family([IDENT, DOUBLE], m=2, n=1, Lambda=[1], p=p, param_dim=1)
+        decomp = laff_dcd_1d(fam)
+        depth = 2
+    brute = _brute_probes(fam, B, depth)
+    own = verify(decomp, fam, B)
+    rep = verify(decomp, fam, B, probes=brute)
+    assert own.passed and rep.passed, rep.to_dict()
+    assert rep.probe_count > own.probe_count
+    assert rep.census_lower_bound == own.census_lower_bound
+
+
+# -- the integer kernel against Fraction arithmetic ----------------------------
+
+
+def _rationals(p, dens, height):
+    return st.builds(F, st.integers(-height, height), st.sampled_from(dens))
+
+
+@st.composite
+def _kernel_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    dens = [1, 2, p, p * p, 2 * p, 4 * p ** 3]  # powers of p and a p-free part
+    centres = draw(st.lists(_rationals(p, dens, p ** 4), min_size=1, max_size=4, unique=True))
+    probes = draw(st.lists(_rationals(p, dens + [p ** 5, 7 * p], p ** 5), min_size=1, max_size=3))
+    units = draw(st.lists(st.sampled_from([u for u in range(1, p * p) if u % p]), min_size=1, max_size=3))
+    return p, centres, probes, units
+
+
+def _in_ball(y, r, p):
+    """y in B_r(0): v(y) > r, or y = 0 for r = +inf."""
+    return y == 0 if r == INF else valuation(y, p) > Gamma.of(r)
+
+
+def _kernel_levels(scale):
+    return range(-scale.vD - 3, 4)  # reaches levels below -vD
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_kernel_ball_keys_are_scaled_truncations(case):
+    p, centres, _, _ = case
+    scale = _Scale(centres, p)
+    for c in centres:
+        X = scale.x(c)
+        assert F(X, scale.D) == c
+        assert scale.key(X, INF) == (1, 0, X)
+        for r in _kernel_levels(scale):
+            assert scale.key(X, r) == (0, r, truncate(c, p, r) * F(p) ** scale.vD), (c, r)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_kernel_valuations_of_differences(case):
+    p, centres, probes, _ = case
+    scale = _Scale(centres, p)
+    for c1 in centres:
+        for c2 in centres:
+            assert scale.level(scale.x(c1) - scale.x(c2)) == _level(valuation(c1 - c2, p))
+    for x in probes:
+        for c in centres:
+            split = scale.unit_split(x, scale.x(c))
+            if x == c:
+                assert split is None
+            else:
+                v, u, w = split
+                assert v == valuation(x - c, p).level, (x, c)
+                assert u % p and w % p and F(u, w) * F(p) ** v == x - c, (x, c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_kernel_swallow_and_membership_tests(case):
+    p, centres, probes, units = case
+    scale = _Scale(centres, p)
+    for t in centres:
+        for c in centres:
+            for r in _kernel_levels(scale):
+                for u in units:
+                    # the swallow test: is c in B_lv(t + p^r u)?
+                    M, f = scale.shift(scale.x(t) - scale.x(c), 0, 1, r, u)
+                    y = t - c + u * F(p) ** r
+                    for lv in (r - 1, r, r + 1, INF):
+                        assert scale.inside(M, f, lv) == _in_ball(y, lv, p), (t, c, r, u, lv)
+    for x in probes:
+        for c in centres:
+            N, e, w = scale.offset(x, scale.x(c))
+            for r in list(_kernel_levels(scale)) + [INF, -INF]:
+                assert scale.inside(N, e, r) == (r == -INF or _in_ball(x - c, r, p)), (x, c, r)
+            for r in _kernel_levels(scale):
+                for u in units:
+                    # edge membership: is x in B_lv(c + p^r u)?
+                    M, f = scale.shift(N, e, w, r, -u)
+                    y = x - c - u * F(p) ** r
+                    for lv in (r, r + 2, INF):
+                        assert scale.inside(M, f, lv) == _in_ball(y, lv, p), (x, c, r, u, lv)

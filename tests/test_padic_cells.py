@@ -1,0 +1,126 @@
+"""The cells of both p-adic engines on 40 seeded instances per engine at
+p = 3 and 5, pinned in tests/data/padic_cells.json.
+
+Each instance records the probe list, the forest (balls and parents), its
+distinct subintervals (center, alpha_l, alpha_u, removed) and, per cell:
+template, forest node, the first index of a cell with an equal extent key,
+the index of its subinterval, and a mask of `excluded` over the parameters
+of B and four parameters outside B.  Per probe it records the cells whose
+`member` holds.  Run this file as a script to write the dump to the path
+given on the command line.
+"""
+
+import json
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+from distalcells.families import laff_family, macintyre_family
+from distalcells.linear import AffineMap
+from distalcells.padic import family_probes, laff_dcd_1d, macintyre_dcd
+from distalcells.rng import SplitMix64
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "padic_cells.json"
+INSTANCES = 40
+
+
+def _param(rng: SplitMix64, p: int) -> tuple:
+    return (F(rng.randint(-p ** 4, p ** 4), rng.choice([1, 1, 2, p, p * p, 2 * p])),)
+
+
+def _distinct(rng: SplitMix64, n: int, p: int, avoid=()) -> list:
+    out = []
+    while len(out) < n:
+        b = _param(rng, p)
+        if b not in out and b not in avoid:
+            out.append(b)
+    return out
+
+
+def _maps(p: int) -> list:
+    return [
+        AffineMap.of([1]), AffineMap.of([2]), AffineMap.of([1], 1), AffineMap.of([p]),
+        AffineMap.of([1], F(1, p)), AffineMap.of([F(1, p)], p * p), AffineMap.of([3], F(2, p * p)),
+    ]
+
+
+def _instance(engine: str, p: int, k: int):
+    rng = SplitMix64(9000 + 100 * p + k).split(0 if engine == "macintyre" else 1)
+    maps = _maps(p)
+    if engine == "macintyre":
+        C = [maps[rng.randint(0, len(maps) - 1)]]
+        if rng.randint(0, 2) == 0:
+            C.append(maps[rng.randint(0, len(maps) - 1)])
+        Fs = [AffineMap.of([0])] + [maps[rng.randint(0, len(maps) - 1)] for _ in range(rng.randint(0, 2))]
+        n = rng.choice([2, 2, 2, 3] if p == 3 else [2, 3, 4])
+        fam = macintyre_family(Fs, C, [1, 2], n=n, p=p, param_dim=1)
+        decomp = macintyre_dcd(fam)
+        size = 1 if n == 3 and p == 3 else rng.randint(1, 4)  # 2 v_3(3) = 2: wide margins
+    else:
+        i = rng.randint(0, len(maps) - 1)
+        j = (i + rng.randint(1, len(maps) - 1)) % len(maps)
+        m, n = rng.choice([(2, 1), (1, 1), (3, 1), (2, 2)] if p == 3 else [(2, 1), (1, 1)])
+        fam = laff_family([maps[i], maps[j]], m=m, n=n, Lambda=[1], p=p, param_dim=1)
+        decomp = laff_dcd_1d(fam)
+        size = rng.randint(1, 2 if n == 2 else 3)
+    B = _distinct(rng, size, p)
+    outside = _distinct(rng, 4, p, avoid=B)
+    return fam, decomp, B, outside
+
+
+def _mask(bits) -> str:
+    return format(sum(1 << i for i, bit in enumerate(bits) if bit), "x")
+
+
+def _dump_instance(engine: str, p: int, k: int) -> dict:
+    fam, decomp, B, outside = _instance(engine, p, k)
+    probes = family_probes(fam, B)
+    cells = decomp.instantiate(B)
+    forest = cells[0].region.forest
+    first_key: dict = {}
+    subs: dict = {}
+    rows = []
+    for ci, cell in enumerate(cells):
+        sub = cell.region.sub
+        fields = (str(sub.center), repr(sub.alpha_l), repr(sub.alpha_u), tuple(str(r) for r in sub.removed))
+        rows.append([
+            cell.template,
+            cell.region.node,
+            first_key.setdefault(cell.extent_key, ci),
+            subs.setdefault(fields, len(subs)),
+            _mask(cell.excluded(b) for b in B + outside),
+        ])
+    return {
+        "engine": engine,
+        "p": p,
+        "k": k,
+        "B": [str(b[0]) for b in B],
+        "outside": [str(b[0]) for b in outside],
+        "probes": [str(a[0]) for a in probes],
+        "balls": [[str(b.center), repr(b.radius)] for b in forest.balls],
+        "parents": forest.parent,
+        "subs": [list(f[:3]) + [list(f[3])] for f in subs],
+        "cells": rows,
+        "members": [[ci for ci, cell in enumerate(cells) if cell.member(a)] for a in probes],
+    }
+
+
+def dump() -> list:
+    return [
+        _dump_instance(engine, p, k)
+        for engine in ("macintyre", "laff")
+        for p in (3, 5)
+        for k in range(INSTANCES)
+    ]
+
+
+def test_cells_match_pinned_dump():
+    golden = json.loads(GOLDEN.read_text())
+    got = dump()
+    assert len(got) == len(golden)
+    for g, want in zip(got, golden):
+        assert g == want, (g["engine"], g["p"], g["k"])
+
+
+if __name__ == "__main__":
+    Path(sys.argv[1]).write_text(json.dumps(dump(), separators=(",", ":")) + "\n")
