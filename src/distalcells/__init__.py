@@ -18,16 +18,13 @@ from .families import (
     type_census_probe,
 )
 from .rng import SplitMix64
-from .scalars import Gamma, NEG_INF, POS_INF, in_pn, in_qmn, unit_residue, valuation
+from .scalars import in_pn, in_qmn, unit_residue, valuation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CellInstance",
     "Decomposition",
-    "Gamma",
-    "NEG_INF",
-    "POS_INF",
     "ParamFamily",
     "SplitMix64",
     "TypeCensus",

@@ -86,7 +86,7 @@ def _make_generator(spec: ExperimentSpec):
 def _verification_probes(spec: ExperimentSpec, B: list):
     if spec.engine == "dim-induction":
         return induction.plane_probes(spec.family, B, steps=24)
-    return None  # one-dimensional engines supply exact probes themselves
+    return None  # verify builds exact probes in one dimension
 
 
 DIM_INDUCTION_VERIFY_CAP = 12

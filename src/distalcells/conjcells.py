@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator
-from .families import ParamFamily, as_param, census_probes_1d
+from .families import ParamFamily, as_param
 from .linear import Iv
 
 # ---------------------------------------------------------------------------
@@ -537,14 +537,11 @@ def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
 
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
-    probe_fn = locator_fn = None
-    if family.point_dim == 1:
-        probe_fn = lambda B: census_probes_1d(family, B)  # noqa: E731
-        if family.kind == "vector-linear":
-            locator_fn = interval_locator
+    locator_fn = None
+    if family.point_dim == 1 and family.kind == "vector-linear":
+        locator_fn = interval_locator
     return Decomposition(
         name=f"conj-{family.kind}",
         instantiate_fn=lambda B: conj_decomposition(family, B),
-        probe_fn=probe_fn,
         locator_fn=locator_fn,
     )

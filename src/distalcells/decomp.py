@@ -4,7 +4,7 @@ verifier, and shatter-function estimation.
 A decomposition is a map B -> list of cells, where each cell carries an exact
 membership predicate, an exact exclusion predicate I(Delta) over single
 parameters, and a canonical extent key for deduplication.  Verification is
-exact in one dimension (engines supply exhaustive probe sets) and probe-based
+exact in one dimension (`census_probes_1d` is exhaustive) and probe-based
 in higher dimensions: failures are always genuine, successes are certified on
 the probe set.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .families import ParamFamily, as_param, as_point, fast_truth_masks
+from .families import ParamFamily, as_param, as_point, census_probes_1d, fast_truth_masks
 from .linear import Iv, _lo_key
 from .rng import SplitMix64
 
@@ -56,7 +56,6 @@ class Decomposition:
 
     name: str
     instantiate_fn: Callable[[list], list[CellInstance]]
-    probe_fn: Optional[Callable[[list], list[Point]]] = None
     locator_fn: Optional[Callable[[list], Callable[[Point], Iterable[int]]]] = None
 
     def instantiate(self, B: Sequence) -> list[CellInstance]:
@@ -147,16 +146,16 @@ def verify(
     """Check the defining properties of a decomposition instance against an
     independent probe census.
 
-    For |x| = 1 the engine's probe builder supplies all exact atom
-    representatives, so coverage and crossing checks are exact; for |x| >= 2
-    caller probes are required.
+    For |x| = 1 `census_probes_1d` supplies all exact atom representatives,
+    so coverage and crossing checks are exact; for |x| >= 2 caller probes are
+    required.
     """
     B = [as_param(b, family.param_dim) for b in B]
     cells = decomp.instantiate(B)
     raw = len(cells)
 
     # dedupe in first-seen order: sorting the probes' own runs is cheaper
-    own = decomp.probe_fn(B) if decomp.probe_fn is not None else []
+    own = census_probes_1d(family, B) if family.point_dim == 1 else []
     pts = sorted(dict.fromkeys(as_point(a, family.point_dim) for a in chain(own, probes or ())))
     if not pts:
         raise ValueError("probes are required for this verification")

@@ -7,6 +7,7 @@ docs/family_descriptors.md; rationals may be written as integers or as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -36,7 +37,7 @@ def _rat(value, path: str) -> Fraction:
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as e:
         raise SpecError(path, f"bad rational: {e}")
@@ -79,24 +80,29 @@ def _integer_entries(obj, path: str) -> None:
             raise SpecError(where, "congruence atoms need integer values")
 
 
-def _affine(obj, path: str) -> AffineMap:
+def _affine(obj, path: str, dim: int) -> AffineMap:
+    """An affine map of `dim` variables; a shorter coefficient list leaves
+    the last variables out, a longer one is an error."""
     if isinstance(obj, list):
-        return AffineMap.of(_rats(obj, path), 0)
-    if not isinstance(obj, dict):
+        where, coeffs, const = path, _rats(obj, path), 0
+    elif isinstance(obj, dict):
+        where = f"{path}/coeffs"
+        coeffs = _rats(obj.get("coeffs", []), where)
+        const = _rat(obj.get("const", 0), f"{path}/const")
+    else:
         raise SpecError(path, "expected coefficient list or object")
-    return AffineMap.of(
-        _rats(obj.get("coeffs", []), f"{path}/coeffs"),
-        _rat(obj.get("const", 0), f"{path}/const"),
-    )
+    if len(coeffs) > dim:
+        raise SpecError(where, f"more than {dim} coefficients")
+    return AffineMap.of(coeffs, const)
 
 
 ATOM_RELS = ("<", "<=", "=", "!=", ">", ">=")
 
 
-def _affines(values, path: str) -> list[AffineMap]:
+def _affines(values, path: str, dim: int) -> list[AffineMap]:
     if not isinstance(values, list):
         raise SpecError(path, "expected a list")
-    return [_affine(v, f"{path}/{i}") for i, v in enumerate(values)]
+    return [_affine(v, f"{path}/{i}", dim) for i, v in enumerate(values)]
 
 
 def _prime(value, path: str) -> int:
@@ -155,10 +161,10 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
         atoms = []
         for i, a in enumerate(_predicates(obj, path)):
             p = f"{path}/predicates/{i}"
-            f = _affine(a.get("f"), f"{p}/f")
+            f = _affine(a.get("f"), f"{p}/f", point_dim)
             if not any(f.coeffs):
                 raise SpecError(f"{p}/f", "the x-part f must be nonzero")
-            g_map = _affine(a.get("g"), f"{p}/g")
+            g_map = _affine(a.get("g"), f"{p}/g", param_dim)
             c = _rat(a.get("c", 0), f"{p}/c")
             g = AffineMap(g_map.coeffs, g_map.const + c)
             rel = a.get("rel")
@@ -170,14 +176,12 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
                 raise SpecError(f"{p}/rel", f"bad relation {rel!r}")
         return vector_linear_family(atoms, point_dim, param_dim)
     if kind == "congruence":
-        K = obj.get("modulus")
-        if not isinstance(K, int) or K < 1:
-            raise SpecError(f"{path}/modulus", "positive integer modulus required")
+        K = _count(obj.get("modulus"), f"{path}/modulus", 1)
         atoms = []
         for i, a in enumerate(_predicates(obj, path)):
             p = f"{path}/predicates/{i}"
-            f = _affine(a.get("f"), f"{p}/f")
-            g_map = _affine(a.get("g"), f"{p}/g")
+            f = _affine(a.get("f"), f"{p}/f", point_dim)
+            g_map = _affine(a.get("g"), f"{p}/g", param_dim)
             c = _rat(a.get("c", 0), f"{p}/c")
             g = AffineMap(g_map.coeffs, g_map.const + c)
             typ = a.get("type", "order")
@@ -200,21 +204,18 @@ def load_family(obj: dict, path: str = "/family") -> ParamFamily:
         return congruence_family(atoms, K, point_dim, param_dim)
     if kind == "valuation-macintyre":
         p_ = _prime(obj.get("prime"), f"{path}/prime")
-        n = obj.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise SpecError(f"{path}/n", "integer n >= 2 required")
-        F = _affines(obj.get("F", []), f"{path}/F")
-        C = _affines(obj.get("C", []), f"{path}/C")
+        n = _count(obj.get("n"), f"{path}/n", 2)
+        F = _affines(obj.get("F", []), f"{path}/F", param_dim)
+        C = _affines(obj.get("C", []), f"{path}/C", param_dim)
         if not C:
             raise SpecError(f"{path}/C", "at least one center function required")
         lams = _rats(obj.get("lambda", [1]), f"{path}/lambda")
         return macintyre_family(F, C, lams, n, p_, param_dim)
     if kind == "valuation-laff":
         p_ = _prime(obj.get("prime"), f"{path}/prime")
-        m, n = obj.get("m"), obj.get("n")
-        if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 1:
-            raise SpecError(f"{path}/m", "integers m, n >= 1 required")
-        C = _affines(obj.get("C", []), f"{path}/C")
+        m = _count(obj.get("m"), f"{path}/m", 1)
+        n = _count(obj.get("n"), f"{path}/n", 1)
+        C = _affines(obj.get("C", []), f"{path}/C", param_dim)
         if not C:
             raise SpecError(f"{path}/C", "at least one center function required")
         lams = _rats(obj.get("lambda", [1]), f"{path}/lambda")
@@ -272,18 +273,16 @@ def load_experiment(obj: dict) -> ExperimentSpec:
             raise SpecError("/family/predicates", str(e))
     sizes = obj.get("sizes")
     if not isinstance(sizes, list) or not sizes or not all(
-        isinstance(n, int) and n >= 1 for n in sizes
+        type(n) is int and n >= 1 for n in sizes
     ):
         raise SpecError("/sizes", "nonempty list of positive sizes required")
-    trials = obj.get("trials", 5)
-    if not isinstance(trials, int) or trials < 1:
-        raise SpecError("/trials", "positive trial count required")
+    trials = _count(obj.get("trials", 5), "/trials", 1)
     seed = obj.get("seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise SpecError("/seed", "an integer seed is mandatory")
     expected = obj.get("expected_slope")
-    if expected is not None and not isinstance(expected, (int, float)):
-        raise SpecError("/expected_slope", "number expected")
+    if expected is not None and (type(expected) not in (int, float) or not math.isfinite(expected)):
+        raise SpecError("/expected_slope", "finite number expected")
     verify_instances = _count(obj.get("verify_instances", 2), "/verify_instances", 0)
     generator = _generator(obj.get("generator", {}) or {}, structure)
     _check_draws(generator, structure, family, max(sizes))

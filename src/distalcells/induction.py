@@ -280,7 +280,6 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     return Decomposition(
         name=f"dim-induction-{d}d",
         instantiate_fn=inst,
-        probe_fn=None,
     )
 
 

@@ -72,13 +72,6 @@ class Atom:
             raise ValueError(f"bad relation {rel!r}")
         return Atom(coeffs, const, rel)
 
-    def scaled_canonical(self) -> "Atom":
-        """Scale by a positive rational so the coefficients and constant are
-        coprime ints; trailing zero coefficients are trimmed.  Improves dedup
-        hits."""
-        coeffs, const = _int_row(self)
-        return _canonical(list(coeffs), const, self.rel)
-
     def _ratio(self, assignment: Sequence[Fraction]) -> tuple[int, int]:
         """(num, den) in plain ints, den > 0, with value = num / den."""
         num, den = self.const.numerator, self.const.denominator
@@ -487,7 +480,7 @@ def _dnf_conjuncts(f, negate: bool, limit: int) -> Optional[list[frozenset]]:
     if tag == "false":
         return [frozenset()] if negate else []
     if tag == "atom":
-        a = f[1].scaled_canonical()
+        a = f[1]  # canonical already: formulas are built by fold_atom
         return [frozenset([_neg_atom(a) if negate else a])]
     if tag == "not":
         return _dnf_conjuncts(f[1], not negate, limit)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator
-from .families import ParamFamily, as_param, census_probes_1d
+from .families import ParamFamily, as_param
 from .linear import Iv, crosses
 
 # extent of a downward-closed subset of the line: empty, full, or a cut
@@ -197,6 +197,5 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     return Decomposition(
         name="omin1d",
         instantiate_fn=inst,
-        probe_fn=lambda B: census_probes_1d(family, B),
         locator_fn=interval_locator,
     )

@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_param
 from .scalars import (
-    Gamma,
-    POS_INF,
+    INF,
+    Level,
     in_pn,
     pn_coset_representatives,
     pn_residues,
@@ -34,7 +34,6 @@ from .scalars import (
     valuation,
 )
 from .ultrametric import (  # with the ball layer's public names, re-exported
-    INF,
     ArrangementError,
     BallForest,
     Subinterval,
@@ -42,7 +41,6 @@ from .ultrametric import (  # with the ball layer's public names, re-exported
     _Centres,
     _f_levels,
     _laff,
-    _level,
     _Scale,
     _special,
     arrangement,
@@ -54,7 +52,7 @@ from .ultrametric import (  # with the ball layer's public names, re-exported
 )
 
 
-def t_val(a, atoms: list[Subinterval]) -> Gamma:
+def t_val(a, atoms: list[Subinterval]) -> Level:
     """Displacement valuation of a point from its atom's center."""
     x = a[0] if isinstance(a, tuple) else Fraction(a)
     for sub in atoms:
@@ -66,11 +64,11 @@ def t_val(a, atoms: list[Subinterval]) -> Gamma:
 def t_val_candidate_centers(sub: Subinterval, T: Sequence[Fraction]) -> list[Fraction]:
     """All centers in T that can recenter the atom: those at or beyond the
     removal radius (for the point atom, the point itself)."""
-    if sub.alpha_l == POS_INF:
+    if sub.alpha_l == INF:
         return [t for t in T if t == sub.center]
     out = []
     for t in T:
-        if sub.alpha_u == POS_INF:
+        if sub.alpha_u == INF:
             if t == sub.center:
                 out.append(t)
         elif valuation(t - sub.center, sub.p) >= sub.alpha_u:
@@ -232,13 +230,13 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
                     return _mac_cut(row, ks, vf[j], a_l, a_u) or (u is not None and swallowed(kt, a_u, u, ks))
                 # b outside B: the same tests on exact valuations
                 t, cbs = fracs[kt], [c(b) for c in C]
-                to_t = [_level(valuation(t - cb, p)) for cb in cbs]
+                to_t = [valuation(t - cb, p) for cb in cbs]
                 if _mac_cut(to_t, range(len(cbs)), _f_levels(F, [b], p)[0], a_l, a_u):
                     return True
                 if u is None:
                     return False
                 q = t + Fraction(p) ** a_u * u
-                return any(_level(valuation(q - cb, p)) > a_u for cb in cbs)
+                return any(valuation(q - cb, p) > a_u for cb in cbs)
 
             return excluded
 
@@ -264,11 +262,11 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
         cells: list[CellInstance] = []
         for ai, sub in tagged:
             region = Region(forest, ai, sub)
-            if sub.alpha_l == POS_INF:
+            if sub.alpha_l == INF:
                 cells.append(_point_cell(region))
                 continue
             kt = cen.at[scale.x(sub.center)]
-            a_l, a_u = _level(sub.alpha_l), _level(sub.alpha_u)
+            a_l, a_u = sub.alpha_l, sub.alpha_u
             row = dist[kt]
             # every cell's exclusion test starts with this one
             if any(_mac_cut(row, ks, vfj, a_l, a_u) for ks, vfj in zip(cen.ids, vf)):
@@ -307,7 +305,6 @@ def macintyre_dcd(family: ParamFamily) -> Decomposition:
     return Decomposition(
         name="padic-macintyre",
         instantiate_fn=inst,
-        probe_fn=lambda B: family_probes(family, B),
         locator_fn=_forest_locator,
     )
 
@@ -361,9 +358,9 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                 # b outside B: the same test on exact valuations
                 t, ts = fracs[kt], [c(b) for c in C]
                 return _laff_cut(
-                    [_level(valuation(ti - t, p)) for ti in ts],
-                    [[_level(valuation(ti - rep, p)) for rep in sub.removed] for ti in ts],
-                    [[_level(valuation(ti - tk, p)) for tk in ts] for ti in ts],
+                    [valuation(ti - t, p) for ti in ts],
+                    [[valuation(ti - rep, p) for rep in sub.removed] for ti in ts],
+                    [[valuation(ti - tk, p) for tk in ts] for ti in ts],
                     a_l, a_u,
                 )
 
@@ -395,12 +392,12 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
         cells: list[CellInstance] = []
         for ai, sub in tagged:
             region = Region(forest, ai, sub)
-            if sub.alpha_l == POS_INF:
+            if sub.alpha_l == INF:
                 cells.append(_point_cell(region))
                 continue
             kt = cen.at[scale.x(sub.center)]
             rems = [cen.at[scale.x(c)] for c in sub.removed]
-            a_l, a_u = _level(sub.alpha_l), _level(sub.alpha_u)
+            a_l, a_u = sub.alpha_l, sub.alpha_u
             if any(cut_at(kt, rems, ks, a_l, a_u) for ks in cen.ids):
                 continue  # excl is every cell's test for this subinterval
             excl = make_excluded(kt, rems, sub, a_l, a_u)
@@ -433,7 +430,6 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
     return Decomposition(
         name="padic-laff",
         instantiate_fn=inst,
-        probe_fn=lambda B: family_probes(family, B),
         locator_fn=_forest_locator,
     )
 
@@ -509,11 +505,11 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
             probes.append((x,))
 
     for sub in atoms:
-        if sub.alpha_l == POS_INF:
+        if sub.alpha_l == INF:
             emit(sub.center)
             continue
         levels: set[int] = set()
-        lo, hi = _level(sub.alpha_l), _level(sub.alpha_u)
+        lo, hi = sub.alpha_l, sub.alpha_u
         if lo != -INF:
             levels.update(range(lo + 1, lo + W + 1))
             if hi == INF:

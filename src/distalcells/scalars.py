@@ -2,101 +2,27 @@
 multiplicative predicates used by the valued-field engines.
 
 The functions here take rationals (`fractions.Fraction` or int, arbitrary
-precision) and decide every predicate exactly; there is no floating point
-anywhere.  `split_p` and `pn_residues` work on Python ints: the p-adic
+precision) and decide every predicate exactly.  A valuation is a level of
+the value group Z extended by two infinities: an int, or `INF` (math.inf)
+for v(0) and -INF for the radius of the whole line.  An int compares
+exactly with either infinity, and no float arithmetic happens: shifting a
+level by an int keeps an infinite one infinite, and no code adds INF to
+-INF.  `split_p` and `pn_residues` work on Python ints: the p-adic
 engines scale each instance's rationals to ints once and call them on
 those.  Primes are restricted to odd p >= 3.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 Rat = Union[Fraction, int]
+Level = Union[int, float]  # an int, or +-INF
 
-
-class Gamma:
-    """Element of the value group extended with -inf and +inf.
-
-    Total order: -inf < every finite level < +inf.  Finite levels add; an
-    infinity absorbs finite shifts.  Adding opposite infinities is an error.
-    """
-
-    __slots__ = ("rank", "level")
-
-    def __init__(self, rank: int, level: int):
-        self.rank = rank  # -1: -inf, 0: finite, 1: +inf
-        self.level = level
-
-    @staticmethod
-    def of(level: int) -> "Gamma":
-        return Gamma(0, level)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
-    def _key(self):
-        return (self.rank, self.level)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Gamma.of(other)
-        return isinstance(other, Gamma) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            other = Gamma.of(other)
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        if isinstance(other, int):
-            other = Gamma.of(other)
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        if isinstance(other, int):
-            other = Gamma.of(other)
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            other = Gamma.of(other)
-        return self._key() >= other._key()
-
-    def __add__(self, other) -> "Gamma":
-        if isinstance(other, int):
-            if self.rank != 0:
-                return self
-            return Gamma(0, self.level + other)
-        if self.rank == 0 and other.rank == 0:
-            return Gamma(0, self.level + other.level)
-        if self.rank == 0:
-            return other
-        if other.rank == 0:
-            return self
-        if self.rank != other.rank:
-            raise ValueError("cannot add opposite infinities")
-        return self
-
-    def __sub__(self, other: int) -> "Gamma":
-        return self.__add__(-other)
-
-    def __repr__(self):
-        if self.rank == 1:
-            return "+inf"
-        if self.rank == -1:
-            return "-inf"
-        return str(self.level)
-
-
-POS_INF = Gamma(1, 0)
-NEG_INF = Gamma(-1, 0)
+INF = math.inf
 
 
 def split_p(n: int, p: int) -> tuple[int, int]:
@@ -109,19 +35,11 @@ def split_p(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def valuation(a: Rat, p: int) -> Gamma:
-    """p-adic valuation of a rational; +inf exactly for 0."""
+def valuation(a: Rat, p: int) -> Level:
+    """p-adic valuation of a rational as an int level; INF exactly for 0."""
     a = Fraction(a)
     if a == 0:
-        return POS_INF
-    return Gamma.of(split_p(a.numerator, p)[0] - split_p(a.denominator, p)[0])
-
-
-def valuation_int(a: Rat, p: int) -> int:
-    """Finite valuation of a nonzero rational, as a plain int."""
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroDivisionError("valuation_int of 0")
+        return INF
     return split_p(a.numerator, p)[0] - split_p(a.denominator, p)[0]
 
 
@@ -147,7 +65,7 @@ def truncate(a: Rat, p: int, level: int) -> Fraction:
     a = Fraction(a)
     if a == 0:
         return Fraction(0)
-    v = valuation_int(a, p)
+    v = valuation(a, p)
     if v > level:
         return Fraction(0)
     u = unit_residue(a, p, level - v + 1)
@@ -180,7 +98,7 @@ def in_qmn(a: Rat, lam: Rat, m: int, n: int, p: int) -> bool:
     if a == 0:
         return False
     r = a / lam
-    if valuation_int(r, p) % m != 0:
+    if valuation(r, p) % m != 0:
         return False
     return unit_residue(r, p, n) == 1
 
@@ -197,7 +115,7 @@ def in_pn(a: Rat, n: int, p: int) -> bool:
         raise ValueError("n must be >= 2")
     if a == 0:
         return True
-    if valuation_int(a, p) % n != 0:
+    if valuation(a, p) % n != 0:
         return False
     k, powers = pn_residues(n, p)
     return unit_residue(a, p, k) in powers

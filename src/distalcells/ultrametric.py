@@ -2,23 +2,22 @@
 parameter set, their containment forest and the subinterval atoms.
 
 Open balls B_r(c) = {x : v(x-c) > r} are kept with exact rational centers and
-value-group radii; radius +inf denotes the degenerate point ball {c}.  The
-special-ball family of a parameter set is closed under pairwise-distance
-recentering, which forces all children of a node in the containment forest to
-share one radius; the boolean-algebra atoms then normalize to "outer ball
-minus at most p-1 same-radius subballs" and carry a well-defined displacement
-valuation from their center.
+radii that are levels (`scalars`: an int, or +-INF); radius INF denotes the
+degenerate point ball {c} and -INF the whole line.  The special-ball family
+of a parameter set is closed under pairwise-distance recentering, which
+forces all children of a node in the containment forest to share one radius;
+the boolean-algebra atoms then normalize to "outer ball minus at most p-1
+same-radius subballs" and carry a well-defined displacement valuation from
+their center.
 
 The arithmetic runs on ints.  Each instance scales its centres once by the
 lcm D of their denominators, D = p^vD * uD with uD prime to p (`_Scale`): a
 centre c becomes the int X = D c, so v(c1 - c2) is v_p(X1 - X2) - vD, and a
 rational a/d lies in B_r(c) iff p^(r + v_p(d) + vD + 1) divides a D - X d.
-Levels of the value group are ints, with +-math.inf for the two
-infinities; an int compares exactly with either.  The ball B_r(c) is keyed
-(0, r, X uD^-1 mod p^(r + vD + 1)), which is p^vD times the p-adic truncation
-of c below digit r, so the keys sort as the truncations do.
-`UltrametricBall` and `Subinterval` keep Fraction centres and `Gamma` radii
-for callers, and their own methods decide on those.
+The ball B_r(c) is keyed (0, r, X uD^-1 mod p^(r + vD + 1)), which is p^vD
+times the p-adic truncation of c below digit r, so the keys sort as the
+truncations do.  `UltrametricBall` and `Subinterval` keep Fraction centres
+and level radii for callers, and their own methods decide on those.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Gamma, NEG_INF, POS_INF, split_p, truncate, valuation
-
-INF = math.inf  # the level of v(0); -INF is the radius of the whole line
+from .scalars import INF, Level, split_p, truncate, valuation
 
 
 class ArrangementError(ValueError):
@@ -40,54 +37,41 @@ class ArrangementError(ValueError):
 @dataclass(frozen=True)
 class UltrametricBall:
     center: Fraction
-    radius: Gamma
+    radius: Level
     p: int
 
     def member(self, x: Fraction) -> bool:
-        if self.radius == POS_INF:
+        if self.radius == INF:
             return x == self.center
         return valuation(x - self.center, self.p) > self.radius
 
     def same_extent(self, other: "UltrametricBall") -> bool:
         if self.radius != other.radius:
             return False
-        if self.radius == POS_INF:
+        if self.radius == INF:
             return self.center == other.center
         return valuation(self.center - other.center, self.p) > self.radius
 
     def contains(self, other: "UltrametricBall") -> bool:
         """self superseteq other (as sets)."""
-        if self.radius == POS_INF:
-            return other.radius == POS_INF and other.center == self.center
-        if other.radius == POS_INF:
+        if self.radius == INF:
+            return other.radius == INF and other.center == self.center
+        if other.radius == INF:
             return self.member(other.center)
         return other.radius >= self.radius and self.member(other.center)
 
     def key(self) -> tuple:
-        if self.radius == POS_INF:
+        r = self.radius
+        if r == INF:
             return (1, 0, self.center)
-        if not self.radius.is_finite:  # -inf: the whole line
+        if r == -INF:  # the whole line
             return (-1, 0, Fraction(0))
-        r = self.radius.level
         return (0, r, truncate(self.center, self.p, r))
 
 
 # ---------------------------------------------------------------------------
 # The integer kernel
 # ---------------------------------------------------------------------------
-
-
-def _level(g: Gamma):
-    """A value-group element as an int level, or +-INF."""
-    if g.rank == 0:
-        return g.level
-    return INF if g.rank > 0 else -INF
-
-
-def _gamma(r) -> Gamma:
-    if r == INF:
-        return POS_INF
-    return NEG_INF if r == -INF else Gamma.of(r)
 
 
 class _Scale:
@@ -212,7 +196,7 @@ def _balls(cen: _Centres, cands) -> list[UltrametricBall]:
     for k, r in cands:
         seen.setdefault(scale.key(xs[k], r), (k, r))
     return [
-        UltrametricBall(cen.fracs[k], _gamma(r), scale.p)
+        UltrametricBall(cen.fracs[k], r, scale.p)
         for k, r in (seen[key] for key in sorted(seen))
     ]
 
@@ -235,7 +219,7 @@ def _laff(cen: _Centres) -> list[UltrametricBall]:
 
 
 def _f_levels(F, B: Sequence, p: int) -> list[list]:
-    return [[_level(valuation(f(b), p)) for f in F] for b in B]
+    return [[valuation(f(b), p) for f in F] for b in B]
 
 
 def dedupe_balls(balls: Sequence[UltrametricBall]) -> list[UltrametricBall]:
@@ -243,7 +227,7 @@ def dedupe_balls(balls: Sequence[UltrametricBall]) -> list[UltrametricBall]:
     scale = _scale_of(balls)
     seen: dict[tuple, UltrametricBall] = {}
     for b in balls:
-        seen.setdefault(scale.key(scale.x(b.center), _level(b.radius)), b)
+        seen.setdefault(scale.key(scale.x(b.center), b.radius), b)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -301,7 +285,7 @@ def ball_forest(balls: Sequence[UltrametricBall]) -> BallForest:
     balls = dedupe_balls(balls)
     scale = _scale_of(balls)
     xs = [scale.x(b.center) for b in balls]
-    rs = [_level(b.radius) for b in balls]
+    rs = [b.radius for b in balls]
     index = {scale.key(X, r): i for i, (X, r) in enumerate(zip(xs, rs))}
     levels = sorted({r for r in rs if -INF < r < INF}, reverse=True)
     whole = index.get((-1, 0, 0))
@@ -331,23 +315,23 @@ class Subinterval:
     """Atom of the ball boolean algebra: an outer ball around `center` minus
     at most p-1 removed balls at the single radius `alpha_u`.
 
-    alpha_l = +inf encodes the point atom {center}; alpha_l = -inf encodes
+    alpha_l = INF encodes the point atom {center}; alpha_l = -INF encodes
     the complement of the root balls.
     """
 
     center: Fraction
-    alpha_l: Gamma
-    alpha_u: Gamma
+    alpha_l: Level
+    alpha_u: Level
     removed: tuple[Fraction, ...]
     p: int
 
     def member(self, x: Fraction) -> bool:
-        if self.alpha_l == POS_INF:
+        if self.alpha_l == INF:
             return x == self.center
         if not valuation(x - self.center, self.p) > self.alpha_l:
             return False
         for rep in self.removed:
-            if self.alpha_u == POS_INF:
+            if self.alpha_u == INF:
                 if x == rep:
                     return False
             elif valuation(x - rep, self.p) > self.alpha_u:
@@ -355,12 +339,11 @@ class Subinterval:
         return True
 
     def key(self) -> tuple:
-        lvl = self.alpha_l.level if self.alpha_l.is_finite else None
-        ulvl = self.alpha_u.level if self.alpha_u.is_finite else None
-        c = self.center if lvl is None else truncate(self.center, self.p, lvl)
-        return (self.alpha_l.rank, lvl, c, self.alpha_u.rank, ulvl, self.removed)
+        a_l = self.alpha_l
+        c = truncate(self.center, self.p, a_l) if -INF < a_l < INF else self.center
+        return (a_l, c, self.alpha_u, self.removed)
 
-    def t_val(self, x: Fraction) -> Gamma:
+    def t_val(self, x: Fraction) -> Level:
         return valuation(x - self.center, self.p)
 
 
@@ -370,10 +353,10 @@ def arrangement(balls: Sequence[UltrametricBall]) -> tuple[BallForest, list[tupl
     contributes no atom."""
     forest = ball_forest(balls)
     if not forest.balls:
-        return forest, [(0, Subinterval(Fraction(0), NEG_INF, POS_INF, (), 3))]
+        return forest, [(0, Subinterval(Fraction(0), -INF, INF, (), 3))]
     p, scale, xs, rs, fballs = forest.balls[0].p, forest.scale, forest.xs, forest.rs, forest.balls
 
-    def removal(outer: Gamma, kids: list[int]) -> Optional[Subinterval]:
+    def removal(outer: Level, kids: list[int]) -> Optional[Subinterval]:
         if len({rs[j] for j in kids}) > 1:
             raise ArrangementError("sibling balls at unequal radii")
         a_u = rs[kids[0]]
@@ -388,24 +371,24 @@ def arrangement(balls: Sequence[UltrametricBall]) -> tuple[BallForest, list[tupl
                 for j in range(i + 1, len(kids)):
                     if scale.level(xs[kids[i]] - xs[kids[j]]) != a_u:
                         raise ArrangementError("p siblings not at a common sphere")
-            if not (_level(outer) < a_u - 1):
+            if not outer < a_u - 1:
                 return None  # the children tile the node exactly
-            return Subinterval(centers[0], outer, Gamma.of(a_u - 1), centers[:1], p)
+            return Subinterval(centers[0], outer, a_u - 1, centers[:1], p)
         return Subinterval(centers[0], outer, fballs[kids[0]].radius, centers, p)
 
     atoms: list[tuple[int, Subinterval]] = []
     for i, ball in enumerate(fballs):
         kids = forest.children[i]
         if rs[i] == INF:
-            atoms.append((i, Subinterval(ball.center, POS_INF, POS_INF, (), p)))
+            atoms.append((i, Subinterval(ball.center, INF, INF, (), p)))
         elif not kids:
-            atoms.append((i, Subinterval(ball.center, ball.radius, POS_INF, (), p)))
+            atoms.append((i, Subinterval(ball.center, ball.radius, INF, (), p)))
         else:
             sub = removal(ball.radius, kids)
             if sub is not None:
                 atoms.append((i, sub))
     if not any(rs[i] == -INF for i in forest.roots):
-        sub = removal(NEG_INF, forest.roots)
+        sub = removal(-INF, forest.roots)
         if sub is not None:
             atoms.append((len(fballs), sub))
     return forest, atoms

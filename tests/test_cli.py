@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,26 @@ def _with_mod_atom(**fields):
     (_with_family(VL_SPEC, predicates=[{"f": [0], "g": [-1], "rel": "trichotomy"}]),
      "/family/predicates/0/f"),
     (_with_family(OMIN_SPEC, kind="interval"), "/family/kind"),
+    (dict(OMIN_SPEC, expected_slope=float("nan")), "/expected_slope"),
+    (dict(OMIN_SPEC, expected_slope=float("inf")), "/expected_slope"),
+    (dict(OMIN_SPEC, expected_slope=True), "/expected_slope"),
+    (dict(OMIN_SPEC, trials=True), "/trials"),
+    (dict(OMIN_SPEC, seed=True), "/seed"),
+    (dict(OMIN_SPEC, sizes=[True, 8]), "/sizes"),
+    (_with_family(MAC_SPEC, **{"lambda": [True]}), "/family/lambda/0"),
+    (_with_family(PRESBURGER_SPEC, modulus=True), "/family/modulus"),
+    (_with_family(LAFF_SPEC, m=True), "/family/m"),
+    (_with_family(VL_SPEC, predicates=[{"f": [1, 5], "g": [1, 9], "rel": "trichotomy"}]),
+     "/family/predicates/0/f"),
+    (_with_family(VL_SPEC, predicates=[{"f": [1], "g": [1, 9], "rel": "trichotomy"}]),
+     "/family/predicates/0/g"),
+    (_with_family(VL_SPEC, predicates=[{"f": [1], "g": {"coeffs": [1, 9]}, "rel": "trichotomy"}]),
+     "/family/predicates/0/g/coeffs"),
+    (_with_mod_atom(f=[1, 5]), "/family/predicates/1/f"),
+    (_with_mod_atom(g=[-1, 9]), "/family/predicates/1/g"),
+    (_with_family(MAC_SPEC, F=[[1, 5]]), "/family/F/0"),
+    (_with_family(MAC_SPEC, C=[[1], [1, 9]]), "/family/C/1"),
+    (_with_family(LAFF_SPEC, C=[[1], {"coeffs": [2, 1]}]), "/family/C/1/coeffs"),
 ], ids=[
     "verify-instances", "height", "den", "generator-kind", "point-dim",
     "presburger-rationals", "mod-g", "mod-f-const", "mod-c",
@@ -184,11 +205,23 @@ def _with_mod_atom(**fields):
     "atom-rel", "mac-F-not-list", "mac-C-not-list", "mac-lambda-not-list",
     "mac-prime-9", "laff-C-entry", "laff-C-not-list", "laff-prime-15",
     "vl-no-trichotomy", "presburger-missing-residue", "vl-zero-f", "interval-kind",
+    "slope-nan", "slope-inf", "slope-bool", "trials-bool", "seed-bool", "sizes-bool", "lambda-bool",
+    "modulus-bool", "laff-m-bool", "vl-f-long", "vl-g-long", "vl-g-coeffs-long",
+    "mod-f-long", "mod-g-long", "mac-F-long", "mac-C-long", "laff-C-long",
 ])
 def test_schema_error_field(tmp_path, capsys, payload, path):
     spec = _write_spec(tmp_path, payload)
     assert main(["run", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
     assert f"schema error at {path}:" in capsys.readouterr().err
+
+
+def test_shorter_coefficient_lists_leave_variables_out():
+    fam = load_family({
+        "kind": "vector-linear", "point_dim": 1, "param_dim": 2,
+        "predicates": [{"f": [1], "g": [-1], "rel": "trichotomy"}],
+    })
+    atom = fam.preds[0]
+    assert atom.g((F(3), F(5))) == -3
 
 
 def test_schema_error_too_few_distinct_parameters(tmp_path):

@@ -41,7 +41,7 @@ def _trivial_decomp():
             )
         ]
 
-    return Decomposition("trivial", inst, probe_fn=lambda B: [(F(0),)])
+    return Decomposition("trivial", inst)
 
 
 def test_boolean_lift_disjunction():

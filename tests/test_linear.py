@@ -19,6 +19,7 @@ from distalcells.linear import (
     eval_formula,
     f_and,
     f_atom,
+    fold_atom,
     f_not,
     f_or,
     iv_intersect,
@@ -261,7 +262,7 @@ def test_canonical_atoms_hold_coprime_ints(coeffs, const, rel):
     ratios = {F(c) / a for c, a in zip(canon.coeffs + (canon.const,), atom.coeffs + (atom.const,)) if a}
     assert len(ratios) == 1 and ratios.pop() > 0
     assert all(c == 0 for c in canon.coeffs[len(coeffs):])
-    assert canon.scaled_canonical() == canon
+    assert fold_atom(canon) == ("atom", canon)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

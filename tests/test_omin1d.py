@@ -135,10 +135,7 @@ def test_verify_corrupted_decomposition_reports_uncovered():
 
     from distalcells.decomp import Decomposition
 
-    bad = Decomposition(
-        name="broken",
-        instantiate_fn=broken, probe_fn=base.probe_fn, locator_fn=base.locator_fn,
-    )
+    bad = Decomposition(name="broken", instantiate_fn=broken, locator_fn=base.locator_fn)
     rep = verify(bad, fam, [F(0), F(2)])
     assert not rep.covered
     assert rep.first_uncovered is not None

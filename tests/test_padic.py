@@ -11,6 +11,7 @@ from distalcells.padic import (
     UltrametricBall,
     ball_forest,
     coset_transfer_check,
+    family_probes,
     laff_balls,
     laff_dcd_1d,
     macintyre_dcd,
@@ -20,8 +21,8 @@ from distalcells.padic import (
     t_val_candidate_centers,
 )
 from distalcells.rng import SplitMix64
-from distalcells.scalars import Gamma, NEG_INF, POS_INF, truncate, valuation
-from distalcells.ultrametric import INF, _level, _Scale
+from distalcells.scalars import INF, truncate, valuation
+from distalcells.ultrametric import _Scale
 
 ZERO = AffineMap.of([0])
 IDENT = AffineMap.of([1])
@@ -29,8 +30,7 @@ DOUBLE = AffineMap.of([2])
 
 
 def B3(c, r):
-    rad = r if isinstance(r, Gamma) else Gamma.of(r)
-    return UltrametricBall(F(c), rad, 3)
+    return UltrametricBall(F(c), r, 3)
 
 
 def test_ball_membership_and_equality():
@@ -38,7 +38,7 @@ def test_ball_membership_and_equality():
     assert b.member(F(3)) and b.member(F(9)) and not b.member(F(1))
     assert b.same_extent(B3(3, 0))  # v(0-3)=1 > 0
     assert not b.same_extent(B3(1, 0))
-    pt = B3(5, POS_INF)
+    pt = B3(5, INF)
     assert pt.member(F(5)) and not pt.member(F(5) + F(3) ** 10)
 
 
@@ -104,8 +104,8 @@ def _critical_probes(balls):
         pts.add(b.center)
         radii = set()
         for other in balls:
-            if other.radius.is_finite:
-                radii.add(other.radius.level)
+            if -INF < other.radius < INF:
+                radii.add(other.radius)
         for r in radii | {r + 1 for r in radii} | {r - 1 for r in radii}:
             for u in (1, 2):
                 pts.add(b.center + F(u) * F(3) ** r)
@@ -163,11 +163,11 @@ def test_arrangement_error_on_unequal_siblings():
 def test_t_val_examples():
     balls = special_balls([ZERO], [IDENT], [(F(0),), (F(1),)], 3)
     atoms = subinterval_atoms(balls)
-    assert t_val(F(0), atoms) == POS_INF  # a center
+    assert t_val(F(0), atoms) == INF  # a center
     # outside all balls: v(a - t) = v(a) for the root-complement atom
-    assert t_val(F(1, 3), atoms) == Gamma.of(-1)
+    assert t_val(F(1, 3), atoms) == -1
     # inside B_0(0) but not 0 itself: v(a - 0)
-    assert t_val(F(9), atoms) == Gamma.of(2)
+    assert t_val(F(9), atoms) == 2
 
 
 def test_t_val_well_defined_across_candidate_centers():
@@ -189,7 +189,7 @@ def test_t_val_well_defined_across_candidate_centers():
             cands = t_val_candidate_centers(sub, T)
             vals = {valuation(x - t, 3) for t in cands}
             assert len(vals) <= 1
-            if cands and sub.alpha_l != POS_INF:
+            if cands and sub.alpha_l != INF:
                 assert vals == {sub.t_val(x)}
 
 
@@ -212,9 +212,7 @@ def test_coset_transfer_randomized():
         if y == a:
             continue
         k = rng.randint(1, 6)
-        x = y + F(rng.randint(1, p - 1)) * F(p) ** (
-            (valuation(y - a, p).level if valuation(y - a, p).is_finite else 0) + k
-        )
+        x = y + F(rng.randint(1, p - 1)) * F(p) ** (valuation(y - a, p) + k)
         if x == a or x == y:
             continue
         assert coset_transfer_check(x, y, a, n, p) is True
@@ -290,7 +288,7 @@ def test_laff_exclusion_matches_atom_structure():
     balls = laff_balls(fam.meta["C"], [(b,) for b in B], 3)
     atoms = subinterval_atoms(balls)
     cells = decomp.instantiate(B)
-    probes = [x for (x,) in decomp.probe_fn([(b,) for b in B])]
+    probes = [x for (x,) in family_probes(fam, [(b,) for b in B])]
     for cell in cells:
         inside = [x for x in probes if cell.member((x,))]
         if not inside:
@@ -353,9 +351,9 @@ def test_ball_forest_parents_match_containment_scan(p):
                 B.append(b)
         for balls in (special_balls(Fs, C, B, p), laff_balls(C, B, p)):
             if trial % 4 == 0:
-                balls = balls + [UltrametricBall(F(0), NEG_INF, p)]  # the whole line
+                balls = balls + [UltrametricBall(F(0), -INF, p)]  # the whole line
             forest = ball_forest(balls)
-            assert any(b.radius == POS_INF for b in forest.balls)  # point balls
+            assert any(b.radius == INF for b in forest.balls)  # point balls
             assert forest.parent == _parents_by_scan(forest.balls)
 
 
@@ -371,7 +369,7 @@ def _brute_probes(fam, B, depth):
     centres = sorted({c(b) for b in B for c in C})
     levels = {valuation(s - t, p) for s in centres for t in centres}
     levels |= {valuation(f(b), p) for f in fam.meta.get("F", []) for b in B}
-    finite = [g.level for g in levels if g.is_finite] or [0]
+    finite = [v for v in levels if v != INF] or [0]
     units = [u for u in range(1, p ** depth) if u % p]
     pts = {(t,) for t in centres}
     for t in centres:
@@ -429,7 +427,7 @@ def _kernel_cases(draw):
 
 def _in_ball(y, r, p):
     """y in B_r(0): v(y) > r, or y = 0 for r = +inf."""
-    return y == 0 if r == INF else valuation(y, p) > Gamma.of(r)
+    return y == 0 if r == INF else valuation(y, p) > r
 
 
 def _kernel_levels(scale):
@@ -456,7 +454,7 @@ def test_kernel_valuations_of_differences(case):
     scale = _Scale(centres, p)
     for c1 in centres:
         for c2 in centres:
-            assert scale.level(scale.x(c1) - scale.x(c2)) == _level(valuation(c1 - c2, p))
+            assert scale.level(scale.x(c1) - scale.x(c2)) == valuation(c1 - c2, p)
     for x in probes:
         for c in centres:
             split = scale.unit_split(x, scale.x(c))
@@ -464,7 +462,7 @@ def test_kernel_valuations_of_differences(case):
                 assert split is None
             else:
                 v, u, w = split
-                assert v == valuation(x - c, p).level, (x, c)
+                assert v == valuation(x - c, p), (x, c)
                 assert u % p and w % p and F(u, w) * F(p) ** v == x - c, (x, c)
 
 

@@ -19,6 +19,7 @@ from distalcells.families import laff_family, macintyre_family
 from distalcells.linear import AffineMap
 from distalcells.padic import family_probes, laff_dcd_1d, macintyre_dcd
 from distalcells.rng import SplitMix64
+from distalcells.scalars import INF
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "padic_cells.json"
 INSTANCES = 40
@@ -72,6 +73,11 @@ def _mask(bits) -> str:
     return format(sum(1 << i for i, bit in enumerate(bits) if bit), "x")
 
 
+def _level(r) -> str:
+    """A level as the pinned data writes it: an int, "+inf" or "-inf"."""
+    return "+inf" if r == INF else str(r)
+
+
 def _dump_instance(engine: str, p: int, k: int) -> dict:
     fam, decomp, B, outside = _instance(engine, p, k)
     probes = family_probes(fam, B)
@@ -82,7 +88,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
     rows = []
     for ci, cell in enumerate(cells):
         sub = cell.region.sub
-        fields = (str(sub.center), repr(sub.alpha_l), repr(sub.alpha_u), tuple(str(r) for r in sub.removed))
+        fields = (str(sub.center), _level(sub.alpha_l), _level(sub.alpha_u), tuple(str(r) for r in sub.removed))
         rows.append([
             cell.template,
             cell.region.node,
@@ -97,7 +103,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
         "B": [str(b[0]) for b in B],
         "outside": [str(b[0]) for b in outside],
         "probes": [str(a[0]) for a in probes],
-        "balls": [[str(b.center), repr(b.radius)] for b in forest.balls],
+        "balls": [[str(b.center), _level(b.radius)] for b in forest.balls],
         "parents": forest.parent,
         "subs": [list(f[:3]) + [list(f[3])] for f in subs],
         "cells": rows,
