@@ -46,10 +46,8 @@ def _build_decomposition(spec: ExperimentSpec) -> Decomposition:
 
 
 def _make_generator(spec: ExperimentSpec):
-    gen = spec.generator
-    kind = gen.get("kind", "integers" if spec.structure == "presburger" else "rationals")
-    height = gen.get("height", 60)
-    den = gen.get("den", 8)
+    # the loader fills in the sampler's defaults
+    kind, height, den = (spec.generator[k] for k in ("kind", "height", "den"))
     dim = spec.family.param_dim
 
     if kind == "integers":

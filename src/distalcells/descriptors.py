@@ -285,7 +285,7 @@ def load_experiment(obj: dict) -> ExperimentSpec:
         raise SpecError("/expected_slope", "finite number expected")
     verify_instances = _count(obj.get("verify_instances", 2), "/verify_instances", 0)
     generator = _generator(obj.get("generator", {}) or {}, structure)
-    _check_draws(generator, structure, family, max(sizes))
+    _check_draws(generator, family, max(sizes))
     return ExperimentSpec(
         experiment_id=str(obj.get("experiment_id", "experiment")),
         structure=structure,
@@ -301,28 +301,28 @@ def load_experiment(obj: dict) -> ExperimentSpec:
 
 
 def _generator(gen, structure: str) -> dict:
-    """Check the parameter sampler block; absent fields keep the sampler's
-    defaults.  Presburger parameters are integers, since the structure is Z."""
+    """Check the parameter sampler block and fill in its defaults: `kind`
+    integers for Presburger, whose structure is Z, and rationals otherwise;
+    `height` 60 and `den` 8."""
     if not isinstance(gen, dict):
         raise SpecError("/generator", "generator must be an object")
-    kind = gen.get("kind")
-    if kind is not None and kind not in ("integers", "rationals", "padic-rationals"):
+    kind = gen.get("kind", "integers" if structure == "presburger" else "rationals")
+    if kind not in ("integers", "rationals", "padic-rationals"):
         raise SpecError("/generator/kind", f"unknown generator {kind!r}")
-    if structure == "presburger" and kind not in (None, "integers"):
+    if structure == "presburger" and kind != "integers":
         raise SpecError("/generator/kind", "presburger parameters are integers")
     for name in ("height", "den"):
         if name in gen:
             _count(gen[name], f"/generator/{name}", 1)
-    return gen
+    return dict(gen, kind=kind, height=gen.get("height", 60), den=gen.get("den", 8))
 
 
-def _check_draws(gen: dict, structure: str, family: ParamFamily, need: int) -> None:
+def _check_draws(gen: dict, family: ParamFamily, need: int) -> None:
     """Reject a sampler that cannot draw `need` distinct parameter tuples, on
-    which `run` would never finish.  Mirrors the samplers of
+    which `run` would never finish.  Counts the draws of the samplers of
     `cli._make_generator`: numerators in [-height, height] over the kind's
     denominators."""
-    kind = gen.get("kind", "integers" if structure == "presburger" else "rationals")
-    height, den = gen.get("height", 60), gen.get("den", 8)
+    kind, height, den = gen["kind"], gen["height"], gen["den"]
     dim = family.param_dim
     if (2 * height + 1) ** dim >= need:
         return  # the integers alone suffice

@@ -468,8 +468,6 @@ def census_probes_1d(family: ParamFamily, B: Sequence) -> list[Point]:
                 if coeff == 0:
                     continue
                 cut = (pred.g(b) - pred.f.const) / coeff
-                import math
-
                 thresholds.add(math.floor(cut))
                 thresholds.add(math.ceil(cut))
         pts: set[int] = set()

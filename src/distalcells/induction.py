@@ -36,6 +36,7 @@ from .linear import (
     _int_row,
     _subst_affine,
     _to_ints,
+    components_1d,
     dnf_simplify,
     eliminate_exists,
     f_and,
@@ -44,6 +45,7 @@ from .linear import (
     f_or,
     fold_atom,
     formula_atoms,
+    iv_intersect,
     map_atoms,
 )
 
@@ -185,14 +187,9 @@ class DerivedFamily:
     family: ParamFamily  # semilinear, point_dim d-1, param_dim 3e
 
 
-def derive_family(
-    family: ParamFamily,
-    sources: Optional[list[FiberSource]] = None,
-    component_cap: Optional[int] = None,
-) -> list[DerivedFamily]:
+def derive_family(family: ParamFamily, component_cap: Optional[int] = None) -> list[DerivedFamily]:
     d, e = family.point_dim, family.param_dim
-    if sources is None:
-        sources = fiber_sources(family, component_cap)
+    sources = fiber_sources(family, component_cap)
     templates: list[FiberTemplate] = []
 
     def make(ident, up, dn, formula, arity) -> FiberTemplate:
@@ -347,8 +344,6 @@ def _cyl_cell(
 
     sample = None
     if base_pt is not None:
-        from .linear import components_1d, iv_intersect
-
         env = [Fraction(0)] + list(base_pt) + list(b1) + list(b2)
         comps = components_1d(psi, 0, env)
         if comps:
@@ -470,10 +465,11 @@ def _holds(node, pt: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40, pad: int = 2) -> list[tuple]:
-    """A steps x steps rational grid over the parameter bounding box plus all
-    pairwise intersection points of the predicates' zero lines (with small
-    perturbed neighbors), for planar coverage and crossing checks."""
+def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40) -> list[tuple]:
+    """A steps x steps rational grid over the parameter bounding box, padded
+    by 2 on each side, plus all pairwise intersection points of the
+    predicates' zero lines (with small perturbed neighbors), for planar
+    coverage and crossing checks."""
     if family.point_dim != 2:
         raise ValueError("plane probes are for |x| = 2")
     B = [as_param(b, family.param_dim) for b in B]
@@ -512,8 +508,8 @@ def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40, pad: int = 2
             for dx in (-delta, Fraction(0), delta):
                 for dy in (-delta, Fraction(0), delta):
                     pts.add((x1 + dx, x2 + dy))
-    lo = min(vals) - pad
-    hi = max(vals) + pad
+    lo = min(vals) - 2
+    hi = max(vals) + 2
     for i in range(steps + 1):
         x1 = lo + (hi - lo) * Fraction(i, steps)
         for j in range(steps + 1):

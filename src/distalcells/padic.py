@@ -1,13 +1,15 @@
 """The one-dimensional valued field cell decompositions over Q_p, on the
 ball arrangements of `ultrametric`.
 
-Cells pair a subinterval atom with a multiplicative type: a coset constraint
-on the interior displacement levels (margins keep Hensel lifting valid), or a
-single deeper ball at the levels near the two radii.  Exclusion predicates
-are uniformly definable from the cell descriptor: a parameter is excluded
-when one of its balls would cut strictly between the atom's two radii, or
-(for boundary cells at the outer removal level) when its ball swallows the
-cell.
+Both the valued field (`macintyre_dcd`) and its affine reduct
+(`laff_dcd_1d`) come from one builder, `_decomposition`, driven by a small
+per-kind record (`_Kind`).  Cells pair a subinterval atom with a
+multiplicative type: a coset on the interior displacement levels, kept a
+Hensel margin w away from both radii, or an edge ball at the levels near the
+two radii.  Exclusion predicates are uniformly definable from the cell
+descriptor: a parameter is excluded when one of its balls would cut strictly
+between the atom's two radii, or (for Macintyre's edge balls at the removal
+level) when its ball swallows the cell.
 
 Each instance runs on the ints of its centres' `_Scale`: the exclusion tests
 read a table of centre distances indexed by the position of a parameter in
@@ -19,7 +21,7 @@ through a D - X d, building no Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_param
@@ -109,26 +111,13 @@ def _level_in_window(lo, hi, residue: int, period: int) -> bool:
     return any((r - residue) % period == 0 for r in range(lo, hi + 1))
 
 
-def _edge_levels(a_l, a_u, lo_width: int, hi_width: int) -> list[int]:
-    """Finite levels in (a_l, a_u] within lo_width above a_l or hi_width
-    below a_u (inclusive of a_u itself)."""
-    levels: set[int] = set()
-    if -INF < a_l < INF:
-        levels.update(range(a_l + 1, a_l + lo_width + 1))
-    if -INF < a_u < INF:
-        levels.update(range(a_u - hi_width, a_u + 1))
+def _edge_levels(a_l, a_u, w: int) -> list[int]:
+    """The levels in (a_l, a_u] at most w above a finite a_l or w below a
+    finite a_u, for a_l < INF and a_u > -INF."""
+    levels = set(range(a_l + 1, a_l + w + 1)) if a_l != -INF else set()
+    if a_u != INF:
+        levels.update(range(a_u - w, a_u + 1))
     return [r for r in sorted(levels) if a_l < r <= a_u]
-
-
-def _lam_parts(reps: list[Fraction], p: int) -> list[tuple[int, int, int]]:
-    """(v(lam), num, den) per coset representative lam = p^v(lam) num / den,
-    with num and den prime to p."""
-    out = []
-    for lam in reps:
-        vn, num = split_p(lam.numerator, p)
-        vd, den = split_p(lam.denominator, p)
-        out.append((vn - vd, num, den))
-    return out
 
 
 class Region(NamedTuple):
@@ -182,166 +171,84 @@ def _laff_cut(to_t, to_reps, among, a_l, a_u) -> bool:
     return any(a_l < vt < a_u for vt in to_t)
 
 
-# ---------------------------------------------------------------------------
-# The Macintyre-language decomposition (root-power predicates)
-# ---------------------------------------------------------------------------
+def _excluder(family: ParamFamily, B: list):
+    """(inside, outside) -> the exclusion test of a parameter b: inside(j)
+    at b = B[j], else outside(b) on exact valuations."""
+    pos, dim = {b: j for j, b in enumerate(B)}, family.param_dim
+
+    def make(inside, outside):
+        def excluded(b) -> bool:
+            b = as_param(b, dim)
+            j = pos.get(b)
+            return inside(j) if j is not None else outside(b)
+
+        return excluded
+
+    return make
 
 
-def macintyre_dcd(family: ParamFamily) -> Decomposition:
-    """Cells are (subinterval x root-power type), definable from the three
-    descriptor parameters (center, alpha_l, alpha_u)."""
-    if family.kind != "valuation-macintyre":
-        raise ValueError("macintyre_dcd needs a valuation-macintyre family")
-    meta = family.meta
-    F, C, n, p = meta["F"], meta["C"], meta["n"], meta["p"]
-    dim = family.param_dim
-    marg = 2 * split_p(n, p)[0]
-    prec = marg + 1
-    reps = pn_coset_representatives(n, p)
-    lams = _lam_parts(reps, p)
-    units = _units(p, prec)
-    _, powers = pn_residues(n, p)
-    mod = p ** prec
+def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
+    """Macintyre's balls and atom rule: b cuts a subinterval when a centre
+    of b, or a level of v(f(b)) below such a centre, lies strictly between
+    its radii (`_mac_cut`).  An edge ball at the removal level is dropped
+    when a centre of B lies in it, and b cuts it when a centre of b does."""
+    F, C, p = family.meta["F"], family.meta["C"], family.meta["p"]
+    vf = _f_levels(F, B, p)
+    excluded = _excluder(family, B)
+    scale, xs, everywhere = cen.scale, cen.xs, range(len(cen.xs))
 
-    def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, dim) for b in B]
-        cen = _Centres(C, B, p)
-        vf = _f_levels(F, B, p)
-        forest, tagged = arrangement(_special(cen, vf))
-        scale, dist, xs, fracs = cen.scale, cen.dist, cen.xs, cen.fracs
-        pos = {b: j for j, b in enumerate(B)}
-        everywhere = range(len(xs))
+    def swallowed(kt: int, r: int, u: int, ks) -> bool:
+        # is a centre c_k, k in ks, in B_r(t + p^r u)?  Only one with
+        # v(t - c_k) = r can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
+        row, X = cen.dist[kt], xs[kt]
+        return any(row[k] == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r) for k in ks)
 
-        def swallowed(kt: int, r: int, u: int, ks) -> bool:
-            """Is some centre c_k, k in ks, in the ball B_r(t + p^r u)?  Only
-            a centre with v(t - c_k) = r can be: otherwise v(t + p^r u - c_k)
-            is min(v(t - c_k), r)."""
-            row, X = dist[kt], xs[kt]
-            return any(row[k] == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r) for k in ks)
+    def atom(kt: int, sub: Subinterval):
+        row, a_l, a_u, t = cen.dist[kt], sub.alpha_l, sub.alpha_u, cen.fracs[kt]
 
-        def make_excluded(kt: int, a_l, a_u, u: Optional[int] = None):
-            row = dist[kt]
+        def inside(j: int) -> bool:
+            return _mac_cut(row, cen.ids[j], vf[j], a_l, a_u)
 
-            def excluded(b) -> bool:
-                b = as_param(b, dim)
-                j = pos.get(b)
-                if j is not None:
-                    ks = cen.ids[j]
-                    return _mac_cut(row, ks, vf[j], a_l, a_u) or (u is not None and swallowed(kt, a_u, u, ks))
-                # b outside B: the same tests on exact valuations
-                t, cbs = fracs[kt], [c(b) for c in C]
-                to_t = [valuation(t - cb, p) for cb in cbs]
-                if _mac_cut(to_t, range(len(cbs)), _f_levels(F, [b], p)[0], a_l, a_u):
-                    return True
-                if u is None:
-                    return False
-                q = t + Fraction(p) ** a_u * u
-                return any(valuation(q - cb, p) > a_u for cb in cbs)
+        if any(map(inside, range(len(B)))):
+            return None
 
-            return excluded
+        def outside(b) -> bool:
+            cbs = [c(b) for c in C]
+            return _mac_cut([valuation(t - cb, p) for cb in cbs], range(len(cbs)), _f_levels(F, [b], p)[0], a_l, a_u)
 
-        def coset_member(X: int, lo, hi, vl: int, ln: int, ld: int):
-            def member(a) -> bool:
-                # lo < v(x - t) < hi and (x - t) / lam an n-th power
-                s = scale.unit_split(a[0], X)
-                if s is None or not lo < s[0] < hi or (s[0] - vl) % n:
-                    return False
-                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod in powers
+        plain = excluded(inside, outside)
 
-            return member
+        def edge(r: int, u: int):
+            if r < a_u:
+                return plain
+            if swallowed(kt, r, u, everywhere):
+                return None
 
-        def edge_member(X: int, r: int, u: int):
-            def member(a) -> bool:
-                # v(x - (t + p^r u)) > r + marg
-                N, e, w = scale.offset(a[0], X)
-                M, f = scale.shift(N, e, w, r, -u)
-                return scale.inside(M, f, r + marg)
+            def outside_u(b) -> bool:
+                q = t + Fraction(p) ** r * u
+                return outside(b) or any(valuation(q - c(b), p) > r for c in C)
 
-            return member
+            return excluded(lambda j: inside(j) or swallowed(kt, r, u, cen.ids[j]), outside_u)
 
-        cells: list[CellInstance] = []
-        for ai, sub in tagged:
-            region = Region(forest, ai, sub)
-            if sub.alpha_l == INF:
-                cells.append(_point_cell(region))
-                continue
-            kt = cen.at[scale.x(sub.center)]
-            a_l, a_u = sub.alpha_l, sub.alpha_u
-            row = dist[kt]
-            # every cell's exclusion test starts with this one
-            if any(_mac_cut(row, ks, vfj, a_l, a_u) for ks, vfj in zip(cen.ids, vf)):
-                continue
-            excl_plain = make_excluded(kt, a_l, a_u)
-            X = xs[kt]
-            for lam, (vl, ln, ld) in zip(reps, lams):
-                if _level_in_window(a_l + marg + 1, a_u - marg - 1, vl % n, n):
-                    cells.append(
-                        CellInstance(
-                            template="subcoset", params=(),
-                            member=coset_member(X, a_l + marg, a_u - marg, vl, ln, ld),
-                            excluded=excl_plain,
-                            extent_key=(ai, ("coset", lam)),
-                            region=region,
-                        )
-                    )
-            for r in _edge_levels(a_l, a_u, marg, marg):
-                for u in units:
-                    excl = excl_plain
-                    if r == a_u:  # at the removal level the cell's ball can be swallowed
-                        if swallowed(kt, r, u, everywhere):
-                            continue
-                        excl = make_excluded(kt, a_l, a_u, u)
-                    cells.append(
-                        CellInstance(
-                            template="subedge", params=(),
-                            member=edge_member(X, r, u),
-                            excluded=excl,
-                            extent_key=(ai, ("edge", r, u)),
-                            region=region,
-                        )
-                    )
-        return cells
+        return plain, edge, ()
 
-    return Decomposition(
-        name="padic-macintyre",
-        instantiate_fn=inst,
-        locator_fn=_forest_locator,
-    )
+    return _special(cen, vf), atom
 
 
-# ---------------------------------------------------------------------------
-# The affine-reduct decomposition (coset-group predicates)
-# ---------------------------------------------------------------------------
+def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
+    """The affine reduct's balls and atom rule: the three-part test
+    `_laff_cut` of b's centres against the subinterval's centre and removed
+    representatives.  Edge cells share the subinterval's test, and their
+    members avoid the removed balls."""
+    C, p, dist = family.meta["C"], family.meta["p"], cen.dist
+    excluded = _excluder(family, B)
 
+    def atom(kt: int, sub: Subinterval):
+        a_l, a_u, t = sub.alpha_l, sub.alpha_u, cen.fracs[kt]
+        rems = [cen.at[cen.scale.x(c)] for c in sub.removed]
 
-def laff_dcd_1d(family: ParamFamily) -> Decomposition:
-    """Affine-reduct cells: (subinterval x Q_{m,n} type).  The subinterval
-    part keeps its removed representatives in the descriptor, and exclusion
-    is the three-part test: a missed sibling at the removal radius, a
-    same-parameter distance radius strictly between the bounds, or a center
-    strictly between the bounds."""
-    if family.kind != "valuation-laff":
-        raise ValueError("laff_dcd_1d needs a valuation-laff family")
-    if family.point_dim != 1:
-        raise ValueError("only the one-dimensional decomposition is built")
-    meta = family.meta
-    C, m, n, p = meta["C"], meta["m"], meta["n"], meta["p"]
-    dim = family.param_dim
-    marg = n
-    prec = n
-    reps = qmn_coset_representatives(m, n, p)
-    lams = _lam_parts(reps, p)
-    units = _units(p, prec)
-    mod = p ** n
-
-    def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, dim) for b in B]
-        cen = _Centres(C, B, p)
-        forest, tagged = arrangement(_laff(cen))
-        scale, dist, xs, fracs = cen.scale, cen.dist, cen.xs, cen.fracs
-        pos = {b: j for j, b in enumerate(B)}
-
-        def cut_at(kt: int, rems: list[int], ks: list[int], a_l, a_u) -> bool:
+        def inside(j: int) -> bool:
+            ks = cen.ids[j]
             return _laff_cut(
                 [dist[k][kt] for k in ks],
                 [[dist[k][kr] for kr in rems] for k in ks],
@@ -349,42 +256,92 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                 a_l, a_u,
             )
 
-        def make_excluded(kt: int, rems: list[int], sub: Subinterval, a_l, a_u):
-            def excluded(b) -> bool:
-                b = as_param(b, dim)
-                j = pos.get(b)
-                if j is not None:
-                    return cut_at(kt, rems, cen.ids[j], a_l, a_u)
-                # b outside B: the same test on exact valuations
-                t, ts = fracs[kt], [c(b) for c in C]
-                return _laff_cut(
-                    [valuation(ti - t, p) for ti in ts],
-                    [[valuation(ti - rep, p) for rep in sub.removed] for ti in ts],
-                    [[valuation(ti - tk, p) for tk in ts] for ti in ts],
-                    a_l, a_u,
-                )
+        if any(map(inside, range(len(B)))):
+            return None
 
-            return excluded
+        def outside(b) -> bool:
+            ts = [c(b) for c in C]
+            return _laff_cut(
+                [valuation(ti - t, p) for ti in ts],
+                [[valuation(ti - rep, p) for rep in sub.removed] for ti in ts],
+                [[valuation(ti - tk, p) for tk in ts] for ti in ts],
+                a_l, a_u,
+            )
+
+        plain = excluded(inside, outside)
+        return plain, lambda r, u: plain, [cen.xs[k] for k in rems]
+
+    return _laff(cen), atom
+
+
+class _Kind(NamedTuple):
+    """What the Macintyre and affine-reduct decompositions differ in.  With
+    w the Hensel margin, both read unit residues mod p^(w+1), put coset
+    cells at the levels a_l+w+1 .. a_u-w-1, and put edge balls
+    B_{r+w}(t + p^r u) at the w levels above a_l and the w+1 levels up to
+    a_u."""
+
+    w: int  # the Hensel margin
+    reps: tuple  # coset representatives lam
+    period: int  # the levels of lam's coset are v(lam) mod period
+    ones: frozenset  # unit residues mod p^(w+1) of the coset of 1
+    window: int  # family_probes' levels past each radius
+    # (family, cen, B) -> the instance's ball family and its atom rule:
+    # atom(kt, sub) is None when a parameter of B cuts the subinterval sub
+    # around centre kt, else (the cells' exclusion test, the edge rule
+    # (r, u) -> the edge ball's test or None to drop it, the scaled centres
+    # of the removed balls that edge members avoid)
+    tests: Callable
+
+
+def _kind(family: ParamFamily) -> _Kind:
+    """Macintyre's root-power cosets P_n, with w = 2 v_p(n), or the affine
+    reduct's cosets of Q_{m,n}, with w = n - 1."""
+    n, p = family.meta["n"], family.meta["p"]
+    if family.kind == "valuation-macintyre":
+        w = 2 * split_p(n, p)[0]
+        return _Kind(w, pn_coset_representatives(n, p), n, pn_residues(n, p)[1], w + n + 1, _mac_tests)
+    if family.kind == "valuation-laff":
+        m = family.meta["m"]
+        return _Kind(n - 1, qmn_coset_representatives(m, n, p), m, frozenset({1}), n + m + 1, _laff_tests)
+    raise ValueError(family.kind)
+
+
+def _decomposition(name: str, family: ParamFamily) -> Decomposition:
+    """Cells are (subinterval x coset type) and (subinterval x edge ball),
+    definable from the descriptor (center, alpha_l, alpha_u)."""
+    kind = _kind(family)
+    C, p, dim = family.meta["C"], family.meta["p"], family.param_dim
+    w, period, ones = kind.w, kind.period, kind.ones
+    # (lam, (v_p, p-free part) of its numerator, and of its denominator)
+    lams = [(lam, split_p(lam.numerator, p), split_p(lam.denominator, p)) for lam in kind.reps]
+    units = _units(p, w + 1)
+    mod = p ** (w + 1)
+
+    def inst(B: list) -> list[CellInstance]:
+        B = [as_param(b, dim) for b in B]
+        cen = _Centres(C, B, p)
+        balls, atom_rule = kind.tests(family, cen, B)
+        forest, tagged = arrangement(balls)
+        scale, xs = cen.scale, cen.xs
 
         def coset_member(X: int, lo, hi, vl: int, ln: int, ld: int):
             def member(a) -> bool:
-                # lo <= v(x - t) <= hi and x - t in lam Q_{m,n}
+                # lo < v(x - t) < hi and (x - t) / lam in the coset of 1
                 s = scale.unit_split(a[0], X)
-                if s is None or not lo <= s[0] <= hi or (s[0] - vl) % m:
+                if s is None or not lo < s[0] < hi or (s[0] - vl) % period:
                     return False
-                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod == 1
+                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod in ones
 
             return member
 
-        def edge_member(X: int, r: int, u: int, a_l, a_u, removed: list[int]):
+        def edge_member(X: int, r: int, u: int, removed, a_u):
             def member(a) -> bool:
-                # v(x - (t + p^r u)) >= r + marg, and x in the subinterval
-                N, e, w = scale.offset(a[0], X)
-                if not scale.inside(*scale.shift(N, e, w, r, -u), r + marg - 1):
+                # v(x - (t + p^r u)) > r + w, and x in no removed ball
+                N, e, q = scale.offset(a[0], X)
+                if not scale.inside(*scale.shift(N, e, q, r, -u), r + w):
                     return False
-                if not scale.inside(N, e, a_l):
-                    return False
-                d = a[0].denominator  # x - rep = (N + (X - R) d) / (w p^e D)
+                d = a[0].denominator  # x - rep = (N + (X - R) d) / (q p^e D)
                 return not any(scale.inside(N + (X - R) * d, e, a_u) for R in removed)
 
             return member
@@ -396,42 +353,56 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
                 cells.append(_point_cell(region))
                 continue
             kt = cen.at[scale.x(sub.center)]
-            rems = [cen.at[scale.x(c)] for c in sub.removed]
-            a_l, a_u = sub.alpha_l, sub.alpha_u
-            if any(cut_at(kt, rems, ks, a_l, a_u) for ks in cen.ids):
-                continue  # excl is every cell's test for this subinterval
-            excl = make_excluded(kt, rems, sub, a_l, a_u)
-            X = xs[kt]
-            for lam, (vl, ln, ld) in zip(reps, lams):
-                if _level_in_window(a_l + marg, a_u - marg, vl % m, m):
+            atom = atom_rule(kt, sub)
+            if atom is None:
+                continue
+            excluded, edge, removed = atom
+            a_l, a_u, X = sub.alpha_l, sub.alpha_u, xs[kt]
+            for lam, (vn, ln), (vd, ld) in lams:
+                if _level_in_window(a_l + w + 1, a_u - w - 1, (vn - vd) % period, period):
                     cells.append(
                         CellInstance(
                             template="subcoset", params=(),
-                            member=coset_member(X, a_l + marg, a_u - marg, vl, ln, ld),
-                            excluded=excl,
+                            member=coset_member(X, a_l + w, a_u - w, vn - vd, ln, ld),
+                            excluded=excluded,
                             extent_key=(ai, ("coset", lam)),
                             region=region,
                         )
                     )
-            removed = [xs[k] for k in rems]
-            for r in _edge_levels(a_l, a_u, marg - 1, marg - 1):
+            for r in _edge_levels(a_l, a_u, w):
                 for u in units:
-                    cells.append(
-                        CellInstance(
-                            template="subedge", params=(),
-                            member=edge_member(X, r, u, a_l, a_u, removed),
-                            excluded=excl,
-                            extent_key=(ai, ("edge", r, u)),
-                            region=region,
+                    excl = edge(r, u)
+                    if excl is not None:
+                        cells.append(
+                            CellInstance(
+                                template="subedge", params=(),
+                                member=edge_member(X, r, u, removed, a_u),
+                                excluded=excl,
+                                extent_key=(ai, ("edge", r, u)),
+                                region=region,
+                            )
                         )
-                    )
         return cells
 
-    return Decomposition(
-        name="padic-laff",
-        instantiate_fn=inst,
-        locator_fn=_forest_locator,
-    )
+    return Decomposition(name=name, instantiate_fn=inst, locator_fn=_forest_locator)
+
+
+def macintyre_dcd(family: ParamFamily) -> Decomposition:
+    """The valued field's decomposition: subintervals crossed with the
+    root-power cosets of P_n or with edge balls."""
+    if family.kind != "valuation-macintyre":
+        raise ValueError("macintyre_dcd needs a valuation-macintyre family")
+    return _decomposition("padic-macintyre", family)
+
+
+def laff_dcd_1d(family: ParamFamily) -> Decomposition:
+    """The affine reduct's decomposition: subintervals crossed with the
+    cosets of Q_{m,n} or with edge balls."""
+    if family.kind != "valuation-laff":
+        raise ValueError("laff_dcd_1d needs a valuation-laff family")
+    if family.point_dim != 1:
+        raise ValueError("only the one-dimensional decomposition is built")
+    return _decomposition("padic-laff", family)
 
 
 def _forest_locator(cells: list[CellInstance]):
@@ -454,29 +425,12 @@ def _forest_locator(cells: list[CellInstance]):
 # ---------------------------------------------------------------------------
 
 
-def _probe_params(family: ParamFamily) -> tuple:
-    meta = family.meta
-    if family.kind == "valuation-macintyre":
-        marg = 2 * split_p(meta["n"], meta["p"])[0]
-        return meta["p"], marg, marg + 1, meta["n"]
-    if family.kind == "valuation-laff":
-        return meta["p"], meta["n"], meta["n"], meta["m"]
-    raise ValueError(family.kind)
-
-
 def types_per_subinterval(family: ParamFamily) -> int:
     """The constant number of multiplicative types a subinterval can split
     into for this family's (p, m, n): interior cosets plus the boundary balls
     of every edge level.  Reported per instance, no cross-instance claim."""
-    p, marg, prec, _period = _probe_params(family)
-    meta = family.meta
-    if family.kind == "valuation-macintyre":
-        n_cosets = len(pn_coset_representatives(meta["n"], p))
-        n_levels = 2 * marg + 1
-    else:
-        n_cosets = len(qmn_coset_representatives(meta["m"], meta["n"], p))
-        n_levels = 2 * (marg - 1) + 1
-    return n_cosets + n_levels * len(_units(p, prec))
+    kind = _kind(family)
+    return len(kind.reps) + (2 * kind.w + 1) * len(_units(family.meta["p"], kind.w + 1))
 
 
 def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
@@ -485,17 +439,14 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
     scope depend only on the atom, the displacement level relative to the
     boundary windows, and a unit residue at bounded precision."""
     B = [as_param(b, family.param_dim) for b in B]
-    p, marg, prec, period = _probe_params(family)
+    kind = _kind(family)
     if not B:
         return [(Fraction(0),), (Fraction(1),)]
-    meta = family.meta
-    if family.kind == "valuation-macintyre":
-        atoms = subinterval_atoms(special_balls(meta["F"], meta["C"], B, p))
-    else:
-        atoms = subinterval_atoms(laff_balls(meta["C"], B, p))
-    scale = _Scale([c(b) for b in B for c in meta["C"]], p)
-    W = marg + period + 1
-    units = _units(p, prec)
+    p = family.meta["p"]
+    cen = _Centres(family.meta["C"], B, p)
+    atoms = subinterval_atoms(kind.tests(family, cen, B)[0])
+    scale, W, period = cen.scale, kind.window, kind.period
+    units = _units(p, kind.w + 1)
     probes: list[tuple] = []
     seen = set()
 
@@ -508,16 +459,14 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
         if sub.alpha_l == INF:
             emit(sub.center)
             continue
+        # W levels past each finite radius, and a period more on a side
+        # whose other radius is infinite
         levels: set[int] = set()
         lo, hi = sub.alpha_l, sub.alpha_u
         if lo != -INF:
-            levels.update(range(lo + 1, lo + W + 1))
-            if hi == INF:
-                levels.update(range(lo + W + 1, lo + W + 1 + period))
+            levels.update(range(lo + 1, lo + W + 1 + (period if hi == INF else 0)))
         if hi != INF:
-            levels.update(range(hi - W, hi + 1))
-            if lo == -INF:
-                levels.update(range(hi - W - period, hi - W))
+            levels.update(range(hi - W - (period if lo == -INF else 0), hi + 1))
         if lo == -INF and hi == INF:
             levels.update(range(-W, W + 1))
         X = scale.x(sub.center)

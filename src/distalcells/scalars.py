@@ -56,22 +56,6 @@ def unit_residue(a: Rat, p: int, k: int) -> int:
     return (num * pow(den, -1, mod)) % mod
 
 
-def truncate(a: Rat, p: int, level: int) -> Fraction:
-    """p-adic truncation of a below digit `level` (digits of index <= level).
-
-    Two rationals x, y satisfy v(x - y) > level iff their truncations agree,
-    so (level, truncate) is a canonical key for open balls of radius level.
-    """
-    a = Fraction(a)
-    if a == 0:
-        return Fraction(0)
-    v = valuation(a, p)
-    if v > level:
-        return Fraction(0)
-    u = unit_residue(a, p, level - v + 1)
-    return Fraction(u) * Fraction(p) ** v
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -138,9 +122,11 @@ def same_pn_coset(a: Rat, b: Rat, n: int, p: int) -> bool:
     return in_pn(a / b, n, p)
 
 
-def pn_coset_representatives(n: int, p: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def pn_coset_representatives(n: int, p: int) -> tuple[Fraction, ...]:
     """A full list of coset representatives of Q_p^x / P_n^x, found by brute
-    force over p^j * u with 0 <= j < n and u a unit residue."""
+    force over p^j * u with 0 <= j < n and u a unit residue, once per
+    (n, p)."""
     k = 2 * split_p(n, p)[0] + 1
     reps: list[Fraction] = []
     for j in range(n):
@@ -150,16 +136,17 @@ def pn_coset_representatives(n: int, p: int) -> list[Fraction]:
             cand = Fraction(u) * Fraction(p) ** j
             if not any(same_pn_coset(cand, r, n, p) for r in reps):
                 reps.append(cand)
-    return reps
+    return tuple(reps)
 
 
-def qmn_coset_representatives(m: int, n: int, p: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def qmn_coset_representatives(m: int, n: int, p: int) -> tuple[Fraction, ...]:
     """Coset representatives of Q_p^x / Q_{m,n}^x: p^j * u over 0 <= j < m
-    and units u mod p^n."""
+    and units u mod p^n, once per (m, n, p)."""
     reps = []
     for j in range(m):
         for u in range(1, p ** n):
             if u % p == 0:
                 continue
             reps.append(Fraction(u) * Fraction(p) ** j)
-    return reps
+    return tuple(reps)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import INF, Level, split_p, truncate, valuation
+from .scalars import INF, Level, split_p, valuation
 
 
 class ArrangementError(ValueError):
@@ -44,29 +44,6 @@ class UltrametricBall:
         if self.radius == INF:
             return x == self.center
         return valuation(x - self.center, self.p) > self.radius
-
-    def same_extent(self, other: "UltrametricBall") -> bool:
-        if self.radius != other.radius:
-            return False
-        if self.radius == INF:
-            return self.center == other.center
-        return valuation(self.center - other.center, self.p) > self.radius
-
-    def contains(self, other: "UltrametricBall") -> bool:
-        """self superseteq other (as sets)."""
-        if self.radius == INF:
-            return other.radius == INF and other.center == self.center
-        if other.radius == INF:
-            return self.member(other.center)
-        return other.radius >= self.radius and self.member(other.center)
-
-    def key(self) -> tuple:
-        r = self.radius
-        if r == INF:
-            return (1, 0, self.center)
-        if r == -INF:  # the whole line
-            return (-1, 0, Fraction(0))
-        return (0, r, truncate(self.center, self.p, r))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +314,6 @@ class Subinterval:
             elif valuation(x - rep, self.p) > self.alpha_u:
                 return False
         return True
-
-    def key(self) -> tuple:
-        a_l = self.alpha_l
-        c = truncate(self.center, self.p, a_l) if -INF < a_l < INF else self.center
-        return (a_l, c, self.alpha_u, self.removed)
 
     def t_val(self, x: Fraction) -> Level:
         return valuation(x - self.center, self.p)

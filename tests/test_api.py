@@ -1,6 +1,7 @@
-"""The package's public names resolve, and every top-level definition of
-`src/distalcells` has a caller in the program (`src/` or `bench/`), not only
-in the tests, unless it backs a claim of the paper and is listed below."""
+"""The package's public names resolve, and every top-level definition and
+every method of `src/distalcells` has a caller in the program (`src/` or
+`bench/`, not the benchmark's own tests), unless it backs a claim of the
+paper and is listed below."""
 
 import ast
 from pathlib import Path
@@ -10,12 +11,16 @@ import distalcells
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "distalcells"
 
-# (module, name) -> why the definition stays although only tests call it
+# (module, name) -> why the definition stays although only tests call it; a
+# method's name is "Class.method"
 ALLOWED = {
     ("conjcells", "check_conjunction_property"):
         "the conjunction property that makes the conj-cells bound |x| hold",
     ("families", "grid_probes"):
         "rational grid probes for type censuses in any dimension",
+    ("families", "type_census_1d"):
+        "the exact count of realized types, which bounds every distal cell "
+        "decomposition from below",
     ("families", "interval_family"):
         "the only constructor of the `interval` kind: families given by their "
         "N-bounded component lists, as in the weakly o-minimal bound",
@@ -37,44 +42,68 @@ def test_public_names_resolve():
 
 
 def _referenced_names(tree: ast.Module):
-    """(name, top-level definition it occurs in, or None) for every name,
-    attribute, imported name and identifier-like string constant."""
-    for stmt in tree.body:
-        owner = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
+    """(name, owner) for every name, attribute, imported name and
+    identifier-like string constant, where owner is the top-level definition
+    it occurs in, "Class.method" inside a method, or None."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node is tree:
+                    inner = child.name
+                elif isinstance(node, ast.ClassDef) and owner == node.name:
+                    inner = f"{owner}.{child.name}"
+            if isinstance(child, ast.Name):
+                yield child.id, owner
+            elif isinstance(child, ast.Attribute):
+                yield child.attr, owner
+            elif isinstance(child, ast.ImportFrom):
+                for alias in child.names:
                     yield alias.name, owner
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and node.value.isidentifier():
-                yield node.value, owner  # getattr-style tables, e.g. bench's tracer
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str) \
+                    and child.value.isidentifier():
+                yield child.value, owner  # getattr-style tables, e.g. bench's tracer
+            yield from walk(child, inner)
+
+    yield from walk(tree, None)
 
 
 def _definitions():
+    """(module, name) of every top-level definition, and (module,
+    "Class.method") of every method but the dunders Python calls itself."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield path.stem, stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                for meth in stmt.body:
+                    if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                            and not meth.name.startswith("__"):
+                        yield path.stem, f"{stmt.name}.{meth.name}"
 
 
 def test_every_definition_has_a_program_caller():
     # a re-export from __init__ is not a caller, and a definition's own body
-    # (recursion) does not count for it
+    # (recursion) does not count for it; a method counts by its bare name
     users: dict[str, set] = {}
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        if path.name == "__init__.py":
+    program = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    for path in program:
+        if path.name == "__init__.py" or path.name.startswith("test_"):
             continue
         for name, owner in _referenced_names(ast.parse(path.read_text())):
             users.setdefault(name, set()).add((path.stem, owner))
+    def outside(module, name):
+        return {
+            (m, owner) for m, owner in users.get(name.rpartition(".")[2], ())
+            if m != module or owner is None or (owner != name and not owner.startswith(name + "."))
+        }
+
     defined = set(_definitions())
     orphans = [
         (module, name)
         for module, name in sorted(defined)
-        if not users.get(name, set()) - {(module, name)} and (module, name) not in ALLOWED
+        if not outside(module, name) and (module, name) not in ALLOWED
     ]
     assert not orphans, f"definitions with no caller in src/ or bench/: {orphans}"
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)

@@ -21,7 +21,7 @@ from distalcells.padic import (
     t_val_candidate_centers,
 )
 from distalcells.rng import SplitMix64
-from distalcells.scalars import INF, truncate, valuation
+from distalcells.scalars import INF, unit_residue, valuation
 from distalcells.ultrametric import _Scale
 
 ZERO = AffineMap.of([0])
@@ -33,11 +33,29 @@ def B3(c, r):
     return UltrametricBall(F(c), r, 3)
 
 
+def same_extent(a: UltrametricBall, b: UltrametricBall) -> bool:
+    """Do two balls hold the same points?  Decided on Fractions."""
+    if a.radius != b.radius:
+        return False
+    if a.radius == INF:
+        return a.center == b.center
+    return valuation(a.center - b.center, a.p) > a.radius
+
+
+def contains(a: UltrametricBall, b: UltrametricBall) -> bool:
+    """a superseteq b as sets, decided on Fractions."""
+    if a.radius == INF:
+        return b.radius == INF and b.center == a.center
+    if b.radius == INF:
+        return a.member(b.center)
+    return b.radius >= a.radius and a.member(b.center)
+
+
 def test_ball_membership_and_equality():
     b = B3(0, 0)
     assert b.member(F(3)) and b.member(F(9)) and not b.member(F(1))
-    assert b.same_extent(B3(3, 0))  # v(0-3)=1 > 0
-    assert not b.same_extent(B3(1, 0))
+    assert same_extent(b, B3(3, 0))  # v(0-3)=1 > 0
+    assert not same_extent(b, B3(1, 0))
     pt = B3(5, INF)
     assert pt.member(F(5)) and not pt.member(F(5) + F(3) ** 10)
 
@@ -45,9 +63,10 @@ def test_ball_membership_and_equality():
 def test_special_balls_example():
     # F={0}, C={identity}, B={0,1}: point balls at 0, 1 and B_0(0), B_0(1)
     balls = special_balls([ZERO], [IDENT], [(F(0),), (F(1),)], 3)
-    keys = {b.key() for b in balls}
-    assert (1, 0, F(0)) in keys and (1, 0, F(1)) in keys  # points
-    assert (0, 0, F(0)) in keys  # B_0(0)
+    scale = _Scale([b.center for b in balls], 3)  # D = 1: a centre is its own int
+    keys = {scale.key(scale.x(b.center), b.radius) for b in balls}
+    assert (1, 0, 0) in keys and (1, 0, 1) in keys  # points
+    assert (0, 0, 0) in keys  # B_0(0)
     assert len(balls) == 4
 
 
@@ -80,7 +99,7 @@ def test_forest_comparability_iff_intersection():
         balls = dedupe_balls(balls)
         for i, a in enumerate(balls):
             for b in balls[i + 1:]:
-                comparable = a.contains(b) or b.contains(a)
+                comparable = contains(a, b) or contains(b, a)
                 # intersection test: sample membership on centers
                 intersect = a.member(b.center) or b.member(a.center)
                 assert comparable == intersect
@@ -330,9 +349,9 @@ def _parents_by_scan(balls):
     for i, b in enumerate(balls):
         best = None
         for j, other in enumerate(balls):
-            if i == j or not other.contains(b) or other.same_extent(b):
+            if i == j or not contains(other, b) or same_extent(other, b):
                 continue
-            if best is None or balls[best].contains(other):
+            if best is None or contains(balls[best], other):
                 best = j
         parent.append(best)
     return parent
@@ -432,6 +451,25 @@ def _in_ball(y, r, p):
 
 def _kernel_levels(scale):
     return range(-scale.vD - 3, 4)  # reaches levels below -vD
+
+
+def truncate(a, p: int, level: int) -> F:
+    """p-adic truncation of a below digit `level` (digits of index <= level),
+    on Fractions: two rationals x, y satisfy v(x - y) > level iff their
+    truncations agree.  The reference for `_Scale.key`."""
+    a = F(a)
+    v = valuation(a, p)
+    if v > level:  # a = 0 too
+        return F(0)
+    return unit_residue(a, p, level - v + 1) * F(p) ** v
+
+
+def test_truncate_canonical_key():
+    # v(x - truncate(x, level)) > level
+    for x in [F(7, 3), F(-12, 5), F(45), F(1, 9)]:
+        for level in range(-3, 4):
+            t = truncate(x, 3, level)
+            assert valuation(x - t, 3) > level
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -10,7 +10,6 @@ from distalcells.scalars import (
     pn_coset_representatives,
     qmn_coset_representatives,
     same_pn_coset,
-    truncate,
     unit_residue,
     valuation,
 )
@@ -167,11 +166,3 @@ def test_same_pn_coset_consistency():
         assert same_pn_coset(r, r, 2, 3)
         for s in reps[i + 1:]:
             assert not same_pn_coset(r, s, 2, 3)
-
-
-def test_truncate_canonical_key():
-    # v(x - truncate(x, level)) > level
-    for x in [F(7, 3), F(-12, 5), F(45), F(1, 9)]:
-        for level in range(-3, 4):
-            t = truncate(x, 3, level)
-            assert valuation(x - t, 3) > level
