@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_param
-from .linear import Iv
+from .linear import Iv, decode, position
 
 # ---------------------------------------------------------------------------
 # Conjunction property and negation closure
@@ -45,41 +45,26 @@ def check_conjunction_property(family: ParamFamily, B: Sequence) -> ConjCheck:
     witnesses: dict = {}
     certificates: dict = {}
     for i, pred in enumerate(family.preds):
-        if family.kind == "vector-linear":
-            vals = [-(pred.g(b)) - pred.f.const for b in B]
-            if pred.rel == "<":
-                witnesses[i] = B[min(range(len(B)), key=lambda j: vals[j])]
-            elif pred.rel == ">":
-                witnesses[i] = B[max(range(len(B)), key=lambda j: vals[j])]
-            else:
-                j = _first_difference(vals)
-                if j is None:
-                    witnesses[i] = B[0]
-                else:
-                    certificates[i] = (B[0], B[j])
-        elif family.kind == "congruence":
-            if pred.rel == "mod":
-                K = family.meta["K"]
-                vals = [_integer(pred.g(b) + pred.f.const) % K for b in B]
-                j = _first_difference(vals)
-                if j is None:
-                    witnesses[i] = B[0]
-                else:
-                    certificates[i] = (B[0], B[j])
-            else:
-                vals = [pred.g(b) for b in B]
-                if pred.rel == "<":
-                    witnesses[i] = B[min(range(len(B)), key=lambda j: vals[j])]
-                elif pred.rel == ">":
-                    witnesses[i] = B[max(range(len(B)), key=lambda j: vals[j])]
-                else:
-                    j = _first_difference(vals)
-                    if j is None:
-                        witnesses[i] = B[0]
-                    else:
-                        certificates[i] = (B[0], B[j])
-        else:
+        if family.kind not in ("vector-linear", "congruence"):
             return ConjCheck(False, {}, {}, failure=f"unsupported kind {family.kind!r}")
+        # what f(x) is compared with at each b: -g(b) - c for a vector-linear
+        # atom, g(b) for an order atom, and g(b) + c mod K for a congruence
+        vals = [
+            -pred.g(b) - pred.f.const if family.kind == "vector-linear"
+            else _integer(pred.g(b) + pred.f.const) % family.meta["K"] if pred.rel == "mod"
+            else pred.g(b)
+            for b in B
+        ]
+        if pred.rel == "<":
+            witnesses[i] = B[min(range(len(B)), key=vals.__getitem__)]
+        elif pred.rel == ">":
+            witnesses[i] = B[max(range(len(B)), key=vals.__getitem__)]
+        else:
+            j = _first_difference(vals)
+            if j is None:
+                witnesses[i] = B[0]
+            else:
+                certificates[i] = (B[0], B[j])
     return ConjCheck(True, witnesses, certificates)
 
 
@@ -407,21 +392,8 @@ def _pos_crossed(ext: tuple[int, int], rel: str, q: int) -> bool:
     return lo <= q <= hi and lo < hi
 
 
-def _position(cuts: list, v: Fraction) -> int:
-    k = bisect_left(cuts, v)
-    return 2 * k + 1 if k < len(cuts) and cuts[k] == v else 2 * k
-
-
-def _decode(cuts: list, ext: tuple[int, int]) -> Iv:
-    lo, hi = ext
-    return Iv(
-        None if lo == 0 else cuts[(lo - 1) // 2], lo % 2 == 0,
-        None if hi == 2 * len(cuts) else cuts[hi // 2], hi % 2 == 0,
-    )
-
-
 def _make_vl_cell(family, axes, exts, chosen, threshold, b_index) -> CellInstance:
-    ivs = [_decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
+    ivs = [decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
     if family.point_dim == 1:
         iv = ivs[0] if ivs else Iv.full()
 
@@ -444,7 +416,7 @@ def _make_vl_cell(family, axes, exts, chosen, threshold, b_index) -> CellInstanc
                 if j is not None:
                     q = ax.at_b[dp.pred][j]
                 else:
-                    q = _position(ax.cuts, threshold(dp.pred, b))
+                    q = position(ax.cuts, threshold(dp.pred, b))
                 if _pos_crossed(ext, dp.rel, q):
                     return True
         return False

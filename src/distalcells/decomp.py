@@ -5,8 +5,8 @@ A decomposition is a map B -> list of cells, where each cell carries an exact
 membership predicate, an exact exclusion predicate I(Delta) over single
 parameters, and a canonical extent key for deduplication.  Verification is
 exact in one dimension (`census_probes_1d` is exhaustive) and probe-based
-in higher dimensions: failures are always genuine, successes are certified on
-the probe set.
+in higher dimensions: failures are always genuine, and a success covers only
+the cells that hold a probe.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class Decomposition:
     locator_fn: Optional[Callable[[list], Callable[[Point], Iterable[int]]]] = None
 
     def instantiate(self, B: Sequence) -> list[CellInstance]:
-        B = list(B)
+        # a scalar is the 1-tuple the engines make of it, so 0 and (0,) collide
+        B = [b if isinstance(b, tuple) else (b,) for b in B]
         if len(set(B)) != len(B):
             raise ValueError("parameter set contains duplicates")
         if not B:

@@ -508,13 +508,3 @@ def type_census_1d(family: ParamFamily, B: Sequence) -> TypeCensus:
     """Exact count of realized Phi-types over B for |x| = 1 families."""
     probes = census_probes_1d(family, B)
     return type_census_probe(family, B, probes)
-
-
-def grid_probes(lo, hi, steps: int, dim: int) -> list[Point]:
-    """(steps+1)^dim rational grid over [lo, hi]^dim, for probe censuses."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    axis = [lo + (hi - lo) * Fraction(i, steps) for i in range(steps + 1)]
-    pts: list[Point] = [()]
-    for _ in range(dim):
-        pts = [p + (v,) for p in pts for v in axis]
-    return pts

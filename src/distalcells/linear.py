@@ -14,6 +14,7 @@ decomposition engines rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -401,21 +402,6 @@ def iv_intersect(a: Iv, b: Iv) -> Iv:
     return Iv(lo, lo_open, hi, hi_open)
 
 
-def iv_subset(a: Iv, b: Iv) -> bool:
-    """a subseteq b for nonempty a."""
-    if b.lo is not None:
-        if a.lo is None:
-            return False
-        if a.lo < b.lo or (a.lo == b.lo and b.lo_open and not a.lo_open):
-            return False
-    if b.hi is not None:
-        if a.hi is None:
-            return False
-        if a.hi > b.hi or (a.hi == b.hi and b.hi_open and not a.hi_open):
-            return False
-    return True
-
-
 def merge_adjacent(ivs: list[Iv]) -> list[Iv]:
     """Merge an ordered list of disjoint intervals into maximal convex pieces
     (adjacent pieces like (0,1] (1,2) collapse)."""
@@ -433,27 +419,25 @@ def merge_adjacent(ivs: list[Iv]) -> list[Iv]:
     return out
 
 
-def crosses(components: list[Iv], delta: Iv) -> bool:
-    """Does the set with the given maximal convex components cross delta?
-    (Both delta-inside and delta-outside parts nonempty.)"""
-    if delta.is_empty():
-        return False
-    if not any(_meets(c, delta) for c in components):
-        return False
-    contained = any(iv_subset(delta, c) for c in components)
-    return not contained
+# Rank positions over sorted distinct cuts c_0 < ... < c_{k-1}: position
+# 2j + 1 is the point c_j, and the even position 2j is the open gap below it
+# (2k the gap above the last cut).  A union of whole positions is a closed
+# range (lo, hi) of them.
 
 
-def _meets(a: Iv, b: Iv) -> bool:
-    """Do the nonempty intervals a and b intersect?  Each must start no later
-    than the other ends, and at a shared endpoint both must be closed."""
-    if a.lo is not None and b.hi is not None:
-        if a.lo > b.hi or (a.lo == b.hi and (a.lo_open or b.hi_open)):
-            return False
-    if b.lo is not None and a.hi is not None:
-        if b.lo > a.hi or (b.lo == a.hi and (b.lo_open or a.hi_open)):
-            return False
-    return True
+def position(cuts: list, v: Fraction) -> int:
+    """v's position: 2j + 1 when v is cuts[j], else the gap that holds it."""
+    k = bisect_left(cuts, v)
+    return 2 * k + 1 if k < len(cuts) and cuts[k] == v else 2 * k
+
+
+def decode(cuts: list, ext: tuple[int, int]) -> Iv:
+    """The interval made of the positions lo..hi."""
+    lo, hi = ext
+    return Iv(
+        None if lo == 0 else cuts[(lo - 1) // 2], lo % 2 == 0,
+        None if hi == 2 * len(cuts) else cuts[hi // 2], hi % 2 == 0,
+    )
 
 
 # ---------------------------------------------------------------------------

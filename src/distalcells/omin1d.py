@@ -7,36 +7,22 @@ chain under inclusion; its boolean-algebra atoms are the cells.  Every cell is
 a difference of two chain members, so it is described by at most two
 parameters, and there are at most |F(B)| + 1 = 2 N |Phi| |B| + 1 cells.
 
-Instantiated over Q: downward sets are represented by exact rational cuts.
+Instantiated over Q on rank positions (`linear.position`): the k distinct
+component endpoints over B give positions 0..2k, an odd one for each
+endpoint and an even one for each open gap.  A downward closure is the set
+of positions below an int threshold (0 is empty, 2k + 1 the whole line), a
+cell is a closed range of positions, and the exclusion test compares that
+range with the position spans of a parameter's components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_param
-from .linear import Iv, crosses
-
-# extent of a downward-closed subset of the line: empty, full, or a cut
-EMPTY = ("empty",)
-FULL = ("full",)
-
-
-@dataclass(frozen=True)
-class Cut:
-    value: Fraction
-    closed: bool  # (-inf, value] when closed, (-inf, value) otherwise
-
-
-def cut_key(extent) -> tuple:
-    if extent == EMPTY:
-        return (0,)
-    if extent == FULL:
-        return (2,)
-    return (1, extent.value, extent.closed)
+from .linear import Iv, decode, position
 
 
 @dataclass(frozen=True)
@@ -45,113 +31,116 @@ class DownwardSet:
     comp: int
     flavor: str  # "<=" or "<"
     param_index: int
-    extent: tuple | Cut
+    threshold: int  # the positions below it
 
 
-def _closure_leq(comp: Optional[Iv]):
-    # downward closure including the component: exists x0 in comp with x <= x0
-    if comp is None:
-        return EMPTY
-    if comp.hi is None:
-        return FULL
-    return Cut(comp.hi, closed=not comp.hi_open)
+def _span(cuts: list, comp: Iv) -> tuple[int, int, int, int]:
+    """(lo, lo_in, hi_in, hi): the component meets the positions lo..hi and
+    holds all of lo_in..hi_in.  The two differ only at an endpoint strictly
+    inside a gap, which splits that gap."""
+    lo = lo_in = 0
+    if comp.lo is not None:
+        p = position(cuts, comp.lo)
+        if p % 2 == 0:
+            lo, lo_in = p, p + 1
+        else:
+            lo = lo_in = p + comp.lo_open
+    hi = hi_in = 2 * len(cuts)
+    if comp.hi is not None:
+        p = position(cuts, comp.hi)
+        if p % 2 == 0:
+            hi, hi_in = p, p - 1
+        else:
+            hi = hi_in = p - comp.hi_open
+    return lo, lo_in, hi_in, hi
 
 
-def _closure_lt(comp: Optional[Iv]):
-    # strictly below the whole component: forall x0 in comp, x < x0
-    if comp is None:
-        return FULL  # vacuous
-    if comp.lo is None:
-        return EMPTY
-    return Cut(comp.lo, closed=comp.lo_open)
+def _crossed(spans: list, lo: int, hi: int) -> bool:
+    """Do the components with these spans cross the positions lo..hi: does
+    one meet them while none holds them all?"""
+    meets = False
+    for c_lo, c_lo_in, c_hi_in, c_hi in spans:
+        if c_lo_in <= lo and hi <= c_hi_in:
+            return False
+        meets = meets or (c_lo <= hi and lo <= c_hi)
+    return meets
 
 
 class ComponentTable:
-    """family.components of every predicate at each parameter, computed once
-    per decomposition instance.  Lookups go by the parameter's identity, so
-    a hit hashes no Fraction."""
+    """The spans of every predicate's components at each parameter, over the
+    positions of the component endpoints at B, computed once per
+    decomposition instance.  Lookups go by the parameter's identity, so a hit
+    hashes no Fraction."""
 
-    def __init__(self, family: ParamFamily):
+    def __init__(self, family: ParamFamily, B: Sequence):
         self.family = family
-        self._by_id: dict[int, tuple] = {}  # id(b) -> (b, comps); holds b alive
+        self.B = [as_param(b, family.param_dim) for b in B]
+        comps = [self._components(b) for b in self.B]
+        self.cuts = sorted({
+            v for per_b in comps for cs in per_b for c in cs
+            for v in (c.lo, c.hi) if v is not None
+        })
+        # id(b) -> (b, spans); holds b alive
+        self._by_id = {id(b): (b, self._spans(cs)) for b, cs in zip(self.B, comps)}
 
-    def __call__(self, b: tuple) -> list[list[Iv]]:
+    def _components(self, b: tuple) -> list[list[Iv]]:
+        fam = self.family
+        return [fam.components(pi, b) for pi in range(len(fam.preds))]
+
+    def _spans(self, comps: list[list[Iv]]) -> list[list[tuple]]:
+        return [[_span(self.cuts, c) for c in cs] for cs in comps]
+
+    def __call__(self, b: tuple) -> list[list[tuple]]:
         hit = self._by_id.get(id(b))
         if hit is None or hit[0] is not b:
-            fam = self.family
-            comps = [fam.components(pi, b) for pi in range(len(fam.preds))]
-            hit = self._by_id[id(b)] = (b, comps)
+            hit = self._by_id[id(b)] = (b, self._spans(self._components(b)))
         return hit[1]
 
 
-def downward_family(
-    family: ParamFamily, B: Sequence, table: Optional[ComponentTable] = None
-) -> list[DownwardSet]:
+def downward_family(table: ComponentTable) -> list[DownwardSet]:
     """All component closures over Phi x B, sorted by inclusion (ties keep
-    predicate / component / flavor / parameter order).  An instance passes
-    its own `table`, which keeps the components for its exclusion tests."""
-    B = [as_param(b, family.param_dim) for b in B]
-    if table is None:
-        table = ComponentTable(family)
+    predicate / component / flavor / parameter order)."""
+    family = table.family
+    full = 2 * len(table.cuts) + 1
     sets: list[DownwardSet] = []
-    per_b = [table(b) for b in B]
     for pi in range(len(family.preds)):
         bound = family.component_bound(pi)
-        for bi in range(len(B)):
-            comps = per_b[bi][pi]
-            if len(comps) > bound:
+        for bi, b in enumerate(table.B):
+            spans = table(b)[pi]
+            if len(spans) > bound:
                 raise ValueError(f"predicate {pi} exceeds its component bound")
-            # realized components only; index 0 is kept for the empty set so
-            # that phi^1_<= = {} and phi^1_< = M still appear in the family
-            for ci in range(max(1, len(comps))):
-                comp = comps[ci] if ci < len(comps) else None
-                sets.append(DownwardSet(pi, ci, "<=", bi, _closure_leq(comp)))
-                sets.append(DownwardSet(pi, ci, "<", bi, _closure_lt(comp)))
-    sets.sort(key=lambda d: (cut_key(d.extent), d.pred, d.comp, d.flavor, d.param_index))
+            # index 0 of an empty predicate still gives phi^0_<= = {} and
+            # phi^0_< = M, so both stay in the family
+            if not spans:
+                sets.append(DownwardSet(pi, 0, "<=", bi, 0))
+                sets.append(DownwardSet(pi, 0, "<", bi, full))
+            for ci, (lo, _, _, hi) in enumerate(spans):
+                # up to some point of the component, and below all of it
+                sets.append(DownwardSet(pi, ci, "<=", bi, hi + 1))
+                sets.append(DownwardSet(pi, ci, "<", bi, lo))
+    sets.sort(key=lambda d: (d.threshold, d.pred, d.comp, d.flavor, d.param_index))
     return sets
 
 
-def _atom_between(lo_extent, hi_extent) -> Iv:
-    """hi_extent minus lo_extent for nested downward sets lo < hi."""
-    if lo_extent == EMPTY:
-        lo, lo_open = None, True
-    else:
-        lo, lo_open = lo_extent.value, lo_extent.closed
-    if hi_extent == FULL:
-        hi, hi_open = None, True
-    else:
-        hi, hi_open = hi_extent.value, not hi_extent.closed
-    return Iv(lo, lo_open, hi, hi_open)
-
-
-def chain_atoms(sets: list[DownwardSet]) -> list[tuple[Iv, Optional[DownwardSet], Optional[DownwardSet]]]:
-    """Atoms of the boolean algebra generated by a chain of downward sets:
+def chain_atoms(
+    sets: list[DownwardSet], full: int
+) -> list[tuple[tuple[int, int], Optional[DownwardSet], Optional[DownwardSet]]]:
+    """Atoms of the boolean algebra generated by a chain of downward sets,
+    sorted by threshold, where `full` is the threshold of the whole line:
     successive differences plus the complement of the maximal element.
 
-    Returns (interval, lower source, upper source); at most (#distinct
-    extents)+1 atoms.  Rejects non-chain input.
+    Returns (positions lo..hi, lower source, upper source); the first set of
+    each threshold is its source, and the empty set bounds no atom.
     """
-    # the cut representation only expresses downward-closed sets, so any
-    # input is a chain once sorted; dedupe equal extents
-    keyed = sorted(sets, key=lambda d: cut_key(d.extent))
-    distinct: list[DownwardSet] = []
-    for d in keyed:
-        if not distinct or cut_key(distinct[-1].extent) != cut_key(d.extent):
-            distinct.append(d)
     atoms = []
     prev: Optional[DownwardSet] = None
-    prev_extent = EMPTY
-    for d in distinct:
-        if d.extent == EMPTY:
-            continue  # generates no atom; X \ {} is X itself
-        iv = _atom_between(prev_extent, d.extent)
-        if not iv.is_empty():
-            atoms.append((iv, prev, d))
-        prev, prev_extent = d, d.extent
-    if prev_extent != FULL:
-        iv = _atom_between(prev_extent, FULL)
-        if not iv.is_empty():
-            atoms.append((iv, prev, None))
+    below = 0
+    for d in sets:
+        if d.threshold > below:
+            atoms.append(((below, d.threshold - 1), prev, d))
+            prev, below = d, d.threshold
+    if below < full:
+        atoms.append(((below, full - 1), prev, None))
     return atoms
 
 
@@ -167,18 +156,15 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
         raise ValueError("omin1d requires |x| = 1")
 
     def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, family.param_dim) for b in B]
-        table = ComponentTable(family)
-        sets = downward_family(family, B, table)
+        table = ComponentTable(family, B)
+        B = table.B
 
-        def make_excluded(iv: Iv):
-            def excluded(b) -> bool:
-                return any(crosses(comps, iv) for comps in table(as_param(b, family.param_dim)))
-
-            return excluded
+        def excluded(b, lo: int, hi: int) -> bool:
+            return any(_crossed(spans, lo, hi) for spans in table(as_param(b, family.param_dim)))
 
         cells = []
-        for iv, lo_src, hi_src in chain_atoms(sets):
+        for (lo, hi), lo_src, hi_src in chain_atoms(downward_family(table), 2 * len(table.cuts) + 1):
+            iv = decode(table.cuts, (lo, hi))
             params = tuple(
                 B[d.param_index] for d in (lo_src, hi_src) if d is not None
             )
@@ -187,7 +173,7 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
                     template=f"{_source_label(hi_src)}\\{_source_label(lo_src)}",
                     params=params,
                     member=lambda a, iv=iv: iv.member(a[0]),
-                    excluded=make_excluded(iv),
+                    excluded=lambda b, lo=lo, hi=hi: excluded(b, lo, hi),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
                     interval=iv,
                 )

@@ -35,21 +35,14 @@ from .scalars import (
     split_p,
     valuation,
 )
-from .ultrametric import (  # with the ball layer's public names, re-exported
-    ArrangementError,
+from .ultrametric import (
     BallForest,
     Subinterval,
-    UltrametricBall,
     _Centres,
     _f_levels,
     _laff,
-    _Scale,
     _special,
     arrangement,
-    ball_forest,
-    dedupe_balls,
-    laff_balls,
-    special_balls,
     subinterval_atoms,
 )
 

@@ -6,7 +6,7 @@ import math
 import time
 from fractions import Fraction as F
 
-from distalcells import conjcells, induction, omin1d, padic
+from distalcells import conjcells, induction, omin1d, padic, ultrametric
 from distalcells.decomp import shatter_estimate, verify
 from distalcells.families import (
     CongAtom,
@@ -327,10 +327,10 @@ def test_acceptance_6_subintervals():
             if v not in seen:
                 seen.add(v)
                 B.append(v)
-        balls = padic.special_balls(Fset, C, B, p)
+        balls = ultrametric.special_balls(Fset, C, B, p)
         if len(balls) > 30 or not balls:
             continue
-        atoms = padic.subinterval_atoms(balls)
+        atoms = ultrametric.subinterval_atoms(balls)
         assert len(atoms) <= 2 * len(balls) + 1
         # brute-force boolean algebra atoms via region probing
         pts = set()

@@ -16,8 +16,6 @@ PACKAGE = ROOT / "src" / "distalcells"
 ALLOWED = {
     ("conjcells", "check_conjunction_property"):
         "the conjunction property that makes the conj-cells bound |x| hold",
-    ("families", "grid_probes"):
-        "rational grid probes for type censuses in any dimension",
     ("families", "type_census_1d"):
         "the exact count of realized types, which bounds every distal cell "
         "decomposition from below",
@@ -33,6 +31,12 @@ ALLOWED = {
         "t is well defined across the centres that can recentre an atom",
     ("padic", "types_per_subinterval"):
         "the constant number of types per subinterval in the p-adic bound",
+    ("ultrametric", "special_balls"):
+        "the special balls of a Macintyre family, whose subinterval atoms "
+        "number at most 2|balls| + 1",
+    ("ultrametric", "laff_balls"):
+        "the special balls of an affine-reduct family, whose subinterval "
+        "atoms number at most 2|balls| + 1",
 }
 
 
@@ -42,9 +46,11 @@ def test_public_names_resolve():
 
 
 def _referenced_names(tree: ast.Module):
-    """(name, owner) for every name, attribute, imported name and
-    identifier-like string constant, where owner is the top-level definition
-    it occurs in, "Class.method" inside a method, or None."""
+    """(name, owner) for every name, attribute and identifier-like string
+    constant, and for every imported name that the module reads, where owner
+    is the top-level definition it occurs in, "Class.method" inside a method,
+    or None."""
+    imports = []
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -59,14 +65,18 @@ def _referenced_names(tree: ast.Module):
             elif isinstance(child, ast.Attribute):
                 yield child.attr, owner
             elif isinstance(child, ast.ImportFrom):
-                for alias in child.names:
-                    yield alias.name, owner
+                imports.extend((alias, owner) for alias in child.names)
             elif isinstance(child, ast.Constant) and isinstance(child.value, str) \
                     and child.value.isidentifier():
                 yield child.value, owner  # getattr-style tables, e.g. bench's tracer
             yield from walk(child, inner)
 
-    yield from walk(tree, None)
+    refs = list(walk(tree, None))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return refs + [
+        (alias.name, owner) for alias, owner in imports
+        if (alias.asname or alias.name) in read
+    ]
 
 
 def _definitions():

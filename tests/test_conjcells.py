@@ -17,8 +17,14 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.linear import AffineMap, Iv, iv_intersect, iv_subset
+from distalcells.linear import AffineMap, Iv, iv_intersect
 from distalcells.rng import SplitMix64
+
+
+def _grid(lo, hi, steps: int) -> list:
+    """The (steps+1)^2 rational grid over [lo, hi]^2."""
+    axis = [F(lo) + F(hi - lo, steps) * i for i in range(steps + 1)]
+    return [(u, v) for u in axis for v in axis]
 
 
 def _trichotomy_x_minus_y():
@@ -148,9 +154,7 @@ def test_vl_two_dimensional_grid():
     cells = conj_decomposition(fam, B)
     # 5 cells per coordinate direction
     assert len(cells) == 25
-    from distalcells.families import grid_probes
-
-    rep = verify(build_decomposition(fam), fam, B, probes=grid_probes(-1, 2, 6, 2))
+    rep = verify(build_decomposition(fam), fam, B, probes=_grid(-1, 2, 6))
     assert rep.covered and rep.uncrossed
     assert rep.cell_count_deduped >= rep.census_lower_bound
 
@@ -243,6 +247,17 @@ def test_presburger_cells_match_integer_oracle(instance):
                 0 < len(extent & holds_at[i, b]) < len(extent) for i in range(len(holds))
             )
             assert cell.excluded((F(b),)) == crossed, (cell.template, b)
+
+
+def iv_subset(a: Iv, b: Iv) -> bool:
+    """a is inside b, for a nonempty a."""
+    if b.lo is not None and (
+        a.lo is None or a.lo < b.lo or (a.lo == b.lo and b.lo_open and not a.lo_open)
+    ):
+        return False
+    return b.hi is None or not (
+        a.hi is None or a.hi > b.hi or (a.hi == b.hi and b.hi_open and not a.hi_open)
+    )
 
 
 # Plain-Fraction reference for vector-linear cells: per direction, every

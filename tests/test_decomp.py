@@ -44,6 +44,14 @@ def _trivial_decomp():
     return Decomposition("trivial", inst)
 
 
+def test_instantiate_rejects_scalar_beside_its_tuple():
+    # 0 and (0,) are the same parameter once the engine wraps the scalar
+    with pytest.raises(ValueError, match="duplicates"):
+        build_decomposition(_x_lt_y()).instantiate([0, (0,)])
+    with pytest.raises(ValueError, match="duplicates"):
+        build_decomposition(_x_lt_y()).instantiate([(F(1),), F(1)])
+
+
 def test_boolean_lift_disjunction():
     base = semilinear_family(
         [f_atom([1, -1], 0, "<"), f_atom([1, -1], 0, "=")], 1, 1

@@ -7,7 +7,6 @@ from distalcells.families import (
     CongAtom,
     census_probes_1d,
     congruence_family,
-    grid_probes,
     laff_family,
     macintyre_family,
     semilinear_family,
@@ -18,6 +17,12 @@ from distalcells.families import (
 )
 from distalcells.linear import AffineMap, f_atom
 from distalcells.rng import SplitMix64
+
+
+def _grid(lo, hi, steps: int) -> list:
+    """The (steps+1)^2 rational grid over [lo, hi]^2."""
+    axis = [F(lo) + F(hi - lo, steps) * i for i in range(steps + 1)]
+    return [(u, v) for u in axis for v in axis]
 
 
 def _x_lt_y():
@@ -74,7 +79,7 @@ def test_census_probe_grid():
         [f_atom([1, 0, -1, 0], 0, "<"), f_atom([0, 1, 0, -1], 0, "<")], 2, 2
     )
     B = [(F(0), F(0)), (F(1), F(1))]
-    probes = grid_probes(-1, 2, 4, 2)
+    probes = _grid(-1, 2, 4)
     assert type_census_probe(fam, B, probes).count == 9
 
 

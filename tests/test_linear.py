@@ -13,7 +13,7 @@ from distalcells.linear import (
     _subst_affine,
     components_1d,
     conj_satisfiable,
-    crosses,
+    decode,
     dnf_simplify,
     eliminate_exists,
     eval_formula,
@@ -23,8 +23,8 @@ from distalcells.linear import (
     f_not,
     f_or,
     iv_intersect,
-    iv_subset,
     merge_adjacent,
+    position,
 )
 
 
@@ -97,18 +97,28 @@ def test_interval_algebra():
     b = Iv(F(1), True, None, True)    # (1, inf)
     c = iv_intersect(a, b)
     assert c == Iv(F(1), True, F(2), True)
-    assert iv_subset(c, a) and iv_subset(c, b)
-    assert not iv_subset(a, b)
     assert merge_adjacent([Iv(F(0), True, F(1), True), Iv.point(F(1))]) == [
         Iv(F(0), True, F(1), False)
     ]
+    # over the cuts 0 < 1 < 2 the three are position ranges, and inclusion
+    # is range inclusion
+    cuts = [F(0), F(1), F(2)]
+    ra, rb, rc = (1, 4), (4, 6), (4, 4)
+    assert [decode(cuts, r) for r in (ra, rb, rc)] == [a, b, c]
+
+    def inside(r, s):
+        return s[0] <= r[0] and r[1] <= s[1]
+
+    assert inside(rc, ra) and inside(rc, rb)
+    assert not inside(ra, rb)
 
 
-def test_crosses():
-    comps = [Iv(None, True, F(0), True)]  # (-inf, 0)
-    assert crosses(comps, Iv(F(-1), False, F(1), False))
-    assert not crosses(comps, Iv(F(-3), False, F(-2), False))
-    assert not crosses(comps, Iv(F(1), False, F(2), False))
+def test_position():
+    cuts = [F(-1), F(0), F(2)]
+    assert [position(cuts, F(v)) for v in (-1, 0, 2)] == [1, 3, 5]
+    assert [position(cuts, v) for v in (F(-5), F(-1, 2), F(1), F(7))] == [0, 2, 4, 6]
+    assert position([], F(3)) == 0
+    assert decode(cuts, (0, 6)) == Iv.full() and decode(cuts, (3, 3)) == Iv.point(F(0))
 
 
 def _rand_formula(draw, nvars: int, depth: int):

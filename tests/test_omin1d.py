@@ -1,4 +1,6 @@
+from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +11,14 @@ from distalcells.families import (
     semilinear_family,
     type_census_1d,
 )
-from distalcells.linear import Iv, f_and, f_atom, f_or
+from distalcells.linear import Iv, decode, f_and, f_atom, f_or
 from distalcells.omin1d import (
-    EMPTY,
-    FULL,
-    Cut,
+    ComponentTable,
+    DownwardSet,
+    _crossed,
+    _span,
     build_decomposition,
     chain_atoms,
-    cut_key,
     downward_family,
 )
 from distalcells.rng import SplitMix64
@@ -52,33 +54,36 @@ def test_convex_components_empty():
     assert fam.components(0, F(0)) == []
 
 
+def _table(fam, bs):
+    return ComponentTable(fam, [(F(b),) for b in bs])
+
+
 def test_downward_family_x_lt_y():
-    fam = _x_lt_y()
-    sets = downward_family(fam, [F(0), F(2)])
-    extents = {cut_key(d.extent) for d in sets}
-    # phi^1_< is empty over a dense order; phi^1_<= gives (-inf, b)
-    assert extents == {cut_key(EMPTY), cut_key(Cut(F(0), False)), cut_key(Cut(F(2), False))}
+    table = _table(_x_lt_y(), [0, 2])
+    assert table.cuts == [F(0), F(2)]
+    # phi^0_< is empty over a dense order; phi^0_<= gives (-inf, b), the
+    # positions below b's position 1 or 3
+    assert {d.threshold for d in downward_family(table)} == {0, 1, 3}
 
 
 def test_downward_family_empty_B():
-    assert downward_family(_x_lt_y(), []) == []
+    assert downward_family(_table(_x_lt_y(), [])) == []
 
 
 def test_downward_family_upward_set():
-    # y < x: component (b, inf); closure_leq = full, closure_lt = (-inf, b]
-    sets = downward_family(_y_lt_x(), [F(0)])
-    extents = sorted(cut_key(d.extent) for d in sets)
-    assert extents == [cut_key(Cut(F(0), True)), cut_key(FULL)]
+    # y < x: component (b, inf); closure_leq = full (below 2k + 1 = 3),
+    # closure_lt = (-inf, b] (below 2, the gap above b)
+    sets = downward_family(_table(_y_lt_x(), [0]))
+    assert [d.threshold for d in sets] == [2, 3]
 
 
 def test_chain_atoms_three_cuts():
-    from distalcells.omin1d import DownwardSet
-
-    sets = [
-        DownwardSet(0, 0, "<=", i, Cut(F(v), False)) for i, v in enumerate((1, 3, 5))
-    ]
-    atoms = [iv for iv, _, _ in chain_atoms(sets)]
-    assert atoms == [
+    cuts = [F(1), F(3), F(5)]
+    # (-inf, 1), (-inf, 3) and (-inf, 5): the positions below 1, 3 and 5
+    sets = [DownwardSet(0, 0, "<=", i, 2 * i + 1) for i in range(3)]
+    atoms = [ext for ext, _, _ in chain_atoms(sets, 2 * len(cuts) + 1)]
+    assert atoms == [(0, 0), (1, 2), (3, 4), (5, 6)]
+    assert [decode(cuts, ext) for ext in atoms] == [
         Iv(None, True, F(1), True),
         Iv(F(1), False, F(3), True),
         Iv(F(3), False, F(5), True),
@@ -87,7 +92,26 @@ def test_chain_atoms_three_cuts():
 
 
 def test_chain_atoms_empty_family():
-    assert [iv for iv, _, _ in chain_atoms([])] == [Iv.full()]
+    assert chain_atoms([], 1) == [((0, 0), None, None)]
+    assert decode([], (0, 0)) == Iv.full()
+
+
+def test_crosses():
+    cuts = [F(v) for v in (-3, -2, -1, 0, 1, 2)]  # at positions 1, 3, ..., 11
+
+    def crossed(comps, lo, hi):
+        return _crossed([_span(cuts, c) for c in comps], lo, hi)
+
+    below_0 = [Iv(None, True, F(0), True)]
+    assert crossed(below_0, 5, 9)  # [-1, 1]
+    assert not crossed(below_0, 1, 3)  # [-3, -2]
+    assert not crossed(below_0, 9, 11)  # [1, 2]
+    # 1/2 splits the gap (0, 1) at position 8, so any range holding it is crossed
+    below_half = [Iv(None, True, F(1, 2), False)]
+    above_half = [Iv(F(1, 2), True, None, True)]
+    assert crossed(below_half, 8, 8) and crossed(above_half, 8, 8)
+    assert crossed([Iv.point(F(1, 2))], 7, 9)
+    assert not crossed(below_half, 9, 9) and not crossed(below_half, 0, 7)
 
 
 def test_instantiate_x_lt_y():
@@ -157,11 +181,10 @@ def test_exclusion_soundness_definition():
     B = [F(0), F(2), F(5)]
     for c in decomp.instantiate(B):
         assert not any(c.excluded((b,)) for b in B)
-    # and a cell that would be crossed is excluded: (-inf, 2) is crossed at b=0
-    crossed = Iv(None, True, F(2), True)
-    from distalcells.linear import crosses
-
-    assert crosses(fam.components(0, F(0)), crossed)
+    # and a cell that would be crossed is excluded: (-inf, 2), a cell over
+    # {2}, is crossed at b = 0
+    below_2 = [c for c in decomp.instantiate([F(2)]) if c.interval == Iv(None, True, F(2), True)]
+    assert len(below_2) == 1 and below_2[0].excluded((F(0),))
 
 
 def _random_interval_pred(rng: SplitMix64):
@@ -238,3 +261,277 @@ def test_interval_family_from_explicit_components():
     decomp = build_decomposition(fam)
     rep = verify(decomp, fam, [F(0), F(3)])
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: the chain of downward closures as exact rational cuts,
+# and crossing decided by interval intersection and inclusion, with no rank
+# positions anywhere.
+# ---------------------------------------------------------------------------
+
+EMPTY = ("empty",)
+FULL = ("full",)
+
+
+@dataclass(frozen=True)
+class Cut:
+    value: F
+    closed: bool  # (-inf, value] when closed, (-inf, value) otherwise
+
+
+class _RefSet(NamedTuple):
+    pred: int
+    comp: int
+    flavor: str
+    param_index: int
+    extent: object  # EMPTY, FULL or a Cut
+
+
+def cut_key(extent) -> tuple:
+    if extent == EMPTY:
+        return (0,)
+    if extent == FULL:
+        return (2,)
+    return (1, extent.value, extent.closed)
+
+
+def _closure_leq(comp):
+    # exists x0 in comp with x <= x0
+    if comp is None:
+        return EMPTY
+    if comp.hi is None:
+        return FULL
+    return Cut(comp.hi, closed=not comp.hi_open)
+
+
+def _closure_lt(comp):
+    # x below every point of comp
+    if comp is None:
+        return FULL
+    if comp.lo is None:
+        return EMPTY
+    return Cut(comp.lo, closed=comp.lo_open)
+
+
+def ref_downward_family(fam, B):
+    sets = []
+    for pi in range(len(fam.preds)):
+        for bi, b in enumerate(B):
+            comps = fam.components(pi, b)
+            for ci in range(max(1, len(comps))):
+                comp = comps[ci] if ci < len(comps) else None
+                sets.append(_RefSet(pi, ci, "<=", bi, _closure_leq(comp)))
+                sets.append(_RefSet(pi, ci, "<", bi, _closure_lt(comp)))
+    sets.sort(key=lambda d: (cut_key(d.extent), d.pred, d.comp, d.flavor, d.param_index))
+    return sets
+
+
+def _atom_between(lo_extent, hi_extent) -> Iv:
+    lo, lo_open = (None, True) if lo_extent == EMPTY else (lo_extent.value, lo_extent.closed)
+    hi, hi_open = (None, True) if hi_extent == FULL else (hi_extent.value, not hi_extent.closed)
+    return Iv(lo, lo_open, hi, hi_open)
+
+
+def ref_chain_atoms(sets):
+    distinct = []
+    for d in sorted(sets, key=lambda d: cut_key(d.extent)):
+        if not distinct or cut_key(distinct[-1].extent) != cut_key(d.extent):
+            distinct.append(d)
+    atoms = []
+    prev, prev_extent = None, EMPTY
+    for d in distinct:
+        if d.extent == EMPTY:
+            continue
+        iv = _atom_between(prev_extent, d.extent)
+        if not iv.is_empty():
+            atoms.append((iv, prev, d))
+        prev, prev_extent = d, d.extent
+    if prev_extent != FULL:
+        iv = _atom_between(prev_extent, FULL)
+        if not iv.is_empty():
+            atoms.append((iv, prev, None))
+    return atoms
+
+
+def iv_subset(a: Iv, b: Iv) -> bool:
+    """a is inside b, for a nonempty a."""
+    if b.lo is not None:
+        if a.lo is None or a.lo < b.lo or (a.lo == b.lo and b.lo_open and not a.lo_open):
+            return False
+    if b.hi is not None:
+        if a.hi is None or a.hi > b.hi or (a.hi == b.hi and b.hi_open and not a.hi_open):
+            return False
+    return True
+
+
+def _meets(a: Iv, b: Iv) -> bool:
+    if a.lo is not None and b.hi is not None:
+        if a.lo > b.hi or (a.lo == b.hi and (a.lo_open or b.hi_open)):
+            return False
+    if b.lo is not None and a.hi is not None:
+        if b.lo > a.hi or (b.lo == a.hi and (b.lo_open or a.hi_open)):
+            return False
+    return True
+
+
+def crosses(components, delta: Iv) -> bool:
+    """Some component meets delta and none holds all of it."""
+    if delta.is_empty() or not any(_meets(c, delta) for c in components):
+        return False
+    return not any(iv_subset(delta, c) for c in components)
+
+
+def test_reference_subset_and_crosses():
+    a = Iv(F(0), False, F(2), True)  # [0, 2)
+    b = Iv(F(1), True, None, True)  # (1, inf)
+    c = Iv(F(1), True, F(2), True)  # their intersection
+    assert iv_subset(c, a) and iv_subset(c, b)
+    assert not iv_subset(a, b)
+    comps = [Iv(None, True, F(0), True)]  # (-inf, 0)
+    assert crosses(comps, Iv(F(-1), False, F(1), False))
+    assert not crosses(comps, Iv(F(-3), False, F(-2), False))
+    assert not crosses(comps, Iv(F(1), False, F(2), False))
+
+
+def _ref_cells(fam, B):
+    def label(d):
+        return "-" if d is None else f"phi{d.pred}^{d.comp}_{d.flavor}"
+
+    return [
+        (
+            f"{label(hi)}\\{label(lo)}",
+            tuple(B[d.param_index] for d in (lo, hi) if d is not None),
+            (iv.lo, iv.lo_open, iv.hi, iv.hi_open),
+            iv,
+        )
+        for iv, lo, hi in ref_chain_atoms(ref_downward_family(fam, B))
+    ]
+
+
+def _reference_pred(rng: SplitMix64):
+    """A predicate on x - y: a half-line, a point, its complement (two
+    components), a window, or a window beside a point or a half-line."""
+    a = rng.fraction(8, 3)
+    w = abs(rng.fraction(6, 3)) + F(1, 7)
+    window = f_and(
+        f_atom([1, -1], -a, rng.choice([">", ">="])),
+        f_atom([1, -1], -(a + w), rng.choice(["<", "<="])),
+    )
+    kind = rng.randint(0, 5)
+    if kind == 0:
+        return f_atom([1, -1], -a, rng.choice(["<", "<=", ">", ">="]))
+    if kind == 1:
+        return f_atom([1, -1], -a, "=")
+    if kind == 2:
+        return f_atom([1, -1], -a, "!=")
+    if kind == 3:
+        return window
+    if kind == 4:
+        return f_or(window, f_atom([1, -1], -(a + w + 1), "="))
+    return f_or(window, f_atom([1, -1], -(a + w + 2), ">"))
+
+
+def _reference_interval_family(rng: SplitMix64):
+    """An `interval`-kind family: per predicate a window at b + a, alone, with
+    a point above it, or with a half-line below it."""
+    preds = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.fraction(8, 3)
+        w = abs(rng.fraction(6, 3)) + F(1, 7)
+        opens = (rng.randint(0, 1) == 1, rng.randint(0, 1) == 1)
+        shape = rng.randint(0, 2)
+
+        def comps(b, a=a, w=w, opens=opens, shape=shape):
+            win = Iv(b[0] + a, opens[0], b[0] + a + w, opens[1])
+            if shape == 1:
+                return [win, Iv.point(b[0] + a + w + 1)]
+            if shape == 2:
+                return [Iv(None, True, b[0] + a - 1, opens[0]), win]
+            return [win]
+
+        preds.append((comps, 1 if shape == 0 else 2))
+    return interval_family(preds, param_dim=1)
+
+
+def test_positions_match_fraction_reference():
+    rng = SplitMix64(20261019)
+    on_cut = in_gap = 0
+    verdicts = set()
+    for n in range(220):
+        if n % 5 == 4:
+            fam = _reference_interval_family(rng)
+        else:
+            fam = semilinear_family(
+                [_reference_pred(rng) for _ in range(rng.randint(1, 3))], 1, 1
+            )
+        B, nb = [], rng.randint(1, 6)
+        while len(B) < nb:
+            b = (rng.fraction(12, 4),)
+            if b not in B:
+                B.append(b)
+        cells = build_decomposition(fam).instantiate(B)
+        ref = _ref_cells(fam, B)
+        assert [(c.template, c.params, c.extent_key, c.interval) for c in cells] == ref
+
+        comps_at = {b: [fam.components(pi, b) for pi in range(len(fam.preds))] for b in B}
+        ends = sorted({
+            e for b in B for cs in comps_at[b] for c in cs for e in (c.lo, c.hi)
+            if e is not None
+        })
+        offsets = sorted({
+            e - b[0] for b in B for cs in comps_at[b] for c in cs for e in (c.lo, c.hi)
+            if e is not None
+        })
+        # outside B: parameters that put an endpoint on a cut, strictly inside
+        # a gap, and beyond either end, then any other parameters up to five
+        gaps = [ends[0] - 1] + [(u + v) / 2 for u, v in zip(ends, ends[1:])] + [ends[-1] + 1]
+        outside = []
+        for pool in (ends, gaps, ends, gaps, ends, gaps):
+            b = (rng.choice(pool) - rng.choice(offsets),)
+            if b not in B and b not in outside:
+                outside.append(b)
+        while len(outside) < 5:
+            b = (rng.fraction(40, 7),)
+            if b not in B and b not in outside:
+                outside.append(b)
+        for b in outside:
+            comps_at[b] = [fam.components(pi, b) for pi in range(len(fam.preds))]
+            at = [e for cs in comps_at[b] for c in cs for e in (c.lo, c.hi) if e is not None]
+            on_cut += any(e in ends for e in at)
+            in_gap += any(e not in ends for e in at)
+
+        for b in B + outside:
+            for cell, (_, _, _, iv) in zip(cells, ref):
+                want = any(crosses(cs, iv) for cs in comps_at[b])
+                assert cell.excluded(b) == want, (n, cell.template, b)
+                verdicts.add((b in B, want))
+    assert on_cut >= 100 and in_gap >= 100, (on_cut, in_gap)
+    assert verdicts == {(True, False), (False, False), (False, True)}
+
+
+_HALVES = st.integers(-8, 8).map(lambda n: F(n, 2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    cuts=st.lists(st.integers(-3, 3), unique=True).map(lambda vs: sorted(F(v) for v in vs)),
+    ends=st.lists(_HALVES, max_size=4, unique=True).map(sorted),
+    opens=st.lists(st.booleans(), min_size=4, max_size=4),
+    unbounded=st.tuples(st.booleans(), st.booleans()),
+    ext=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+)
+def test_span_crossing_matches_fraction_crossing(cuts, ends, opens, unbounded, ext):
+    # disjoint components from sorted distinct ends (an odd one out is a
+    # point); the ends fall on the integer cuts, inside gaps and beyond them
+    comps = [
+        Iv(ends[j], opens[j], ends[j + 1], opens[j + 1]) if j + 1 < len(ends)
+        else Iv.point(ends[j])
+        for j in range(0, len(ends), 2)
+    ]
+    if comps and unbounded[0]:
+        comps[0] = Iv(None, True, comps[0].hi, comps[0].hi_open)
+    if comps and unbounded[1]:
+        comps[-1] = Iv(comps[-1].lo, comps[-1].lo_open, None, True)
+    lo, hi = sorted(e % (2 * len(cuts) + 1) for e in ext)
+    spans = [_span(cuts, c) for c in comps]
+    assert _crossed(spans, lo, hi) == crosses(comps, decode(cuts, (lo, hi)))

@@ -7,22 +7,25 @@ from distalcells.decomp import verify
 from distalcells.families import laff_family, macintyre_family, type_census_1d
 from distalcells.linear import AffineMap
 from distalcells.padic import (
-    ArrangementError,
-    UltrametricBall,
-    ball_forest,
     coset_transfer_check,
     family_probes,
-    laff_balls,
     laff_dcd_1d,
     macintyre_dcd,
-    special_balls,
-    subinterval_atoms,
     t_val,
     t_val_candidate_centers,
 )
 from distalcells.rng import SplitMix64
 from distalcells.scalars import INF, unit_residue, valuation
-from distalcells.ultrametric import _Scale
+from distalcells.ultrametric import (
+    ArrangementError,
+    UltrametricBall,
+    _Scale,
+    ball_forest,
+    dedupe_balls,
+    laff_balls,
+    special_balls,
+    subinterval_atoms,
+)
 
 ZERO = AffineMap.of([0])
 IDENT = AffineMap.of([1])
@@ -93,9 +96,6 @@ def test_forest_comparability_iff_intersection():
             B3(F(rng.randint(-40, 40), rng.choice([1, 1, 3, 9])), rng.randint(-2, 3))
             for _ in range(12)
         ]
-        balls = [b for b in balls]
-        from distalcells.padic import dedupe_balls
-
         balls = dedupe_balls(balls)
         for i, a in enumerate(balls):
             for b in balls[i + 1:]:
