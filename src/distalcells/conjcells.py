@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator
-from .families import ParamFamily, as_param
+from .decomp import CellInstance, Decomposition, interval_locator, param_index
+from .families import ParamFamily, as_point
 from .linear import Iv, decode, position
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def check_conjunction_property(family: ParamFamily, B: Sequence) -> ConjCheck:
     single instance (extremal g for inequalities, any representative for
     equalities and congruences) or is unrealizable; returns the witness or an
     unrealizability certificate per predicate."""
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     if not B:
         raise ValueError("nonempty B required")
     witnesses: dict = {}
@@ -264,7 +264,7 @@ def conj_decomposition(family: ParamFamily, B: Sequence) -> list[CellInstance]:
     instance per predicate that are nonempty and not crossed by any phi(.; b),
     deduplicated by extent.  Cells biject with the realized types."""
     check_negation_closed(family)
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     if family.kind == "vector-linear":
         return _conj_cells_vl(family, B)
     if family.kind == "congruence":
@@ -336,7 +336,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
         axes.append(_Axis(d, dpreds, cuts, at_b))
 
     # cartesian product over independent directions
-    b_index = {b: j for j, b in enumerate(B)}
+    index = param_index(B)
     combos: list[tuple[list, tuple]] = [([], ())]
     for dpieces in per_dir:
         combos = [
@@ -345,7 +345,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
             for ext, ch in dpieces
         ]
     return [
-        _make_vl_cell(family, axes, exts, chosen, threshold, b_index)
+        _make_vl_cell(family, axes, exts, chosen, threshold, index)
         for exts, chosen in combos
     ]
 
@@ -392,7 +392,7 @@ def _pos_crossed(ext: tuple[int, int], rel: str, q: int) -> bool:
     return lo <= q <= hi and lo < hi
 
 
-def _make_vl_cell(family, axes, exts, chosen, threshold, b_index) -> CellInstance:
+def _make_vl_cell(family, axes, exts, chosen, threshold, index) -> CellInstance:
     ivs = [decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
     if family.point_dim == 1:
         iv = ivs[0] if ivs else Iv.full()
@@ -409,8 +409,7 @@ def _make_vl_cell(family, axes, exts, chosen, threshold, b_index) -> CellInstanc
             )
 
     def excluded(b) -> bool:
-        b = as_param(b, family.param_dim)
-        j = b_index.get(b)
+        j = index(b)
         for ax, ext in zip(axes, exts):
             for dp in ax.dpreds:
                 if j is not None:
@@ -493,7 +492,6 @@ def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
         return z.member(a[0])
 
     def excluded(b) -> bool:
-        b = as_param(b, family.param_dim)
         for p in family.preds:
             t = _z_truth_set(p, b, K)
             if t is not None and _crosses(z, t):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .families import ParamFamily, as_param, as_point, census_probes_1d, fast_truth_masks
+from .families import ParamFamily, as_point, census_probes_1d, fast_truth_masks
 from .linear import Iv, _lo_key
 from .rng import SplitMix64
 
@@ -31,7 +31,11 @@ class CellInstance:
     - template: the template's name; verify's crossing witness, induction.
     - params: the parameters from B that define the cell; induction.
     - member: point membership; verify, induction.
-    - excluded: the I(Delta) test for one parameter; verify, the engines.
+    - excluded: the I(Delta) test for one parameter, a tuple of Fractions
+      (`families.as_point`); verify, the engines.  One of B's own tuples
+      reads the instance's rows through `param_index`; any other tuple, a
+      value-equal copy included, takes the engine's exact path (Presburger
+      cells have only that path).
     - extent_key: canonical extent; dedupe_cells.
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
@@ -47,6 +51,18 @@ class CellInstance:
     interval: Optional[Iv] = None
     sample: Optional[Point] = None
     region: object = None
+
+
+def param_index(B: Sequence) -> Callable[[tuple], Optional[int]]:
+    """b -> j when b is B[j] itself, else None.  The lookup goes by id and
+    is confirmed with `is`, so it hashes no Fraction."""
+    by_id = {id(b): j for j, b in enumerate(B)}
+
+    def index(b) -> Optional[int]:
+        j = by_id.get(id(b))
+        return j if j is not None and B[j] is b else None
+
+    return index
 
 
 @dataclass
@@ -85,7 +101,6 @@ class VerificationReport:
     cell_count_deduped: int
     census_lower_bound: int
     probe_count: int
-    exclusion_stride: int  # every stride-th (cell, parameter) pair checked; 1 = all
 
     @property
     def count_ok(self) -> bool:
@@ -105,7 +120,6 @@ class VerificationReport:
             "cell_count_deduped": self.cell_count_deduped,
             "census_lower_bound": self.census_lower_bound,
             "probe_count": self.probe_count,
-            "exclusion_stride": self.exclusion_stride,
             "passed": self.passed,
         }
 
@@ -151,7 +165,7 @@ def verify(
     so coverage and crossing checks are exact; for |x| >= 2 caller probes are
     required.
     """
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     cells = decomp.instantiate(B)
     raw = len(cells)
 
@@ -223,15 +237,14 @@ def verify(
         if not uncrossed:
             break
 
-    # validate the I(Delta) implementation against its definition; on
-    # large instances a deterministic stride subsample keeps this O(5000)
-    pairs = [(ci, b) for ci in nonempty for b in B]
-    stride = max(1, len(pairs) // 5000)
-    for ci, b in pairs[::stride]:
-        if cells[ci].excluded(b):
-            raise AssertionError(
-                f"exclusion violated: emitted cell {cells[ci].template} excluded by {b}"
-            )
+    # validate the I(Delta) implementation against its definition at every
+    # (nonempty cell, parameter) pair
+    for ci in nonempty:
+        for b in B:
+            if cells[ci].excluded(b):
+                raise AssertionError(
+                    f"exclusion violated: emitted cell {cells[ci].template} excluded by {b}"
+                )
 
     census = len({m for m in masks})
     return VerificationReport(
@@ -243,7 +256,6 @@ def verify(
         cell_count_deduped=deduped,
         census_lower_bound=census,
         probe_count=len(pts),
-        exclusion_stride=stride,
     )
 
 

@@ -24,10 +24,11 @@ from .linear import AffineMap, Iv, components_1d, eval_formula, formula_atoms, m
 from .scalars import in_pn, in_qmn, valuation
 
 Point = tuple[Fraction, ...]
-Param = tuple[Fraction, ...]
 
 
 def as_point(v, dim: int) -> Point:
+    """v as a tuple of dim Fractions, the normal form of points and
+    parameters; such a tuple comes back as the very same object."""
     if isinstance(v, tuple):
         if len(v) != dim:
             raise ValueError(f"point of dim {len(v)} where {dim} expected")
@@ -37,10 +38,6 @@ def as_point(v, dim: int) -> Point:
     if dim != 1:
         raise ValueError("scalar given for multi-dimensional point")
     return (Fraction(v),)
-
-
-def as_param(v, dim: int) -> Param:
-    return as_point(v, dim)
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class ParamFamily:
 
     def evaluate(self, idx: int, a, b) -> bool:
         a = as_point(a, self.point_dim)
-        b = as_param(b, self.param_dim)
+        b = as_point(b, self.param_dim)
         pred = self.preds[idx]
         k = self.kind
         if k == "semilinear":
@@ -137,7 +134,7 @@ class ParamFamily:
         """Maximal convex components of pred(M; b); ordered kinds, |x| = 1."""
         if self.point_dim != 1:
             raise ValueError("components are one-dimensional")
-        b = as_param(b, self.param_dim)
+        b = as_point(b, self.param_dim)
         pred = self.preds[idx]
         if self.kind == "interval":
             comps_fn, n_bound = pred
@@ -426,7 +423,7 @@ def _valuation_masks(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
 def type_census_probe(family: ParamFamily, B: Sequence, probes: Sequence) -> TypeCensus:
     """Distinct truth masks over the probe points: a certified lower bound on
     the number of realized Phi-types over B."""
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     seen: dict[int, Point] = {}
     for prb in probes:
         a = as_point(prb, family.point_dim)
@@ -446,7 +443,7 @@ def census_probes_1d(family: ParamFamily, B: Sequence) -> list[Point]:
     """
     if family.point_dim != 1:
         raise ValueError("1-dim probe construction")
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     if family.kind in ("semilinear", "interval", "vector-linear"):
         endpoints: set[Fraction] = set()
         for i in range(len(family.preds)):

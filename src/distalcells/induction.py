@@ -25,8 +25,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import omin1d
-from .decomp import CellInstance, Decomposition
-from .families import ParamFamily, as_param, semilinear_family
+from .decomp import CellInstance, Decomposition, param_index
+from .families import ParamFamily, as_point, semilinear_family
 from .linear import (
     FALSE,
     TRUE,
@@ -253,8 +253,8 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     bases = [induct(df.family, _recursive_cap=3) for df in derived]
 
     def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, e) for b in B]
-        scale = _PointInts()
+        B = [as_point(b, e) for b in B]
+        index, scale = param_index(B), _PointInts()
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
@@ -266,10 +266,9 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 tuples = [(B[0], B[0])]
             for b1, b2 in tuples:
                 B_der = [b1 + b2 + b for b in B]
-                der = _derived_params(b1, b2, B, B_der)
                 fiber = _fiber_test(tpl.formula, d, b1 + b2)
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(family, df, ti, b1, b2, base_cell, B_der, der, fiber, scale)
+                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_der, index, fiber, scale)
                     if cell is not None:
                         cells.append(cell)
         return cells
@@ -286,29 +285,14 @@ def _base_sample(base_cell: CellInstance) -> Optional[tuple]:
     return base_cell.sample
 
 
-def _derived_params(b1, b2, B: list, B_der: list):
-    """b -> b1 + b2 + b, returning the very tuple of B_der for the members of
-    B, so that the base instance finds them in its caches by identity."""
-    by_id = {id(b): (b, bd) for b, bd in zip(B, B_der)}
-
-    def der(b: tuple) -> tuple:
-        hit = by_id.get(id(b))
-        if hit is not None and hit[0] is b:
-            return hit[1]
-        return b1 + b2 + b
-
-    return der
-
-
 def _cyl_cell(
-    family,
     df: DerivedFamily,
     ti: int,
     b1,
     b2,
     base_cell: CellInstance,
     B_der: list,
-    der,
+    index,
     fiber,
     scale,
 ) -> Optional[CellInstance]:
@@ -334,6 +318,12 @@ def _cyl_cell(
 
     if any(excluded_der(b_der) for b_der in B_der):
         return None
+
+    def excluded(b) -> bool:
+        # B[j] itself goes down as the very tuple B_der[j], so the base cell
+        # finds it among its instance's own parameters
+        j = index(b)
+        return excluded_der(B_der[j] if j is not None else b1 + b2 + b)
 
     # membership on points scaled to ints; the base is a chain-engine
     # interval or a cylinder of the level below, whose region is this test
@@ -370,7 +360,7 @@ def _cyl_cell(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         member=lambda a: member_ints(scale(a)),
-        excluded=lambda b: excluded_der(der(as_param(b, family.param_dim))),
+        excluded=excluded,
         extent_key=(ti, b1, b2, base_cell.extent_key),
         sample=sample,
         region=member_ints,
@@ -472,7 +462,7 @@ def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40) -> list[tupl
     coverage and crossing checks."""
     if family.point_dim != 2:
         raise ValueError("plane probes are for |x| = 2")
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     lines: list[tuple[int, int, Fraction]] = []  # a*x1 + b*x2 + c = 0
     vals: list[Fraction] = [Fraction(0)]
     for f in family.preds:

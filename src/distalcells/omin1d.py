@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator
-from .families import ParamFamily, as_param
+from .decomp import CellInstance, Decomposition, interval_locator, param_index
+from .families import ParamFamily, as_point
 from .linear import Iv, decode, position
 
 
@@ -67,21 +67,19 @@ def _crossed(spans: list, lo: int, hi: int) -> bool:
 
 
 class ComponentTable:
-    """The spans of every predicate's components at each parameter, over the
-    positions of the component endpoints at B, computed once per
-    decomposition instance.  Lookups go by the parameter's identity, so a hit
-    hashes no Fraction."""
+    """The spans of every predicate's components, over the positions of the
+    component endpoints at B: `rows[j]` at B[j], computed once per
+    decomposition instance, and `spans(b)` afresh at any parameter b."""
 
     def __init__(self, family: ParamFamily, B: Sequence):
         self.family = family
-        self.B = [as_param(b, family.param_dim) for b in B]
+        self.B = [as_point(b, family.param_dim) for b in B]
         comps = [self._components(b) for b in self.B]
         self.cuts = sorted({
             v for per_b in comps for cs in per_b for c in cs
             for v in (c.lo, c.hi) if v is not None
         })
-        # id(b) -> (b, spans); holds b alive
-        self._by_id = {id(b): (b, self._spans(cs)) for b, cs in zip(self.B, comps)}
+        self.rows = [self._spans(cs) for cs in comps]
 
     def _components(self, b: tuple) -> list[list[Iv]]:
         fam = self.family
@@ -90,11 +88,8 @@ class ComponentTable:
     def _spans(self, comps: list[list[Iv]]) -> list[list[tuple]]:
         return [[_span(self.cuts, c) for c in cs] for cs in comps]
 
-    def __call__(self, b: tuple) -> list[list[tuple]]:
-        hit = self._by_id.get(id(b))
-        if hit is None or hit[0] is not b:
-            hit = self._by_id[id(b)] = (b, self._spans(self._components(b)))
-        return hit[1]
+    def spans(self, b: tuple) -> list[list[tuple]]:
+        return self._spans(self._components(b))
 
 
 def downward_family(table: ComponentTable) -> list[DownwardSet]:
@@ -105,8 +100,8 @@ def downward_family(table: ComponentTable) -> list[DownwardSet]:
     sets: list[DownwardSet] = []
     for pi in range(len(family.preds)):
         bound = family.component_bound(pi)
-        for bi, b in enumerate(table.B):
-            spans = table(b)[pi]
+        for bi, row in enumerate(table.rows):
+            spans = row[pi]
             if len(spans) > bound:
                 raise ValueError(f"predicate {pi} exceeds its component bound")
             # index 0 of an empty predicate still gives phi^0_<= = {} and
@@ -157,10 +152,12 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
 
     def inst(B: list) -> list[CellInstance]:
         table = ComponentTable(family, B)
-        B = table.B
+        B, index = table.B, param_index(table.B)
 
         def excluded(b, lo: int, hi: int) -> bool:
-            return any(_crossed(spans, lo, hi) for spans in table(as_param(b, family.param_dim)))
+            j = index(b)
+            at_b = table.rows[j] if j is not None else table.spans(b)
+            return any(_crossed(spans, lo, hi) for spans in at_b)
 
         cells = []
         for (lo, hi), lo_src, hi_src in chain_atoms(downward_family(table), 2 * len(table.cuts) + 1):

@@ -12,10 +12,10 @@ between the atom's two radii, or (for Macintyre's edge balls at the removal
 level) when its ball swallows the cell.
 
 Each instance runs on the ints of its centres' `_Scale`: the exclusion tests
-read a table of centre distances indexed by the position of a parameter in
-B (a parameter outside B takes the same tests on exact valuations), and the
-membership tests and probes compare a rational a/d with a centre X / D
-through a D - X d, building no Fraction.
+of one of B's own parameters read a table of centre distances indexed by its
+position in B (any other parameter takes the same tests on exact
+valuations), and the membership tests and probes compare a rational a/d
+with a centre X / D through a D - X d, building no Fraction.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .decomp import CellInstance, Decomposition
-from .families import ParamFamily, as_param
+from .decomp import CellInstance, Decomposition, param_index
+from .families import ParamFamily, as_point
 from .scalars import (
     INF,
     Level,
@@ -164,15 +164,14 @@ def _laff_cut(to_t, to_reps, among, a_l, a_u) -> bool:
     return any(a_l < vt < a_u for vt in to_t)
 
 
-def _excluder(family: ParamFamily, B: list):
+def _excluder(B: list):
     """(inside, outside) -> the exclusion test of a parameter b: inside(j)
-    at b = B[j], else outside(b) on exact valuations."""
-    pos, dim = {b: j for j, b in enumerate(B)}, family.param_dim
+    when b is B[j] itself, else outside(b) on exact valuations."""
+    index = param_index(B)
 
     def make(inside, outside):
         def excluded(b) -> bool:
-            b = as_param(b, dim)
-            j = pos.get(b)
+            j = index(b)
             return inside(j) if j is not None else outside(b)
 
         return excluded
@@ -187,7 +186,7 @@ def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
     when a centre of B lies in it, and b cuts it when a centre of b does."""
     F, C, p = family.meta["F"], family.meta["C"], family.meta["p"]
     vf = _f_levels(F, B, p)
-    excluded = _excluder(family, B)
+    excluded = _excluder(B)
     scale, xs, everywhere = cen.scale, cen.xs, range(len(cen.xs))
 
     def swallowed(kt: int, r: int, u: int, ks) -> bool:
@@ -234,7 +233,7 @@ def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
     representatives.  Edge cells share the subinterval's test, and their
     members avoid the removed balls."""
     C, p, dist = family.meta["C"], family.meta["p"], cen.dist
-    excluded = _excluder(family, B)
+    excluded = _excluder(B)
 
     def atom(kt: int, sub: Subinterval):
         a_l, a_u, t = sub.alpha_l, sub.alpha_u, cen.fracs[kt]
@@ -312,7 +311,7 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
     mod = p ** (w + 1)
 
     def inst(B: list) -> list[CellInstance]:
-        B = [as_param(b, dim) for b in B]
+        B = [as_point(b, dim) for b in B]
         cen = _Centres(C, B, p)
         balls, atom_rule = kind.tests(family, cen, B)
         forest, tagged = arrangement(balls)
@@ -431,7 +430,7 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
     family's precision), exhausting every realized type: the predicates in
     scope depend only on the atom, the displacement level relative to the
     boundary windows, and a unit residue at bounded precision."""
-    B = [as_param(b, family.param_dim) for b in B]
+    B = [as_point(b, family.param_dim) for b in B]
     kind = _kind(family)
     if not B:
         return [(Fraction(0),), (Fraction(1),)]

@@ -117,3 +117,31 @@ def test_every_definition_has_a_program_caller():
     ]
     assert not orphans, f"definitions with no caller in src/ or bench/: {orphans}"
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _pure_aliases(path: Path):
+    """The top-level defs of a module whose body, after the docstring, is
+    only `return g(<their own parameters, in order>)`."""
+    for stmt in ast.parse(path.read_text()).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+        args = stmt.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) \
+                or args.vararg or args.kwonlyargs or args.kwarg:
+            continue
+        call = body[0].value
+        if isinstance(call, ast.Call) and not call.keywords \
+                and [getattr(a, "id", None) for a in call.args] == params:
+            yield stmt.name
+
+
+def test_no_pure_aliases():
+    # a second name for a function is one more name for every reader to learn
+    aliases = [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _pure_aliases(path)
+    ]
+    assert not aliases, f"definitions that only forward to another function: {aliases}"

@@ -6,6 +6,7 @@ import pytest
 from distalcells import conjcells, padic
 from distalcells.decomp import (
     fit_loglog_slope,
+    param_index,
     shatter_estimate,
     verify,
     Decomposition,
@@ -21,6 +22,7 @@ from distalcells.families import (
     vl_trichotomy,
 )
 from distalcells.linear import AffineMap, f_atom, f_not, f_or
+from distalcells.induction import induct
 from distalcells.omin1d import build_decomposition
 from distalcells.rng import SplitMix64
 
@@ -155,11 +157,103 @@ def test_verify_locator_matches_scan():
             assert verify(decomp, fam, B).to_dict() == verify(scan, fam, B).to_dict(), (label, B)
 
 
-def test_verify_reports_exclusion_stride():
+def test_verify_checks_every_pair():
     fam = _x_lt_y()
     decomp = build_decomposition(fam)
-    assert verify(decomp, fam, [F(0), F(2)]).exclusion_stride == 1
+    assert verify(decomp, fam, [F(0), F(2)]).passed
     # |B| + 1 nonempty cells times |B| parameters: 121 * 120 = 14520 pairs
-    rep = verify(decomp, fam, [F(k, 3) for k in range(120)])
-    assert rep.passed
-    assert rep.to_dict()["exclusion_stride"] == 2
+    B = [(F(k, 3),) for k in range(120)]
+    assert verify(decomp, fam, B).passed
+
+    # the cell (-inf, 0) wrongly excluded by B[1] alone: as the k-th nonempty
+    # cell its pair index is k * 120 + 1, odd, so a check of every second
+    # pair would miss it
+    def inst(B):
+        cells = decomp.instantiate_fn(B)
+        wrong = cells[0].excluded
+        cells[0] = dataclasses.replace(cells[0], excluded=lambda b: b == B[1] or wrong(b))
+        return cells
+
+    broken = Decomposition("omin1d-broken", inst, decomp.locator_fn)
+    with pytest.raises(AssertionError, match="exclusion violated"):
+        verify(broken, fam, B)
+
+
+def test_param_index_goes_by_identity():
+    B = [(F(1, 2),), (F(3),), (F(-1), F(2))]
+    index = param_index(B)
+    assert [index(b) for b in B] == [0, 1, 2]
+    assert index(tuple(F(v) for v in B[1])) is None
+    assert index((F(7),)) is None
+
+
+def _omin1d_family():
+    return semilinear_family(
+        [
+            f_atom([1, -1], 0, "<"),
+            f_or(f_atom([1, -2], 1, "="), f_atom([1, -1], -1, ">")),
+        ],
+        1, 1,
+    )
+
+
+def _two_path_cases():
+    """label -> (decomposition, draw) for every engine, where draw(rng) is a
+    parameter set."""
+    def draw(dim, size, num, den):
+        def params(rng):
+            out = set()
+            while len(out) < size:
+                out.add(tuple(rng.fraction(num, den) for _ in range(dim)))
+            return sorted(out)
+
+        return params
+
+    vl2 = vector_linear_family(
+        vl_trichotomy(AffineMap.of([1, 0]), AffineMap.of([-1, 0]))
+        + vl_trichotomy(AffineMap.of([1, 1], 1), AffineMap.of([0, 2])),
+        2, 2,
+    )
+    # 2x against y, and 3 | (x - y + c) for every residue c
+    pres = congruence_family(
+        [CongAtom(AffineMap.of([2]), AffineMap.of([1]), r) for r in ("<", "=", ">")]
+        + [CongAtom(AffineMap.of([1]), AffineMap.of([-1], c), "mod") for c in range(3)],
+        K=3, point_dim=1, param_dim=1,
+    )
+    mac = macintyre_family(
+        [AffineMap.of([0]), AffineMap.of([1], 1)],
+        [AffineMap.of([1]), AffineMap.of([3], F(1, 3))],
+        [1, 2], n=2, p=3, param_dim=1,
+    )
+    plane = semilinear_family(
+        [f_atom([1, 0, -1, 0], 0, "<"), f_atom([1, 1, 0, -1], 0, "=")], 2, 2
+    )
+    one_d = {label: decomp for label, _, decomp in _engines()}
+    return {
+        "omin1d": (build_decomposition(_omin1d_family()), draw(1, 6, 12, 4)),
+        "vector-linear-1": (one_d["vector-linear"], draw(1, 6, 12, 4)),
+        "vector-linear-2": (conjcells.build_decomposition(vl2), draw(2, 4, 6, 2)),
+        "presburger": (conjcells.build_decomposition(pres), draw(1, 6, 12, 1)),
+        "macintyre": (padic.macintyre_dcd(mac), draw(1, 5, 27, 9)),
+        "laff": (one_d["laff"], draw(1, 5, 27, 9)),
+        "induction-2d": (induct(plane), draw(2, 2, 4, 2)),
+    }
+
+
+@pytest.mark.parametrize("label", [
+    "omin1d", "vector-linear-1", "vector-linear-2", "presburger", "macintyre", "laff",
+    "induction-2d",
+])
+def test_exclusion_paths_agree_on_B(label):
+    # B's own tuples read the instance's rows; a value-equal copy misses the
+    # identity index and takes the exact path, and neither may exclude an
+    # emitted cell
+    decomp, draw = _two_path_cases()[label]
+    rng = SplitMix64(31337)
+    for _ in range(6 if label == "induction-2d" else 12):
+        B = draw(rng)
+        for cell in decomp.instantiate(B):
+            for b in B:
+                assert cell.excluded(b) is False, (label, cell.template, b)
+                copy = tuple(F(v) for v in b)
+                assert cell.excluded(copy) is False, (label, cell.template, b)
