@@ -163,7 +163,9 @@ def verify(
 
     For |x| = 1 `census_probes_1d` supplies all exact atom representatives,
     so coverage and crossing checks are exact; for |x| >= 2 caller probes are
-    required.
+    required.  Every probe's truth mask comes from one `fast_truth_masks`
+    call over the sorted, deduplicated probes, for every family kind and
+    dimension; the census is the number of distinct masks.
     """
     B = [as_point(b, family.param_dim) for b in B]
     cells = decomp.instantiate(B)
@@ -212,8 +214,6 @@ def verify(
             deduped += 1
 
     masks = fast_truth_masks(family, B, pts)
-    if masks is None:
-        masks = [family.truth_mask(a, B) for a in pts]
 
     uncrossed = True
     witness = None

@@ -15,12 +15,15 @@ Families are immutable after construction and all evaluation is exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .linear import AffineMap, Iv, components_1d, eval_formula, formula_atoms, merge_adjacent
+from .linear import (
+    AffineMap, Iv, _mask_of, _to_ints, components_1d, eval_formula, formula_atoms, merge_adjacent,
+)
 from .scalars import in_pn, in_qmn, valuation
 
 Point = tuple[Fraction, ...]
@@ -131,7 +134,8 @@ class ParamFamily:
     # -- 1-dim component view (ordered kinds) ---------------------------
 
     def components(self, idx: int, b) -> list[Iv]:
-        """Maximal convex components of pred(M; b); ordered kinds, |x| = 1."""
+        """Maximal convex components of pred(M; b); semilinear and interval
+        kinds, |x| = 1."""
         if self.point_dim != 1:
             raise ValueError("components are one-dimensional")
         b = as_point(b, self.param_dim)
@@ -146,29 +150,11 @@ class ParamFamily:
             return comps
         if self.kind == "semilinear":
             return components_1d(pred, 0, [Fraction(0)] + list(b))
-        if self.kind == "vector-linear":
-            a = pred  # VLAtom
-            coeff = a.f.coeffs[0]
-            rhs = -(a.g(b) + a.f.const)
-            if coeff == 0:
-                val = Fraction(0)
-                ok = val < rhs if a.rel == "<" else (val == rhs if a.rel == "=" else val > rhs)
-                return [Iv.full()] if ok else []
-            cut = rhs / coeff
-            flip = coeff < 0
-            rel = a.rel if not flip else {"<": ">", ">": "<", "=": "="}[a.rel]
-            if rel == "=":
-                return [Iv.point(cut)]
-            if rel == "<":
-                return [Iv(None, True, cut, True)]
-            return [Iv(cut, True, None, True)]
         raise ValueError(f"kind {self.kind!r} has no interval components")
 
     def component_bound(self, idx: int) -> int:
         if self.kind == "interval":
             return self.preds[idx][1] or 1
-        if self.kind == "vector-linear":
-            return 1
         if self.kind == "semilinear":
             f = self.preds[idx]
             if _is_convex_shape(f):
@@ -268,42 +254,153 @@ def laff_family(
 
 @dataclass
 class TypeCensus:
+    """The number of distinct truth masks over a probe set."""
+
     count: int
-    witnesses: list[tuple[Point, int]]  # (point, packed truth mask), distinct masks
 
 
-def fast_truth_masks(family: ParamFamily, B: Sequence, xs: list) -> Optional[list[int]]:
-    """Packed truth masks for every probe of a 1-dim probe list, built per
-    (predicate, parameter) column.  Ordered kinds read the component
-    intervals by bisection (the list must be SORTED); the valuation kinds run
-    on ints scaled once per instance.  Returns None for the other kinds."""
-    from bisect import bisect_left, bisect_right
+def fast_truth_masks(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
+    """Packed truth masks of the probes xs, bit pred_index * len(B) + b_index
+    as in `ParamFamily.truth_mask`, built per (predicate, parameter) column.
 
-    if family.point_dim != 1:
-        return None
+    The valuation kinds run `_valuation_masks`.  The others scale the probes
+    and the parameters once to ints over their common denominators, so a
+    linear atom at b is one int row over x, and its column is an int bit mask
+    of the probes on its side.  At point_dim 1 the probes must be SORTED and
+    the sides are runs found by bisection; at higher dimension they come from
+    one scan.  Formulas, interval components and congruence atoms combine
+    those columns, and one pass turns the columns into per-probe masks."""
     if family.kind in ("valuation-macintyre", "valuation-laff"):
         return _valuation_masks(family, B, xs)
-    if family.kind not in ("semilinear", "interval", "vector-linear"):
-        return None
-    vals = [a[0] for a in xs]
-    masks = [0] * len(xs)
-    bit = 0
-    for i in range(len(family.preds)):
-        for b in B:
-            mask_bit = 1 << bit
-            for iv in family.components(i, b):
-                if iv.lo is None:
-                    lo = 0
+    cols = _linear_columns(family, B, xs)
+    if not cols:
+        return [0] * len(xs)
+    # transpose: column strings have probe 0 last, so zip yields the probes in
+    # reverse, each as its mask's binary digits with the last column first
+    top = 1 << len(xs)
+    probes = zip(*(bin(c | top)[3:] for c in reversed(cols)))
+    return [int("".join(digits), 2) for digits in probes][::-1]
+
+
+def _scaled_row(cx: Sequence, cy: Sequence, k) -> tuple[tuple, int]:
+    """The affine row cx . x + cy . b + k scaled to ints by the lcm L of its
+    denominators: ((cx, cy, k), L)."""
+    ints, L = _to_ints((*cx, *cy, k))
+    return (tuple(ints[:len(cx)]), tuple(ints[len(cx):-1]), ints[-1]), L
+
+
+def _side(rel: str, neg: int, zero: int, full: int) -> int:
+    """The probes where a row REL 0 holds, from those where it is < 0 and = 0."""
+    if rel == "<":
+        return neg
+    if rel == "<=":
+        return neg | zero
+    if rel == "=":
+        return zero
+    if rel == "!=":
+        return full ^ zero
+    if rel == ">=":
+        return full ^ neg
+    return full ^ neg ^ zero  # ">"
+
+
+def _linear_columns(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
+    """Every (predicate, parameter) column, in bit order, of the kinds whose
+    atoms are linear in x: a probe is x = X / D and a parameter b = Y / E,
+    so a row (cx, cy, k) times D * E is E * cx . X - t with t = -D * (E * k
+    + cy . Y), an int comparison per probe."""
+    d, e, n = family.point_dim, family.param_dim, len(xs)
+    full = (1 << n) - 1
+    flat, D = _to_ints([v for a in xs for v in a])
+    X = [flat[i * d:(i + 1) * d] for i in range(n)]
+    flat_b, E = _to_ints([v for b in B for v in b])
+    Y = [flat_b[j * e:(j + 1) * e] for j in range(len(B))]
+    dots: dict = {}  # cx -> E * cx . X for every probe
+
+    def threshold(cy: tuple, k: int, j: int) -> int:
+        return -D * (E * k + sum(c * y for c, y in zip(cy, Y[j])))
+
+    def projections(cx: tuple) -> list[int]:
+        P = dots.get(cx)
+        if P is None:
+            P = dots[cx] = [E * sum(c * v for c, v in zip(cx, x)) for x in X]
+        return P
+
+    def signs(row: tuple, j: int) -> tuple[int, int]:
+        """The probes where row at B[j] is < 0, and where it is = 0."""
+        cx, cy, k = row
+        t = threshold(cy, k, j)
+        if d == 1 and cx and cx[0]:  # runs below, on and above t / C in the sorted X
+            C = E * cx[0]
+            if C < 0:
+                C, t = -C, -t
+            lo, hi = bisect_left(flat, -(-t // C)), bisect_right(flat, t // C)
+            below = (1 << lo) - 1
+            zero = (1 << hi) - 1 - below
+            return (full ^ below ^ zero if cx[0] < 0 else below), zero
+        neg = zero = 0
+        bit = 1
+        for p in projections(cx):
+            if p < t:
+                neg |= bit
+            elif p == t:
+                zero |= bit
+            bit <<= 1
+        return neg, zero
+
+    def residues(row: tuple, L: int, j: int) -> int:
+        """The probes where L * row at B[j] is an integer multiple of K."""
+        cx, cy, k = row
+        t = threshold(cy, k, j)
+        N = L * D * E
+        NK = N * family.meta["K"]
+        col = 0
+        bit = 1
+        for p in projections(cx):
+            if (p - t) % N:
+                raise ValueError("congruence atoms need integer values")
+            if not (p - t) % NK:
+                col |= bit
+            bit <<= 1
+        return col
+
+    cols = []
+    kind = family.kind
+    for pred in family.preds:
+        if kind == "semilinear":
+            rows = {
+                id(a): (_scaled_row(a.coeffs[:d], a.coeffs[d:], a.const)[0], a.rel)
+                for a in formula_atoms(pred)
+            }
+            for j in range(len(B)):
+                at = {aid: _side(rel, *signs(row, j), full) for aid, (row, rel) in rows.items()}
+                cols.append(_mask_of(pred, at, full))
+        elif kind == "interval":
+            # a component is the AND of the half-lines x - lo > 0 and x - hi < 0
+            for j, b in enumerate(B):
+                col = 0
+                for iv in pred[0](b):
+                    part = full
+                    for v, rel in ((iv.lo, ">" if iv.lo_open else ">="),
+                                   (iv.hi, "<" if iv.hi_open else "<=")):
+                        if v is not None:
+                            part &= _side(rel, *signs(_scaled_row((1,), (), -v)[0], j), full)
+                    col |= part
+                cols.append(col)
+        elif kind in ("vector-linear", "congruence"):
+            f, g = pred.f, pred.g
+            if kind == "vector-linear" or pred.rel == "mod":  # f(x) + g(b)
+                row, L = _scaled_row(f.coeffs, g.coeffs, f.const + g.const)
+            else:  # f(x) - g(b)
+                row, L = _scaled_row(f.coeffs, [-c for c in g.coeffs], f.const - g.const)
+            for j in range(len(B)):
+                if pred.rel == "mod":
+                    cols.append(residues(row, L, j))
                 else:
-                    lo = bisect_right(vals, iv.lo) if iv.lo_open else bisect_left(vals, iv.lo)
-                if iv.hi is None:
-                    hi = len(vals)
-                else:
-                    hi = bisect_left(vals, iv.hi) if iv.hi_open else bisect_right(vals, iv.hi)
-                for k in range(lo, hi):
-                    masks[k] |= mask_bit
-            bit += 1
-    return masks
+                    cols.append(_side(pred.rel, *signs(row, j), full))
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    return cols
 
 
 # The valuation census keeps its own integer helpers: it checks the p-adic
@@ -421,16 +518,12 @@ def _valuation_masks(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
 
 
 def type_census_probe(family: ParamFamily, B: Sequence, probes: Sequence) -> TypeCensus:
-    """Distinct truth masks over the probe points: a certified lower bound on
-    the number of realized Phi-types over B."""
+    """The distinct `fast_truth_masks` over the sorted, deduplicated probe
+    points: a certified lower bound on the number of realized Phi-types
+    over B."""
     B = [as_point(b, family.param_dim) for b in B]
-    seen: dict[int, Point] = {}
-    for prb in probes:
-        a = as_point(prb, family.point_dim)
-        mask = family.truth_mask(a, B)
-        if mask not in seen:
-            seen[mask] = a
-    return TypeCensus(len(seen), [(pt, m) for m, pt in seen.items()])
+    pts = sorted({as_point(a, family.point_dim) for a in probes})
+    return TypeCensus(len(set(fast_truth_masks(family, B, pts))))
 
 
 def census_probes_1d(family: ParamFamily, B: Sequence) -> list[Point]:
@@ -446,13 +539,16 @@ def census_probes_1d(family: ParamFamily, B: Sequence) -> list[Point]:
     B = [as_point(b, family.param_dim) for b in B]
     if family.kind in ("semilinear", "interval", "vector-linear"):
         endpoints: set[Fraction] = set()
-        for i in range(len(family.preds)):
+        for i, pred in enumerate(family.preds):
             for b in B:
+                if family.kind == "vector-linear":
+                    # the one root of f(x) + g(b), where the atom changes
+                    c = pred.f.coeffs[0]
+                    if c:
+                        endpoints.add(-(pred.g(b) + pred.f.const) / c)
+                    continue
                 for iv in family.components(i, b):
-                    if iv.lo is not None:
-                        endpoints.add(iv.lo)
-                    if iv.hi is not None:
-                        endpoints.add(iv.hi)
+                    endpoints.update(v for v in (iv.lo, iv.hi) if v is not None)
         return [(v,) for v in _endpoint_sweep(sorted(endpoints))]
     if family.kind == "congruence":
         K = family.meta["K"]

@@ -83,9 +83,6 @@ class Atom:
                 den *= d
         return num, den
 
-    def value(self, assignment: Sequence[Fraction]) -> Fraction:
-        return Fraction(*self._ratio(assignment))
-
     def eval(self, assignment: Sequence[Fraction]) -> bool:
         # den > 0, so the numerator carries the sign
         return _cmp(self._ratio(assignment)[0], self.rel)

@@ -145,3 +145,31 @@ def test_no_pure_aliases():
         for name in _pure_aliases(path)
     ]
     assert not aliases, f"definitions that only forward to another function: {aliases}"
+
+
+def _tracer_targets():
+    """(owner, attribute) of every entry of `bench/tracer.py`'s TIMED and
+    COUNTED tables, read with ast so that nothing from bench is imported;
+    the owner is a dotted path below `distalcells`, e.g. "decomp.verify"'s
+    "decomp"."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and \
+                any(getattr(t, "id", None) in ("TIMED", "COUNTED") for t in stmt.targets):
+            for entry in stmt.value.elts:
+                yield stmt.targets[0].id, ast.unparse(entry.elts[0]), entry.elts[1].value
+
+
+def test_tracer_names_resolve():
+    # the tracer wraps program functions by name, so a rename breaks only a
+    # traced benchmark run; check its tables here
+    import importlib
+
+    targets = list(_tracer_targets())
+    assert {table for table, _, _ in targets} == {"TIMED", "COUNTED"}
+    for _, owner_path, attr in targets:
+        module, *rest = owner_path.split(".")
+        owner = importlib.import_module(f"distalcells.{module}")
+        for name in rest:
+            owner = getattr(owner, name)
+        assert attr in owner.__dict__, f"bench/tracer.py wraps {owner_path}.{attr}, which is gone"

@@ -119,7 +119,7 @@ def _engines():
     vl = vector_linear_family(vl_trichotomy(*x_minus_y), 1, 1)
     pres = congruence_family(
         [CongAtom(*x_minus_y, r) for r in ("<", "=", ">")]
-        + [CongAtom(AffineMap.of([1]), AffineMap.of([-1], 0), "mod")],
+        + [CongAtom(AffineMap.of([1]), AffineMap.of([-1], r), "mod") for r in (0, 1)],
         K=2, point_dim=1, param_dim=1,
     )
     mac = macintyre_family(
@@ -144,6 +144,22 @@ def test_verify_empty_B_is_one_full_cell(label):
     rep = verify(decomp, fam, [])
     assert rep.passed
     assert (rep.cell_count_raw, rep.cell_count_deduped, rep.census_lower_bound) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("label", ["omin1d", "vector-linear", "presburger", "macintyre", "laff"])
+def test_verify_passes_on_seeded_B(label):
+    fam, decomp = next((f, d) for name, f, d in _engines() if name == label)
+    rng = SplitMix64(31)
+    for _ in range(4):
+        if label == "presburger":
+            B = sorted({F(rng.randint(-12, 12)) for _ in range(rng.randint(1, 6))})
+        else:
+            B = sorted({rng.fraction(30, 4) for _ in range(rng.randint(1, 6))})
+        rep = verify(decomp, fam, B)
+        assert rep.passed, (B, rep.to_dict())
+        if label in ("vector-linear", "presburger"):
+            # conj-cells are exactly the realized types
+            assert rep.cell_count_deduped == rep.census_lower_bound, (B, rep.to_dict())
 
 
 def test_verify_locator_matches_scan():

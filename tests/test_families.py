@@ -7,6 +7,8 @@ from distalcells.families import (
     CongAtom,
     census_probes_1d,
     congruence_family,
+    fast_truth_masks,
+    interval_family,
     laff_family,
     macintyre_family,
     semilinear_family,
@@ -15,7 +17,7 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.linear import AffineMap, f_atom
+from distalcells.linear import AffineMap, Iv, f_and, f_atom, f_not, f_or
 from distalcells.rng import SplitMix64
 
 
@@ -127,17 +129,7 @@ def test_census_1d_agrees_with_probe_superset():
     assert type_census_probe(fam, B, probes).count == exact
 
 
-def test_vector_linear_components_and_bound():
-    fam = vector_linear_family(vl_trichotomy(AffineMap.of([1]), AffineMap.of([-1])), 1, 1)
-    comps = fam.components(0, F(2))  # x - y < 0 at y=2
-    assert len(comps) == 1 and comps[0].hi == F(2)
-    assert fam.component_bound(0) == 1
-
-
 def test_interval_kind_component_bound_enforced():
-    from distalcells.families import interval_family
-    from distalcells.linear import Iv
-
     def three_pieces(b):
         return [
             Iv(F(0), True, F(1), True),
@@ -157,8 +149,6 @@ def test_interval_kind_component_bound_enforced():
 def _ordered_instances(rng):
     """A verified (family, decomposition, B) of each ordered kind."""
     from distalcells import conjcells, omin1d
-    from distalcells.families import interval_family
-    from distalcells.linear import Iv, f_and, f_or
 
     a, w = rng.fraction(8, 3), abs(rng.fraction(5, 3)) + F(1, 5)
     semi = semilinear_family([
@@ -187,7 +177,6 @@ def _ordered_instances(rng):
 
 def test_fast_truth_masks_match_truth_mask_ordered_kinds():
     from distalcells.decomp import verify
-    from distalcells.families import fast_truth_masks
 
     rng = SplitMix64(4242)
     for _ in range(15):
@@ -254,8 +243,6 @@ def _laff_instances(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_macintyre_instances())
 def test_macintyre_masks_match_truth_mask(instance):
-    from distalcells.families import fast_truth_masks
-
     fam, B, xs = instance
     assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
 
@@ -263,7 +250,140 @@ def test_macintyre_masks_match_truth_mask(instance):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_laff_instances())
 def test_laff_masks_match_truth_mask(instance):
-    from distalcells.families import fast_truth_masks
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
 
+
+# The int-row columns of the linear kinds against truth_mask, which
+# evaluates each (point, predicate, parameter) on Fractions: probes sit on
+# the atoms' zero sets, where a row is 0 and only the rel decides.
+
+_small = st.integers(-3, 3)
+_rat = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _congruence_instances(draw):
+    K = draw(st.integers(2, 4))
+    atoms = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = AffineMap.of([draw(st.sampled_from([1, 2, -1, -3]))], draw(_small))
+        g = AffineMap.of([draw(st.sampled_from([1, -1, 2]))], draw(_small))
+        atoms += [CongAtom(f, g, rel) for rel in ("<", "=", ">")]
+    f = AffineMap.of([draw(st.sampled_from([1, 2, 3]))])
+    g = AffineMap.of([draw(st.sampled_from([1, -1, 2]))], 0)
+    atoms += [CongAtom(f, AffineMap.of(g.coeffs, r), "mod") for r in range(K)]
+    fam = congruence_family(atoms, K, point_dim=1, param_dim=1)
+    B = [(F(b),) for b in draw(st.lists(st.integers(-20, 20), max_size=4, unique=True))]
+    far = [(F(v),) for v in (-1000, -97, 0, 98, 1001)]
+    return fam, B, sorted(set(census_probes_1d(fam, B) + far))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_congruence_instances())
+def test_congruence_masks_match_truth_mask(instance):
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
+
+
+def test_congruence_masks_need_integer_values():
+    fam = congruence_family(
+        [CongAtom(AffineMap.of([1]), AffineMap.of([1], r), "mod") for r in (0, 1)], 2, 1, 1
+    )
+    with pytest.raises(ValueError, match="integer values"):
+        fast_truth_masks(fam, [(F(1),)], [(F(0),), (F(1, 2),)])
+
+
+def _plane_probes(draw, lines):
+    """Grid points, and points exactly on each line a1 x1 + a2 x2 + c = 0,
+    in no particular order (the scan needs none)."""
+    pts = [(draw(_rat), draw(_rat)) for _ in range(6)]
+    for a1, a2, c in lines:
+        for u in (F(-1), F(0), F(5, 2)):
+            if a2:
+                pts.append((u, -(c + a1 * u) / a2))
+            elif a1:
+                pts.append((-c / a1, u))
+    return pts
+
+
+@st.composite
+def _plane_semilinear_instances(draw):
+    B = [(b,) for b in dict.fromkeys(draw(st.lists(_rat, min_size=1, max_size=3)))]
+    atoms = [
+        f_atom([draw(_small), draw(_small), draw(_small)], draw(_rat),
+               draw(st.sampled_from(["<", "<=", "=", "!=", ">"])))
+        for _ in range(3)
+    ]
+    fam = semilinear_family(
+        [atoms[0], f_or(f_and(atoms[1], atoms[2]), f_not(atoms[0])), f_and(atoms[2], f_not(atoms[1]))],
+        2, 1,
+    )
+    lines = []
+    for f in atoms:
+        if f[0] == "atom":
+            cs = list(f[1].coeffs) + [0] * 3
+            lines += [(F(cs[0]), F(cs[1]), cs[2] * b[0] + f[1].const) for b in B]
+    return fam, B, _plane_probes(draw, lines)
+
+
+@st.composite
+def _plane_vector_linear_instances(draw):
+    B = [(b,) for b in dict.fromkeys(draw(st.lists(_rat, min_size=1, max_size=3)))]
+    atoms, lines = [], []
+    for _ in range(2):
+        f = AffineMap.of([draw(_small), draw(st.sampled_from([1, -2, F(1, 2)]))], draw(_rat))
+        g = AffineMap.of([draw(_small)], draw(_rat))
+        atoms += vl_trichotomy(f, g)
+        lines += [(f.coeffs[0], f.coeffs[1], f.const + g(b)) for b in B]
+    fam = vector_linear_family(atoms, 2, 1)
+    return fam, B, _plane_probes(draw, lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plane_semilinear_instances())
+def test_plane_semilinear_masks_match_truth_mask(instance):
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_plane_vector_linear_instances())
+def test_plane_vector_linear_masks_match_truth_mask(instance):
+    fam, B, xs = instance
+    assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
+
+
+@st.composite
+def _interval_instances(draw):
+    """Components that move with b, with open or closed ends, probed at
+    every endpoint, between endpoints and far out."""
+    shapes = draw(st.lists(
+        st.tuples(_rat, st.integers(0, 4), st.booleans(), st.booleans(), st.booleans()),
+        min_size=1, max_size=3,
+    ))
+
+    def comps(b, shapes=shapes):
+        out = []
+        for lo, w, lo_open, hi_open, ray in shapes:
+            lo = lo + b[0]
+            if ray:
+                out.append(Iv(lo, lo_open, None, True))
+            else:
+                out.append(Iv(lo, lo_open and w > 0, lo + w, hi_open and w > 0))
+        return out
+
+    fam = interval_family([(comps, None), (lambda b: [Iv(None, True, -b[0], False)], 1)], 1)
+    B = [(b,) for b in dict.fromkeys(draw(st.lists(_rat, min_size=1, max_size=3)))]
+    ends = sorted({v for b in B for pred in fam.preds for iv in pred[0](b)
+                   for v in (iv.lo, iv.hi) if v is not None})
+    mids = [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+    xs = sorted({(v,) for v in ends + mids + [ends[0] - 1, ends[-1] + 1]})
+    return fam, B, xs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_interval_instances())
+def test_interval_masks_match_truth_mask(instance):
     fam, B, xs = instance
     assert fast_truth_masks(fam, B, xs) == [fam.truth_mask(a, B) for a in xs]
