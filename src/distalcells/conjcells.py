@@ -6,7 +6,10 @@ realized types.
 Two instantiations: vector-linear atoms f(x) + g(y) + c REL 0 over Q (any
 point dimension, predicates grouped by the direction of f), and Presburger
 atoms over Z (order atoms plus K | (f(x) + g(y) + c) with one modulus K,
-point dimension 1).
+point dimension 1).  A Presburger cell is a residue class mod M (the lcm of
+the progression moduli) times a run between consecutive cuts of the order
+truth sets, so the cells are listed in O(M |B| log |B|) time after the
+truth sets.
 """
 
 from __future__ import annotations
@@ -246,7 +249,9 @@ def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _conj_cell(chosen: tuple, extent_key, member, excluded, interval=None) -> CellInstance:
+def _conj_cell(
+    chosen: tuple, extent_key, member, excluded, interval=None, region=None
+) -> CellInstance:
     """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
     chosen subset, and `excluded` is theta_psi: some phi(.; b) crosses."""
     return CellInstance(
@@ -256,6 +261,7 @@ def _conj_cell(chosen: tuple, extent_key, member, excluded, interval=None) -> Ce
         excluded=excluded,
         extent_key=extent_key,
         interval=interval,
+        region=region,
     )
 
 
@@ -424,40 +430,79 @@ def _make_vl_cell(family, axes, exts, chosen, threshold, index) -> CellInstance:
     return _conj_cell(tuple(chosen), key, member, excluded, iv)
 
 
+class _ZRun(NamedTuple):
+    """Where a Presburger cell sits in its instance's partition of Z: the
+    class `res` mod M inside run k, the integers of [cuts[k-1], cuts[k] - 1]
+    (run 0 and run len(cuts) are unbounded)."""
+
+    M: int
+    cuts: list
+    res: int
+    k: int
+
+
 def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
+    """The realized types are the nonempty sets (class mod M) x (run between
+    consecutive cuts), where M is the lcm of the progression moduli and the
+    cuts are the ends of the order truth sets: each truth set is a union of
+    runs or of classes, adjacent runs differ on the truth set that made
+    their cut, and every residue of a mod shape occurs, so distinct classes
+    differ on some progression."""
     if family.point_dim != 1:
         raise ValueError("Presburger conj cells are implemented for |x| = 1")
     K = family.meta["K"]
-    # each predicate's distinct truth sets over B, with the first b giving each
-    table: list[dict[ZSet, object]] = []
-    for p in family.preds:
-        sets: dict[ZSet, object] = {}
-        for b in B:
-            t = _z_truth_set(p, b, K)
-            if t is not None:
-                sets.setdefault(t, b)
-        table.append(sets)
+    truths = [[_z_truth_set(p, b, K) for b in B] for p in family.preds]
+    # the first (pred, b) giving each lower bound x >= c, upper bound
+    # x <= c, point x = c and progression (modulus, residue)
+    lower, upper, point, prog = {}, {}, {}, {}
+    for i, row in enumerate(truths):
+        for b, t in zip(B, row):
+            if t is None:
+                continue
+            if t.mod > 1:
+                prog.setdefault((t.mod, t.res), (i, b))
+            elif t.lo is None:
+                if t.hi is not None:
+                    upper.setdefault(t.hi, (i, b))
+            elif t.hi is None:
+                lower.setdefault(t.lo, (i, b))
+            else:
+                point.setdefault(t.lo, (i, b))
+    moduli = sorted({m for m, _ in prog})
+    M = math.lcm(*moduli)
+    # cut c splits c - 1 from c
+    cuts = sorted(set(lower) | {h + 1 for h in upper} | set(point) | {v + 1 for v in point})
+    index = param_index(B)
+    cells = []
+    for k in range(len(cuts) + 1):
+        lo = cuts[k - 1] if k > 0 else None
+        hi = cuts[k] - 1 if k < len(cuts) else None
+        if lo is not None and lo == hi:
+            # one point: its "=" instance, or both bounds when there is none
+            ends = [point[lo]] if lo in point else [_need(lower, lo), _need(upper, hi)]
+            classes = [(lo % M, ends)]
+        else:
+            bounds = ([] if lo is None else [_need(lower, lo)]) + (
+                [] if hi is None else [_need(upper, hi)])
+            classes = [
+                (res, bounds + [_need(prog, (m, res % m)) for m in moduli]) for res in range(M)
+            ]
+        for res, chosen in classes:
+            z = _zset(lo, hi, M, res)
+            if z is not None:
+                cells.append(_make_z_cell(
+                    family, z, sorted(chosen), truths, index, _ZRun(M, cuts, res, k)
+                ))
+    return cells
 
-    # layered enumeration: order atoms pin an interval, congruence atoms pin
-    # a progression; dedupe extensionally after every predicate
-    options: dict[tuple, tuple[ZSet, tuple]] = {_ZFULL.canonical(): (_ZFULL, ())}
-    order_preds = [i for i, p in enumerate(family.preds) if p.rel != "mod"]
-    mod_preds = [i for i, p in enumerate(family.preds) if p.rel == "mod"]
-    for i in order_preds + mod_preds:
-        new_options = dict(options)
-        for z, chosen in options.values():
-            for t, b in table[i].items():
-                cut = _meet(z, t)
-                if cut is not None:
-                    new_options.setdefault(cut.canonical(), (cut, chosen + ((i, b),)))
-        options = new_options
 
-    truth_sets = list(dict.fromkeys(t for sets in table for t in sets))
-    return [
-        _make_z_cell(family, z, chosen, K)
-        for z, chosen in options.values()
-        if not any(_crosses(z, t) for t in truth_sets)
-    ]
+def _need(table: dict, key):
+    """The instance a cell's conjunction needs; negation closure guarantees
+    it, so a miss is a bug, never a reason to widen the conjunction."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"no instance over B gives the truth set {key!r}") from None
 
 
 def _integer(v: Fraction) -> int:
@@ -487,18 +532,39 @@ def _z_truth_set(p, b, K: int) -> Optional[ZSet]:
     return ZSet(v.numerator, v.numerator, 1, 0) if v.denominator == 1 else None
 
 
-def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
+def _make_z_cell(
+    family, z: ZSet, chosen: list, truths: list, index, run: _ZRun
+) -> CellInstance:
+    K = family.meta["K"]
+
     def member(a: tuple) -> bool:
         return z.member(a[0])
 
     def excluded(b) -> bool:
-        for p in family.preds:
-            t = _z_truth_set(p, b, K)
-            if t is not None and _crosses(z, t):
-                return True
-        return False
+        j = index(b)
+        if j is not None:
+            ts = [row[j] for row in truths]
+        else:
+            ts = [_z_truth_set(p, b, K) for p in family.preds]
+        return any(t is not None and _crosses(z, t) for t in ts)
 
-    return _conj_cell(tuple(chosen), z.canonical(), member, excluded)
+    return _conj_cell(tuple(chosen), z.canonical(), member, excluded, region=run)
+
+
+def _z_locator(cells: list[CellInstance]):
+    """The cell of x: x mod M and one bisection over the cuts; a non-integer
+    locates nothing."""
+    M, cuts = cells[0].region.M, cells[0].region.cuts
+    at = {(c.region.res, c.region.k): ci for ci, c in enumerate(cells)}
+
+    def locate(a) -> tuple[int, ...]:
+        x = a[0]
+        if x.denominator != 1:
+            return ()
+        ci = at.get((x.numerator % M, bisect_right(cuts, x.numerator)))
+        return () if ci is None else (ci,)
+
+    return locate
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +574,8 @@ def _make_z_cell(family, z: ZSet, chosen: tuple, K: int) -> CellInstance:
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
     locator_fn = None
-    if family.point_dim == 1 and family.kind == "vector-linear":
-        locator_fn = interval_locator
+    if family.point_dim == 1:
+        locator_fn = interval_locator if family.kind == "vector-linear" else _z_locator
     return Decomposition(
         name=f"conj-{family.kind}",
         instantiate_fn=lambda B: conj_decomposition(family, B),

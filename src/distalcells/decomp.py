@@ -34,13 +34,13 @@ class CellInstance:
     - excluded: the I(Delta) test for one parameter, a tuple of Fractions
       (`families.as_point`); verify, the engines.  One of B's own tuples
       reads the instance's rows through `param_index`; any other tuple, a
-      value-equal copy included, takes the engine's exact path (Presburger
-      cells have only that path).
+      value-equal copy included, takes the engine's exact path.
     - extent_key: canonical extent; dedupe_cells.
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
     - region: opaque here; read only by the engine that made the cell (the
-      p-adic locator, or induction's membership test of a cylinder above).
+      p-adic and Presburger locators, or induction's membership test of a
+      cylinder above).
     """
 
     template: str

@@ -164,12 +164,17 @@ def test_verify_passes_on_seeded_B(label):
 
 def test_verify_locator_matches_scan():
     rng = SplitMix64(2718)
+    # Presburger parameters are integers, drawn from their own stream
+    ints = SplitMix64(2719)
     for label, fam, decomp in _engines():
         if decomp.locator_fn is None:
             continue
         scan = dataclasses.replace(decomp, locator_fn=None)
         for _ in range(4):
-            B = sorted({rng.fraction(60, 6) for _ in range(rng.randint(1, 8))})
+            if label == "presburger":
+                B = sorted({F(ints.randint(-30, 30)) for _ in range(ints.randint(1, 8))})
+            else:
+                B = sorted({rng.fraction(60, 6) for _ in range(rng.randint(1, 8))})
             assert verify(decomp, fam, B).to_dict() == verify(scan, fam, B).to_dict(), (label, B)
 
 
