@@ -18,11 +18,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator, param_index
 from .families import ParamFamily, as_point
-from .linear import Iv, decode, position
+from .linear import Iv, _to_ints, decode, position
 
 # ---------------------------------------------------------------------------
 # Conjunction property and negation closure
@@ -450,8 +451,7 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
     differ on some progression."""
     if family.point_dim != 1:
         raise ValueError("Presburger conj cells are implemented for |x| = 1")
-    K = family.meta["K"]
-    truths = [[_z_truth_set(p, b, K) for b in B] for p in family.preds]
+    truths = _z_truth_sets(family, B)
     # the first (pred, b) giving each lower bound x >= c, upper bound
     # x <= c, point x = c and progression (modulus, residue)
     lower, upper, point, prog = {}, {}, {}, {}
@@ -511,32 +511,49 @@ def _integer(v: Fraction) -> int:
     return v.numerator
 
 
-def _z_truth_set(p, b, K: int) -> Optional[ZSet]:
-    """The integers where atom p holds at parameter b; None if there are none."""
-    if p.rel == "mod":
-        prog = _solve_linear_mod(
-            _integer(p.f.coeffs[0]), -_integer(p.g(b) + p.f.const), K
-        )
-        return None if prog is None else ZSet(None, None, *prog)
-    a = p.f.coeffs[0]
-    rhs = p.g(b) - p.f.const
-    if a == 0:
-        holds = 0 < rhs if p.rel == "<" else (0 == rhs if p.rel == "=" else 0 > rhs)
-        return _ZFULL if holds else None
-    v = rhs / a
-    rel = p.rel if a > 0 else {"<": ">", ">": "<", "=": "="}[p.rel]
-    if rel == "<":
-        return ZSet(None, math.ceil(v) - 1, 1, 0)
-    if rel == ">":
-        return ZSet(math.floor(v) + 1, None, 1, 0)
-    return ZSet(v.numerator, v.numerator, 1, 0) if v.denominator == 1 else None
+def _z_truth_sets(family: ParamFamily, B: list) -> list[list[Optional[ZSet]]]:
+    """The integers where each atom holds at each b in B (None if there are
+    none), indexed [pred][b].  B is scaled once to ints Y / E and each
+    atom's row to ints over the lcm L of its denominators, so t = G . Y + k E
+    is L E times g(b) + c_f (a congruence a x + g(b) + c_f = 0 mod K) or
+    g(b) - c_f (an order atom a x REL g(b) - c_f, threshold t / (A E))."""
+    K, e = family.meta["K"], family.param_dim
+    flat, E = _to_ints([v for b in B for v in b])
+    Y = [flat[j * e:(j + 1) * e] for j in range(len(B))]
+    out = []
+    for p in family.preds:
+        a, rel = p.f.coeffs[0], p.rel
+        c_f = p.f.const if rel == "mod" else -p.f.const
+        ints, L = _to_ints((*p.g.coeffs, p.g.const + c_f, a))
+        G, k, A = ints[:-2], ints[-2], ints[-1]
+        if A < 0 and rel != "mod":
+            G, k, A = [-c for c in G], -k, -A
+            rel = {"<": ">", ">": "<", "=": "="}[rel]
+        row = []
+        for y in Y:
+            t = sum(map(mul, G, y)) + k * E
+            if rel == "mod":
+                if t % (L * E):
+                    raise ValueError("congruence atoms need integer values")
+                prog = _solve_linear_mod(_integer(a), -(t // (L * E)), K)
+                row.append(None if prog is None else ZSet(None, None, *prog))
+            elif A == 0:
+                holds = 0 < t if rel == "<" else (0 == t if rel == "=" else 0 > t)
+                row.append(_ZFULL if holds else None)
+            elif rel == "<":
+                row.append(ZSet(None, -(-t // (A * E)) - 1, 1, 0))
+            elif rel == ">":
+                row.append(ZSet(t // (A * E) + 1, None, 1, 0))
+            else:
+                q, r = divmod(t, A * E)
+                row.append(None if r else ZSet(q, q, 1, 0))
+        out.append(row)
+    return out
 
 
 def _make_z_cell(
     family, z: ZSet, chosen: list, truths: list, index, run: _ZRun
 ) -> CellInstance:
-    K = family.meta["K"]
-
     def member(a: tuple) -> bool:
         return z.member(a[0])
 
@@ -545,7 +562,7 @@ def _make_z_cell(
         if j is not None:
             ts = [row[j] for row in truths]
         else:
-            ts = [_z_truth_set(p, b, K) for p in family.preds]
+            ts = [row[0] for row in _z_truth_sets(family, [b])]
         return any(t is not None and _crosses(z, t) for t in ts)
 
     return _conj_cell(tuple(chosen), z.canonical(), member, excluded, region=run)

@@ -18,11 +18,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .linear import (
-    AffineMap, Iv, _mask_of, _to_ints, components_1d, eval_formula, formula_atoms, merge_adjacent,
+    AffineMap, Compiled, Iv, _mask_of, _to_ints, eval_formula, formula_atoms, merge_adjacent,
 )
 from .scalars import in_pn, in_qmn, valuation
 
@@ -149,8 +149,15 @@ class ParamFamily:
                 )
             return comps
         if self.kind == "semilinear":
-            return components_1d(pred, 0, [Fraction(0)] + list(b))
+            vals, den = _to_ints(b)
+            return self.compiled[idx].at([0, *vals], den, (0,)).pieces()
         raise ValueError(f"kind {self.kind!r} has no interval components")
+
+    @cached_property
+    def compiled(self) -> list[Compiled]:
+        """Every predicate of a semilinear family compiled once, read at each
+        parameter by `components` and the engines."""
+        return [Compiled.of(f) for f in self.preds]
 
     def component_bound(self, idx: int) -> int:
         if self.kind == "interval":
@@ -369,11 +376,11 @@ def _linear_columns(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
     for pred in family.preds:
         if kind == "semilinear":
             rows = {
-                id(a): (_scaled_row(a.coeffs[:d], a.coeffs[d:], a.const)[0], a.rel)
+                a: (_scaled_row(a.coeffs[:d], a.coeffs[d:], a.const)[0], a.rel)
                 for a in formula_atoms(pred)
             }
             for j in range(len(B)):
-                at = {aid: _side(rel, *signs(row, j), full) for aid, (row, rel) in rows.items()}
+                at = {a: _side(rel, *signs(row, j), full) for a, (row, rel) in rows.items()}
                 cols.append(_mask_of(pred, at, full))
         elif kind == "interval":
             # a component is the AND of the half-lines x - lo > 0 and x - hi < 0

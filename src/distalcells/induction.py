@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from . import omin1d
@@ -31,12 +30,10 @@ from .linear import (
     FALSE,
     TRUE,
     Atom,
+    Compiled,
     Iv,
-    _cmp,
-    _int_row,
     _subst_affine,
     _to_ints,
-    components_1d,
     dnf_simplify,
     eliminate_exists,
     f_and,
@@ -168,14 +165,17 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
 @dataclass(frozen=True)
 class FiberTemplate:
     """psi(x1; x', yA, yB): an upper closure minus a lower closure (either
-    side may be absent).  Formula ambient: [x (d), yA (e), yB (e)]."""
+    side may be absent).  Formula ambient: [x (d), yA (e), yB (e)]; `psi`
+    is the formula compiled, and `nonempty`, over the same variables, is
+    exists x1 . formula compiled."""
 
     ident: str
     up: Optional[FiberSource]
     dn: Optional[FiberSource]
     formula: tuple
     arity: int  # parameters actually used (0, 1 or 2)
-    nonempty: tuple = TRUE  # exists x1 . formula, over [x (d), yA, yB]
+    psi: Compiled
+    nonempty: Compiled
 
 
 @dataclass
@@ -194,7 +194,7 @@ def derive_family(family: ParamFamily, component_cap: Optional[int] = None) -> l
 
     def make(ident, up, dn, formula, arity) -> FiberTemplate:
         ne = dnf_simplify(eliminate_exists(formula, 0))
-        return FiberTemplate(ident, up, dn, formula, arity, ne)
+        return FiberTemplate(ident, up, dn, formula, arity, Compiled.of(formula), Compiled.of(ne))
 
     for s in sources:
         up_a = _shift_y_block(s.formula, d, e, 0)
@@ -209,7 +209,7 @@ def derive_family(family: ParamFamily, component_cap: Optional[int] = None) -> l
             templates.append(
                 make(f"[{_lbl(s1)}\\{_lbl(s2)}]", s1, s2, f_and(up_a, f_not(dn_b)), 2)
             )
-    templates.append(FiberTemplate("[line]", None, None, TRUE, 0, TRUE))
+    templates.append(make("[line]", None, None, TRUE, 0))
 
     out: list[DerivedFamily] = []
     for tpl in templates:
@@ -266,7 +266,8 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 tuples = [(B[0], B[0])]
             for b1, b2 in tuples:
                 B_der = [b1 + b2 + b for b in B]
-                fiber = _fiber_test(tpl.formula, d, b1 + b2)
+                ys, den = _to_ints(b1 + b2)
+                fiber = tpl.psi.at([0] * d + ys, den, range(d))
                 for base_cell in bases[ti].instantiate(B_der):
                     cell = _cyl_cell(df, ti, b1, b2, base_cell, B_der, index, fiber, scale)
                     if cell is not None:
@@ -298,9 +299,10 @@ def _cyl_cell(
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
     or excluded by a parameter of the instance (T(B) keeps only potential
-    cells missed by every I(Delta))."""
+    cells missed by every I(Delta)).  `fiber` is the template's formula at
+    (b1, b2), as int rows over x."""
     tpl = df.template
-    psi = tpl.formula
+    theta = df.family.compiled[0]
     base_pt = _base_sample(base_cell)
 
     def excluded_der(b_der) -> bool:
@@ -308,7 +310,7 @@ def _cyl_cell(
         # crossing predicate is part of the derived family, so on a valid
         # base cell its value at the sample decides it everywhere.  It is
         # tested first, being cheaper than the base cell's own test.
-        if base_pt is not None and df.family.evaluate(0, base_pt, b_der):
+        if base_pt is not None and theta.holds(_point_ints(base_pt + b_der)):
             return True
         if base_cell.excluded(b_der):
             return True
@@ -330,12 +332,15 @@ def _cyl_cell(
     base_test = base_cell.region if base_cell.interval is None else _interval_test(base_cell.interval)
 
     def member_ints(pt: tuple) -> bool:
-        return base_test(pt[1:]) and fiber(pt)
+        return base_test(pt[1:]) and fiber.holds(pt)
+
+    def fiber_at(base: tuple) -> list[Iv]:
+        nums, q = _to_ints(base)
+        return fiber.at([0, *nums], q, (0,)).pieces()
 
     sample = None
     if base_pt is not None:
-        env = [Fraction(0)] + list(base_pt) + list(b1) + list(b2)
-        comps = components_1d(psi, 0, env)
+        comps = fiber_at(base_pt)
         if comps:
             sample = (comps[0].sample(),) + tuple(base_pt)
         else:
@@ -343,14 +348,12 @@ def _cyl_cell(
             if base_iv is not None:
                 # fiber empty at the sample: find a base point where the
                 # fiber is inhabited (or certify the cylinder empty)
-                region = components_1d(
-                    tpl.nonempty, 1, [Fraction(0), Fraction(0)] + list(b1) + list(b2)
-                )
-                for piece in region:
+                ys, den = _to_ints(b1 + b2)
+                for piece in tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
                     cut = iv_intersect(piece, base_iv)
                     if not cut.is_empty():
                         alt = cut.sample()
-                        comps = components_1d(psi, 0, [Fraction(0), alt] + list(b1) + list(b2))
+                        comps = fiber_at((alt,))
                         if comps:
                             sample = (comps[0].sample(), alt)
                             break
@@ -367,9 +370,15 @@ def _cyl_cell(
     )
 
 
+def _point_ints(a: tuple) -> tuple:
+    """A point as ints (n_1, ..., n_d, q) with x_i = n_i / q."""
+    nums, q = _to_ints(a)
+    return (*nums, q)
+
+
 class _PointInts:
-    """A point as ints (n_1, ..., n_d, q) with x_i = n_i / q.  The last point
-    is kept, since verify asks every cell about one probe before the next."""
+    """`_point_ints` keeping the last point, since verify asks every cell
+    about one probe before the next."""
 
     def __init__(self):
         self.last = None
@@ -377,8 +386,7 @@ class _PointInts:
 
     def __call__(self, a: tuple) -> tuple:
         if a is not self.last:
-            nums, q = _to_ints(a)
-            self.ints = (*nums, q)
+            self.ints = _point_ints(a)
             self.last = a
         return self.ints
 
@@ -402,52 +410,6 @@ def _interval_test(iv: Iv):
         return True
 
     return test
-
-
-def _fiber_test(psi, d: int, params: tuple):
-    """psi at the fixed parameters, as a test on points scaled to ints.  On
-    the first call every atom becomes an int row over x: with the parameters
-    scaled to ints y_j / L, the atom times L reads  sum_i (c_i L) x_i + s."""
-    compiled = None
-
-    def test(pt: tuple) -> bool:
-        nonlocal compiled
-        if compiled is None:
-            ys, den = _to_ints(params)
-
-            def row(a: Atom):
-                coeffs, const = _int_row(a)
-                xs = [den * coeffs[i] if i < len(coeffs) else 0 for i in range(d)]
-                s = const * den + sum(c * y for c, y in zip(coeffs[d:], ys))
-                if not any(xs):
-                    return TRUE if _cmp(s, a.rel) else FALSE
-                return ("row", (*xs, s), a.rel)
-
-            compiled = map_atoms(psi, row)
-        return _holds(compiled, pt)
-
-    return test
-
-
-def _holds(node, pt: tuple) -> bool:
-    """A formula over int rows ("row", (r_1, ..., r_d, s), rel) at a point
-    scaled to ints (n_1, ..., n_d, q)."""
-    tag = node[0]
-    if tag == "row":
-        return _cmp(sum(map(mul, node[1], pt)), node[2])
-    if tag == "and":
-        for g in node[1]:
-            if not _holds(g, pt):
-                return False
-        return True
-    if tag == "or":
-        for g in node[1]:
-            if _holds(g, pt):
-                return True
-        return False
-    if tag == "not":
-        return not _holds(node[1], pt)
-    return tag == "true"
 
 
 # ---------------------------------------------------------------------------

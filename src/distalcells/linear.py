@@ -4,12 +4,18 @@ extraction in one variable, and quantifier elimination by virtual substitution.
 Formulas are nested tuples over `Atom`s; an atom is an affine expression
 compared to zero.  Atoms in formulas are kept in canonical form: coprime
 `int` coefficients and constant, fixed up to a positive factor.  Quantifier
-elimination, the Fourier-Motzkin satisfiability test and the component
-extraction work on those int rows, scaling a substituted root by its
-coefficient instead of dividing by it.  Points and parameters are
-`fractions.Fraction`s, and so are the interval endpoints (atom roots) that
-`components_1d` returns.  Everything is exact, which is what the
-decomposition engines rely on.
+elimination and the Fourier-Motzkin satisfiability test work on those int
+rows, scaling a substituted root by its coefficient instead of dividing by it.
+
+The engines read a formula compiled once (`Compiled`): its distinct atoms as
+int rows, and its tree naming each atom by row index.  `at` fixes variables
+to values scaled to ints once, one dot product per row; `pieces` ranks the
+roots of rows in one variable into the 1-D components, and `holds` tests a
+point scaled to ints.  Each turns rows into bit masks that one walk of the
+tree, `_mask_of`, combines.  `components_1d` is the one-shot path (compile,
+then read the pieces), and `eval_formula` evaluates on Fractions.  Points,
+parameters and interval endpoints are `fractions.Fraction`s.  Everything is
+exact, which is what the decomposition engines rely on.
 """
 
 from __future__ import annotations
@@ -18,28 +24,23 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
-
-Vec = tuple[Fraction, ...]
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 TRUE = ("true",)
 FALSE = ("false",)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
 class AffineMap:
     """x |-> sum(coeffs[i] * x[i]) + const."""
 
-    coeffs: Vec
+    coeffs: tuple[Fraction, ...]
     const: Fraction
 
     @staticmethod
     def of(coeffs: Sequence, const=0) -> "AffineMap":
-        return AffineMap(tuple(_frac(c) for c in coeffs), _frac(const))
+        return AffineMap(tuple(map(Fraction, coeffs)), Fraction(const))
 
     def __call__(self, args: Sequence[Fraction]) -> Fraction:
         acc = self.const
@@ -63,8 +64,8 @@ class Atom:
 
     @staticmethod
     def make(coeffs: Sequence, const, rel: str) -> "Atom":
-        coeffs = tuple(_frac(c) for c in coeffs)
-        const = _frac(const)
+        coeffs = tuple(map(Fraction, coeffs))
+        const = Fraction(const)
         if rel == ">":
             coeffs, const, rel = tuple(-c for c in coeffs), -const, "<"
         elif rel == ">=":
@@ -73,19 +74,16 @@ class Atom:
             raise ValueError(f"bad relation {rel!r}")
         return Atom(coeffs, const, rel)
 
-    def _ratio(self, assignment: Sequence[Fraction]) -> tuple[int, int]:
-        """(num, den) in plain ints, den > 0, with value = num / den."""
+    def eval(self, assignment: Sequence[Fraction]) -> bool:
+        """The atom at Fraction values, summed as num / den in plain ints;
+        den > 0, so the numerator carries the sign."""
         num, den = self.const.numerator, self.const.denominator
         for c, a in zip(self.coeffs, assignment):
             if c:
                 d = c.denominator * a.denominator
                 num = num * d + c.numerator * a.numerator * den
                 den *= d
-        return num, den
-
-    def eval(self, assignment: Sequence[Fraction]) -> bool:
-        # den > 0, so the numerator carries the sign
-        return _cmp(self._ratio(assignment)[0], self.rel)
+        return _cmp(num, self.rel)
 
 
 def _cmp(v: Fraction, rel: str) -> bool:
@@ -626,102 +624,104 @@ def dnf_simplify(f, limit: int = 512):
     return f_or(*parts)
 
 
+class Compiled(NamedTuple):
+    """A formula compiled once: its distinct atoms as int rows (coeffs, const,
+    rel), each reading coeffs . vars + const REL 0, and its tree with each
+    atom named by its row index."""
+
+    rows: tuple
+    tree: tuple
+
+    @staticmethod
+    def of(f) -> "Compiled":
+        index: dict = {}  # atom -> row index, in first-seen order
+        tree = map_atoms(f, lambda a: ("atom", index.setdefault(a, len(index))))
+        return Compiled(tuple((*_int_row(a), a.rel) for a in index), tree)
+
+    def at(self, vals: Sequence[int], den: int, free: Sequence[int]) -> "Compiled":
+        """The rows over the variables `free` (in that order) with each other
+        variable i fixed to vals[i] / den, vals being 0 in the free slots: den
+        times an atom is the int row  sum (den c_i) x_i + s,  s = den const + c . vals."""
+        return Compiled(tuple(
+            (tuple(den * coeffs[i] if i < len(coeffs) else 0 for i in free),
+             const * den + sum(map(mul, coeffs, vals)), rel)
+            for coeffs, const, rel in self.rows
+        ), self.tree)
+
+    def holds(self, pt: tuple) -> bool:
+        """The formula at the point x_i = n_i / q given as the ints
+        (n_1, ..., n_k, q): a mask walk with one bit per row."""
+        q, bits = pt[-1], []
+        for c, k, rel in self.rows:  # _cmp inlined: this runs once per (cell, probe)
+            v = sum(map(mul, c, pt), k * q)
+            bits.append(v < 0 if rel == "<" else v <= 0 if rel == "<=" else
+                        v == 0 if rel == "=" else v != 0)
+        return bool(_mask_of(self.tree, bits, 1))
+
+    def pieces(self) -> list[Iv]:
+        """The maximal convex components where a formula in one variable
+        holds (rows c x + s).  The distinct roots -s/c, ranked on ints, give
+        the positions of `position`; each row is a bit mask over them read
+        off its root's rank, and each run of positions that the tree walk
+        keeps is a component."""
+        m = lcm(*(c for (c,), _, _ in self.rows if c))  # root * m is the int -s * (m / c)
+        keys = [-s * (m // c) if c else None for (c,), s, _ in self.rows]
+        cuts = sorted({key for key in keys if key is not None})
+        rank = {key: j for j, key in enumerate(cuts)}
+        full = (1 << (2 * len(cuts) + 1)) - 1
+        masks = []
+        for ((c,), s, rel), key in zip(self.rows, keys):
+            if not c:
+                masks.append(full if _cmp(s, rel) else 0)
+                continue
+            at = 2 << (2 * rank[key])
+            neg = at - 1 if c > 0 else full ^ (2 * at - 1)
+            masks.append(neg if rel == "<" else neg | at if rel == "<=" else
+                         at if rel == "=" else full ^ at)
+        held = _mask_of(self.tree, masks, full)
+        values = [Fraction(key, m) for key in cuts] if held else []
+        out, p = [], 0
+        while held:
+            if held & 1:
+                start = p
+                while held & 2:
+                    held >>= 1
+                    p += 1
+                out.append(decode(values, (start, p)))
+            held >>= 1
+            p += 1
+        return out
+
+
 def components_1d(f, var: int, assignment: list[Fraction]) -> list[Iv]:
     """Maximal convex components of {x : f holds with vars[var] = x}, with the
-    other variables fixed by `assignment` (whose var slot is ignored).
-
-    The fixed values are scaled once to ints over their common denominator L,
-    so an atom reads c*x + s/L with ints c, s and its root is -s/(c*L).  The
-    k distinct roots are ranked on ints and cut the line into 2k+1 pieces
-    (piece 2j+1 is the j-th root).  An atom's truth on every piece is a bit
-    mask read off its root's rank, and one walk of f over those masks gives
-    the pieces where f holds; runs of adjacent pieces merge into components.
-    """
-    fixed, den = _to_ints(assignment[:var] + assignment[var + 1:])
-    fixed.insert(var, 0)
-    rows: dict = {}  # id(atom) -> (rel, c, s)
-    m = 1  # root * den * m is the int -s * (m / c) once m is a multiple of every |c|
-    for a in formula_atoms(f):
-        if id(a) in rows:
-            continue
-        coeffs, const = _int_row(a)
-        s = const * den
-        c = 0
-        for i, ci in enumerate(coeffs):
-            if ci:
-                if i == var:
-                    c = ci
-                else:
-                    s += ci * fixed[i]
-        rows[id(a)] = (a.rel, c, s)
-        if c:
-            m = lcm(m, c)
-    keys = {}
-    for aid, (rel, c, s) in rows.items():
-        if c:
-            keys[aid] = -s * (m // c)
-    cuts = sorted(set(keys.values()))
-    rank = {key: j for j, key in enumerate(cuts)}
-    full = (1 << (2 * len(cuts) + 1)) - 1
-    masks = {}
-    for aid, (rel, c, s) in rows.items():
-        if c == 0:
-            masks[aid] = full if _cmp(s, rel) else 0
-            continue
-        at = 2 << (2 * rank[keys[aid]])
-        below = at - 1
-        neg = below if c > 0 else full ^ below ^ at
-        if rel == "<":
-            masks[aid] = neg
-        elif rel == "<=":
-            masks[aid] = neg | at
-        elif rel == "=":
-            masks[aid] = at
-        else:
-            masks[aid] = full ^ at
-    held = _mask_of(f, masks, full)
-    out: list[Iv] = []
-    p = 0
-    scale = den * m
-    while held:
-        if not held & 1:
-            held >>= 1
-            p += 1
-            continue
-        start = p
-        while held & 2:
-            held >>= 1
-            p += 1
-        held >>= 1
-        # pieces start..p; an even piece 2j is the open gap below root j
-        if start % 2:
-            lo, lo_open = Fraction(cuts[start // 2], scale), False
-        else:
-            lo, lo_open = (Fraction(cuts[start // 2 - 1], scale) if start else None), True
-        if p % 2:
-            hi, hi_open = (lo if start == p else Fraction(cuts[p // 2], scale)), False
-        else:
-            hi, hi_open = (Fraction(cuts[p // 2], scale) if p // 2 < len(cuts) else None), True
-        out.append(Iv(lo, lo_open, hi, hi_open))
-        p += 1
-    return out
+    other variables fixed by `assignment` (whose var slot is ignored): f
+    compiled, its rows at the assignment scaled to ints, and their pieces."""
+    vals, den = _to_ints(assignment)
+    vals[var] = 0
+    return Compiled.of(f).at(vals, den, (var,)).pieces()
 
 
-def _mask_of(f, masks: dict, full: int) -> int:
+def _mask_of(f, masks, full: int) -> int:
     """The pieces (bits of `full`) where f holds, given each atom's mask by
-    id."""
+    the atom's key in the tree: a row index of a compiled formula, or the
+    atom itself."""
     tag = f[0]
     if tag == "atom":
-        return masks[id(f[1])]
+        return masks[f[1]]
     if tag == "and":
         m = full
         for g in f[1]:
-            m &= _mask_of(g, masks, full)
+            m &= masks[g[1]] if g[0] == "atom" else _mask_of(g, masks, full)
+            if not m:
+                break
         return m
     if tag == "or":
         m = 0
         for g in f[1]:
-            m |= _mask_of(g, masks, full)
+            m |= masks[g[1]] if g[0] == "atom" else _mask_of(g, masks, full)
+            if m == full:
+                break
         return m
     if tag == "not":
         return full ^ _mask_of(f[1], masks, full)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, interval_locator, param_index
 from .families import ParamFamily, as_point
-from .linear import Iv, decode, position
+from .linear import Iv, _to_ints, decode, position
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,10 @@ class ComponentTable:
 
     def _components(self, b: tuple) -> list[list[Iv]]:
         fam = self.family
+        if fam.kind == "semilinear":  # b scaled once for every predicate
+            vals, den = _to_ints(b)
+            vals.insert(0, 0)
+            return [c.at(vals, den, (0,)).pieces() for c in fam.compiled]
         return [fam.components(pi, b) for pi in range(len(fam.preds))]
 
     def _spans(self, comps: list[list[Iv]]) -> list[list[tuple]]:

@@ -173,3 +173,14 @@ def test_tracer_names_resolve():
         for name in rest:
             owner = getattr(owner, name)
         assert attr in owner.__dict__, f"bench/tracer.py wraps {owner_path}.{attr}, which is gone"
+
+
+def test_engines_read_compiled_formulas():
+    # an atom becomes int rows in `linear` alone, and dimension induction
+    # reads its formulas compiled, never through the Fraction evaluator
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = {name for name, _ in _referenced_names(ast.parse(path.read_text()))}
+        if path.stem != "linear":
+            assert "_int_row" not in names, path.stem
+        if path.stem == "induction":
+            assert not names & {"evaluate", "eval_formula"}, sorted(names & {"evaluate", "eval_formula"})

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from distalcells.linear import (
     FALSE,
     Atom,
+    Compiled,
     Iv,
     TRUE,
     _fm_sat,
@@ -305,6 +306,35 @@ def test_components_1d_matches_fraction_pieces(f, var, point):
     got = components_1d(f, var, list(point))
     assert [(iv.lo, iv.lo_open, iv.hi, iv.hi_open) for iv in got] == [tuple(p) for p in merged]
     assert all(type(iv.lo) is F for iv in got if iv.lo is not None)
+    # the engines' two steps: rows at the parameter (the third variable),
+    # over var and one other, then that other fixed at its own denominator
+    other = (var + 1) % 3
+    param = 3 - var - other
+    ys, den = _scaled([point[param]])
+    vals = [0, 0, 0]
+    vals[param] = ys[0]
+    step = Compiled.of(f).at(vals, den, (var, other))
+    (n,), q = _scaled([point[other]])
+    assert step.at([0, n], q, (0,)).pieces() == got
+    # the point test, with the first d = var + 1 variables as the point and
+    # the others as the parameter: each row at the parameter, times its
+    # denominator, is the atom's value there
+    d = var + 1
+    compiled = Compiled.of(f)
+    ys, den = _scaled(point[d:])
+    at = compiled.at([0] * d + ys, den, range(d))
+    for (coeffs, const, rel), (cx, s, rel_at) in zip(compiled.rows, at.rows):
+        assert rel_at == rel and len(cx) == d
+        value = sum(c * x for c, x in zip(cx, point)) + s
+        assert value == den * _ref_value(Atom(coeffs, const, rel), point)
+    xs, q = _scaled(point[:d])
+    assert at.holds((*xs, q)) == _ref_holds(f, point) == eval_formula(f, point)
+
+
+def _scaled(values):
+    """Rationals as ints over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
