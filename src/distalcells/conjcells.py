@@ -21,9 +21,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator, param_index
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_point
-from .linear import Iv, _to_ints, decode, position
+from .linear import Iv, _to_ints, decode
 
 # ---------------------------------------------------------------------------
 # Conjunction property and negation closure
@@ -254,7 +254,8 @@ def _conj_cell(
     chosen: tuple, extent_key, member, excluded, interval=None, region=None
 ) -> CellInstance:
     """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
-    chosen subset, and `excluded` is theta_psi: some phi(.; b) crosses."""
+    chosen subset, and `excluded(j)` is theta_psi: some phi(.; B[j])
+    crosses."""
     return CellInstance(
         template="conj{" + ",".join(str(i) for i, _ in chosen) + "}",
         params=tuple(b for _, b in chosen),
@@ -297,11 +298,9 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
         if len(dir_list) > family.point_dim:
             raise ValueError("more directions than coordinates")
 
-    def threshold(i: int, b) -> Fraction:
-        p = family.preds[i]
-        return (-(p.g(b)) - p.f.const) / scales[i]
-
-    thresholds = {i: [threshold(i, b) for b in B] for i in range(len(family.preds))}
+    thresholds = {
+        i: [(-p.g(b) - p.f.const) / scales[i] for b in B] for i, p in enumerate(family.preds)
+    }
 
     # per direction: rank the distinct thresholds, so cut k sits at position
     # 2k + 1 and the open gaps at the even positions, and every extent is a
@@ -343,7 +342,6 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
         axes.append(_Axis(d, dpreds, cuts, at_b))
 
     # cartesian product over independent directions
-    index = param_index(B)
     combos: list[tuple[list, tuple]] = [([], ())]
     for dpieces in per_dir:
         combos = [
@@ -352,8 +350,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
             for ext, ch in dpieces
         ]
     return [
-        _make_vl_cell(family, axes, exts, chosen, threshold, index)
-        for exts, chosen in combos
+        _make_vl_cell(family, axes, exts, chosen) for exts, chosen in combos
     ]
 
 
@@ -399,7 +396,7 @@ def _pos_crossed(ext: tuple[int, int], rel: str, q: int) -> bool:
     return lo <= q <= hi and lo < hi
 
 
-def _make_vl_cell(family, axes, exts, chosen, threshold, index) -> CellInstance:
+def _make_vl_cell(family, axes, exts, chosen) -> CellInstance:
     ivs = [decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
     if family.point_dim == 1:
         iv = ivs[0] if ivs else Iv.full()
@@ -415,17 +412,11 @@ def _make_vl_cell(family, axes, exts, chosen, threshold, index) -> CellInstance:
                 for ax, civ in zip(axes, ivs)
             )
 
-    def excluded(b) -> bool:
-        j = index(b)
-        for ax, ext in zip(axes, exts):
-            for dp in ax.dpreds:
-                if j is not None:
-                    q = ax.at_b[dp.pred][j]
-                else:
-                    q = position(ax.cuts, threshold(dp.pred, b))
-                if _pos_crossed(ext, dp.rel, q):
-                    return True
-        return False
+    def excluded(j: int) -> bool:
+        return any(
+            _pos_crossed(ext, dp.rel, ax.at_b[dp.pred][j])
+            for ax, ext in zip(axes, exts) for dp in ax.dpreds
+        )
 
     key = tuple((v.lo, v.lo_open, v.hi, v.hi_open) for v in ivs)
     return _conj_cell(tuple(chosen), key, member, excluded, iv)
@@ -472,7 +463,6 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
     M = math.lcm(*moduli)
     # cut c splits c - 1 from c
     cuts = sorted(set(lower) | {h + 1 for h in upper} | set(point) | {v + 1 for v in point})
-    index = param_index(B)
     cells = []
     for k in range(len(cuts) + 1):
         lo = cuts[k - 1] if k > 0 else None
@@ -490,9 +480,7 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
         for res, chosen in classes:
             z = _zset(lo, hi, M, res)
             if z is not None:
-                cells.append(_make_z_cell(
-                    family, z, sorted(chosen), truths, index, _ZRun(M, cuts, res, k)
-                ))
+                cells.append(_make_z_cell(z, sorted(chosen), truths, _ZRun(M, cuts, res, k)))
     return cells
 
 
@@ -551,19 +539,12 @@ def _z_truth_sets(family: ParamFamily, B: list) -> list[list[Optional[ZSet]]]:
     return out
 
 
-def _make_z_cell(
-    family, z: ZSet, chosen: list, truths: list, index, run: _ZRun
-) -> CellInstance:
+def _make_z_cell(z: ZSet, chosen: list, truths: list, run: _ZRun) -> CellInstance:
     def member(a: tuple) -> bool:
         return z.member(a[0])
 
-    def excluded(b) -> bool:
-        j = index(b)
-        if j is not None:
-            ts = [row[j] for row in truths]
-        else:
-            ts = [row[0] for row in _z_truth_sets(family, [b])]
-        return any(t is not None and _crosses(z, t) for t in ts)
+    def excluded(j: int) -> bool:
+        return any(row[j] is not None and _crosses(z, row[j]) for row in truths)
 
     return _conj_cell(tuple(chosen), z.canonical(), member, excluded, region=run)
 

@@ -2,8 +2,8 @@
 verifier, and shatter-function estimation.
 
 A decomposition is a map B -> list of cells, where each cell carries an exact
-membership predicate, an exact exclusion predicate I(Delta) over single
-parameters, and a canonical extent key for deduplication.  Verification is
+membership predicate, an exact exclusion predicate I(Delta) at each
+parameter of B, and a canonical extent key for deduplication.  Verification is
 exact in one dimension (`census_probes_1d` is exhaustive) and probe-based
 in higher dimensions: failures are always genuine, and a success covers only
 the cells that hold a probe.
@@ -31,10 +31,10 @@ class CellInstance:
     - template: the template's name; verify's crossing witness, induction.
     - params: the parameters from B that define the cell; induction.
     - member: point membership; verify, induction.
-    - excluded: the I(Delta) test for one parameter, a tuple of Fractions
-      (`families.as_point`); verify, the engines.  One of B's own tuples
-      reads the instance's rows through `param_index`; any other tuple, a
-      value-equal copy included, takes the engine's exact path.
+    - excluded: the I(Delta) test at B[j], given the position j in the
+      instance's B; verify, the engines.  A parameter b outside B is not
+      asked: it excludes the cell exactly when the cell is gone from
+      T(B + [b]).
     - extent_key: canonical extent; dedupe_cells.
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
@@ -46,23 +46,11 @@ class CellInstance:
     template: str
     params: tuple
     member: Callable[[Point], bool]
-    excluded: Callable[[tuple], bool]
+    excluded: Callable[[int], bool]
     extent_key: object
     interval: Optional[Iv] = None
     sample: Optional[Point] = None
     region: object = None
-
-
-def param_index(B: Sequence) -> Callable[[tuple], Optional[int]]:
-    """b -> j when b is B[j] itself, else None.  The lookup goes by id and
-    is confirmed with `is`, so it hashes no Fraction."""
-    by_id = {id(b): j for j, b in enumerate(B)}
-
-    def index(b) -> Optional[int]:
-        j = by_id.get(id(b))
-        return j if j is not None and B[j] is b else None
-
-    return index
 
 
 @dataclass
@@ -84,7 +72,7 @@ class Decomposition:
             return [
                 CellInstance(
                     template="full", params=(),
-                    member=lambda a: True, excluded=lambda b: False,
+                    member=lambda a: True, excluded=lambda j: False,
                     extent_key=("full",),
                 )
             ]
@@ -240,10 +228,10 @@ def verify(
     # validate the I(Delta) implementation against its definition at every
     # (nonempty cell, parameter) pair
     for ci in nonempty:
-        for b in B:
-            if cells[ci].excluded(b):
+        for j in range(len(B)):
+            if cells[ci].excluded(j):
                 raise AssertionError(
-                    f"exclusion violated: emitted cell {cells[ci].template} excluded by {b}"
+                    f"exclusion violated: emitted cell {cells[ci].template} excluded by {B[j]}"
                 )
 
     census = len({m for m in masks})

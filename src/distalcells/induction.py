@@ -11,8 +11,9 @@ holds on all of the fiber / on none of it, plus whether the fiber template is
 crossed at this base point; all are produced by exact linear quantifier
 elimination, so the recursion stays inside semilinear families.
 
-A cylinder is excluded for b when its base cell is excluded for the extended
-parameter or when the fiber template is crossed somewhere over the base
+A cylinder is excluded at B[j] when its base cell is excluded at the
+extended parameter b1 + b2 + B[j], the same position j of the base
+instance, or when the fiber template is crossed somewhere over the base
 (decided at a base sample point; valid cells have this constant over the
 base, since the crossing predicate itself belongs to the derived family).
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import omin1d
-from .decomp import CellInstance, Decomposition, param_index
+from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_point, semilinear_family
 from .linear import (
     FALSE,
@@ -254,7 +255,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, e) for b in B]
-        index, scale = param_index(B), _PointInts()
+        B_ints, scale = [_point_ints(b) for b in B], _PointInts()
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
@@ -269,7 +270,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 ys, den = _to_ints(b1 + b2)
                 fiber = tpl.psi.at([0] * d + ys, den, range(d))
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_der, index, fiber, scale)
+                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, scale)
                     if cell is not None:
                         cells.append(cell)
         return cells
@@ -292,40 +293,39 @@ def _cyl_cell(
     b1,
     b2,
     base_cell: CellInstance,
-    B_der: list,
-    index,
+    B_ints: list,
     fiber,
     scale,
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
     or excluded by a parameter of the instance (T(B) keeps only potential
-    cells missed by every I(Delta)).  `fiber` is the template's formula at
-    (b1, b2), as int rows over x."""
+    cells missed by every I(Delta)).  `B_ints[j]` is B[j] as ints
+    (`_point_ints`), and `fiber` is the template's formula at (b1, b2), as
+    int rows over x."""
     tpl = df.template
-    theta = df.family.compiled[0]
     base_pt = _base_sample(base_cell)
-
-    def excluded_der(b_der) -> bool:
+    if base_pt is not None:
         # theta*: the fiber template is crossed somewhere over the base; the
         # crossing predicate is part of the derived family, so on a valid
-        # base cell its value at the sample decides it everywhere.  It is
-        # tested first, being cheaper than the base cell's own test.
-        if base_pt is not None and theta.holds(_point_ints(base_pt + b_der)):
+        # base cell its value at the sample decides it everywhere.  Fixed
+        # once at (sample, b1, b2), its rows are over the last block, B[j]
+        nums, den = _to_ints(base_pt + b1 + b2)
+        last = range(len(nums), len(nums) + len(b1))
+        theta = df.family.compiled[0].at(nums + [0] * len(b1), den, last)
+
+    def excluded(j: int) -> bool:
+        # the base instance's parameter j is b1 + b2 + B[j]; theta* is
+        # tested first, being cheaper than the base cell's own test
+        if base_pt is not None and theta.holds(B_ints[j]):
             return True
-        if base_cell.excluded(b_der):
+        if base_cell.excluded(j):
             return True
         if base_pt is None:
             raise ValueError("base cell carries no sample point")
         return False
 
-    if any(excluded_der(b_der) for b_der in B_der):
+    if any(map(excluded, range(len(B_ints)))):
         return None
-
-    def excluded(b) -> bool:
-        # B[j] itself goes down as the very tuple B_der[j], so the base cell
-        # finds it among its instance's own parameters
-        j = index(b)
-        return excluded_der(B_der[j] if j is not None else b1 + b2 + b)
 
     # membership on points scaled to ints; the base is a chain-engine
     # interval or a cylinder of the level below, whose region is this test

@@ -11,8 +11,8 @@ Instantiated over Q on rank positions (`linear.position`): the k distinct
 component endpoints over B give positions 0..2k, an odd one for each
 endpoint and an even one for each open gap.  A downward closure is the set
 of positions below an int threshold (0 is empty, 2k + 1 the whole line), a
-cell is a closed range of positions, and the exclusion test compares that
-range with the position spans of a parameter's components.
+cell is a closed range of positions, and the exclusion test at a parameter
+of B compares that range with the position spans of its components.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator, param_index
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_point
 from .linear import Iv, _to_ints, decode, position
 
@@ -30,7 +30,7 @@ class DownwardSet:
     pred: int
     comp: int
     flavor: str  # "<=" or "<"
-    param_index: int
+    b_index: int
     threshold: int  # the positions below it
 
 
@@ -67,9 +67,9 @@ def _crossed(spans: list, lo: int, hi: int) -> bool:
 
 
 class ComponentTable:
-    """The spans of every predicate's components, over the positions of the
-    component endpoints at B: `rows[j]` at B[j], computed once per
-    decomposition instance, and `spans(b)` afresh at any parameter b."""
+    """The spans of every predicate's components at each parameter of B,
+    over the positions of the component endpoints at B: `rows[j]` at B[j],
+    computed once per decomposition instance."""
 
     def __init__(self, family: ParamFamily, B: Sequence):
         self.family = family
@@ -79,7 +79,7 @@ class ComponentTable:
             v for per_b in comps for cs in per_b for c in cs
             for v in (c.lo, c.hi) if v is not None
         })
-        self.rows = [self._spans(cs) for cs in comps]
+        self.rows = [[[_span(self.cuts, c) for c in cs] for cs in per_b] for per_b in comps]
 
     def _components(self, b: tuple) -> list[list[Iv]]:
         fam = self.family
@@ -88,12 +88,6 @@ class ComponentTable:
             vals.insert(0, 0)
             return [c.at(vals, den, (0,)).pieces() for c in fam.compiled]
         return [fam.components(pi, b) for pi in range(len(fam.preds))]
-
-    def _spans(self, comps: list[list[Iv]]) -> list[list[tuple]]:
-        return [[_span(self.cuts, c) for c in cs] for cs in comps]
-
-    def spans(self, b: tuple) -> list[list[tuple]]:
-        return self._spans(self._components(b))
 
 
 def downward_family(table: ComponentTable) -> list[DownwardSet]:
@@ -117,7 +111,7 @@ def downward_family(table: ComponentTable) -> list[DownwardSet]:
                 # up to some point of the component, and below all of it
                 sets.append(DownwardSet(pi, ci, "<=", bi, hi + 1))
                 sets.append(DownwardSet(pi, ci, "<", bi, lo))
-    sets.sort(key=lambda d: (d.threshold, d.pred, d.comp, d.flavor, d.param_index))
+    sets.sort(key=lambda d: (d.threshold, d.pred, d.comp, d.flavor, d.b_index))
     return sets
 
 
@@ -156,25 +150,23 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
 
     def inst(B: list) -> list[CellInstance]:
         table = ComponentTable(family, B)
-        B, index = table.B, param_index(table.B)
+        B = table.B
 
-        def excluded(b, lo: int, hi: int) -> bool:
-            j = index(b)
-            at_b = table.rows[j] if j is not None else table.spans(b)
-            return any(_crossed(spans, lo, hi) for spans in at_b)
+        def excluded(j: int, lo: int, hi: int) -> bool:
+            return any(_crossed(spans, lo, hi) for spans in table.rows[j])
 
         cells = []
         for (lo, hi), lo_src, hi_src in chain_atoms(downward_family(table), 2 * len(table.cuts) + 1):
             iv = decode(table.cuts, (lo, hi))
             params = tuple(
-                B[d.param_index] for d in (lo_src, hi_src) if d is not None
+                B[d.b_index] for d in (lo_src, hi_src) if d is not None
             )
             cells.append(
                 CellInstance(
                     template=f"{_source_label(hi_src)}\\{_source_label(lo_src)}",
                     params=params,
                     member=lambda a, iv=iv: iv.member(a[0]),
-                    excluded=lambda b, lo=lo, hi=hi: excluded(b, lo, hi),
+                    excluded=lambda j, lo=lo, hi=hi: excluded(j, lo, hi),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
                     interval=iv,
                 )

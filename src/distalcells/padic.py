@@ -11,11 +11,10 @@ descriptor: a parameter is excluded when one of its balls would cut strictly
 between the atom's two radii, or (for Macintyre's edge balls at the removal
 level) when its ball swallows the cell.
 
-Each instance runs on the ints of its centres' `_Scale`: the exclusion tests
-of one of B's own parameters read a table of centre distances indexed by its
-position in B (any other parameter takes the same tests on exact
-valuations), and the membership tests and probes compare a rational a/d
-with a centre X / D through a D - X d, building no Fraction.
+Each instance runs on the ints of its centres' `_Scale`: the exclusion test
+at B[j] reads a table of centre distances by the position j, and the
+membership tests and probes compare a rational a/d with a centre X / D
+through a D - X d, building no Fraction.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .decomp import CellInstance, Decomposition, param_index
+from .decomp import CellInstance, Decomposition
 from .families import ParamFamily, as_point
 from .scalars import (
     INF,
@@ -129,7 +128,7 @@ def _point_cell(region: Region) -> CellInstance:
     return CellInstance(
         template="sub(pt)", params=(),
         member=lambda a, t=region.sub.center: a[0] == t,
-        excluded=lambda b: False,
+        excluded=lambda j: False,
         extent_key=(region.node, ("pt",)),
         region=region,
     )
@@ -164,29 +163,12 @@ def _laff_cut(to_t, to_reps, among, a_l, a_u) -> bool:
     return any(a_l < vt < a_u for vt in to_t)
 
 
-def _excluder(B: list):
-    """(inside, outside) -> the exclusion test of a parameter b: inside(j)
-    when b is B[j] itself, else outside(b) on exact valuations."""
-    index = param_index(B)
-
-    def make(inside, outside):
-        def excluded(b) -> bool:
-            j = index(b)
-            return inside(j) if j is not None else outside(b)
-
-        return excluded
-
-    return make
-
-
 def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
     """Macintyre's balls and atom rule: b cuts a subinterval when a centre
     of b, or a level of v(f(b)) below such a centre, lies strictly between
     its radii (`_mac_cut`).  An edge ball at the removal level is dropped
     when a centre of B lies in it, and b cuts it when a centre of b does."""
-    F, C, p = family.meta["F"], family.meta["C"], family.meta["p"]
-    vf = _f_levels(F, B, p)
-    excluded = _excluder(B)
+    vf = _f_levels(family.meta["F"], B, family.meta["p"])
     scale, xs, everywhere = cen.scale, cen.xs, range(len(cen.xs))
 
     def swallowed(kt: int, r: int, u: int, ks) -> bool:
@@ -196,31 +178,20 @@ def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
         return any(row[k] == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r) for k in ks)
 
     def atom(kt: int, sub: Subinterval):
-        row, a_l, a_u, t = cen.dist[kt], sub.alpha_l, sub.alpha_u, cen.fracs[kt]
+        row, a_l, a_u = cen.dist[kt], sub.alpha_l, sub.alpha_u
 
-        def inside(j: int) -> bool:
+        def plain(j: int) -> bool:
             return _mac_cut(row, cen.ids[j], vf[j], a_l, a_u)
 
-        if any(map(inside, range(len(B)))):
+        if any(map(plain, range(len(B)))):
             return None
-
-        def outside(b) -> bool:
-            cbs = [c(b) for c in C]
-            return _mac_cut([valuation(t - cb, p) for cb in cbs], range(len(cbs)), _f_levels(F, [b], p)[0], a_l, a_u)
-
-        plain = excluded(inside, outside)
 
         def edge(r: int, u: int):
             if r < a_u:
                 return plain
             if swallowed(kt, r, u, everywhere):
                 return None
-
-            def outside_u(b) -> bool:
-                q = t + Fraction(p) ** r * u
-                return outside(b) or any(valuation(q - c(b), p) > r for c in C)
-
-            return excluded(lambda j: inside(j) or swallowed(kt, r, u, cen.ids[j]), outside_u)
+            return lambda j: plain(j) or swallowed(kt, r, u, cen.ids[j])
 
         return plain, edge, ()
 
@@ -232,14 +203,13 @@ def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
     `_laff_cut` of b's centres against the subinterval's centre and removed
     representatives.  Edge cells share the subinterval's test, and their
     members avoid the removed balls."""
-    C, p, dist = family.meta["C"], family.meta["p"], cen.dist
-    excluded = _excluder(B)
+    dist = cen.dist
 
     def atom(kt: int, sub: Subinterval):
-        a_l, a_u, t = sub.alpha_l, sub.alpha_u, cen.fracs[kt]
+        a_l, a_u = sub.alpha_l, sub.alpha_u
         rems = [cen.at[cen.scale.x(c)] for c in sub.removed]
 
-        def inside(j: int) -> bool:
+        def plain(j: int) -> bool:
             ks = cen.ids[j]
             return _laff_cut(
                 [dist[k][kt] for k in ks],
@@ -248,19 +218,8 @@ def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
                 a_l, a_u,
             )
 
-        if any(map(inside, range(len(B)))):
+        if any(map(plain, range(len(B)))):
             return None
-
-        def outside(b) -> bool:
-            ts = [c(b) for c in C]
-            return _laff_cut(
-                [valuation(ti - t, p) for ti in ts],
-                [[valuation(ti - rep, p) for rep in sub.removed] for ti in ts],
-                [[valuation(ti - tk, p) for tk in ts] for ti in ts],
-                a_l, a_u,
-            )
-
-        plain = excluded(inside, outside)
         return plain, lambda r, u: plain, [cen.xs[k] for k in rems]
 
     return _laff(cen), atom

@@ -233,6 +233,11 @@ def test_presburger_cells_match_integer_oracle(instance):
     assert len(cells) == len(types)
 
     tested = sorted(set(B) | set(range(-15, 16, 5)))
+    # a parameter outside B excludes exactly the cells gone from T(B + [b])
+    kept = {
+        b: {c.extent_key for c in conj_decomposition(fam, [F(v) for v in B + [b]])}
+        for b in tested if b not in B
+    }
     holds_at = {
         (i, b): {x for x in WINDOW if h(x, b)} for i, h in enumerate(holds) for b in tested
     }
@@ -246,7 +251,8 @@ def test_presburger_cells_match_integer_oracle(instance):
             crossed = any(
                 0 < len(extent & holds_at[i, b]) < len(extent) for i in range(len(holds))
             )
-            assert cell.excluded((F(b),)) == crossed, (cell.template, b)
+            got = cell.extent_key not in kept[b] if b in kept else cell.excluded(B.index(b))
+            assert got == crossed, (cell.template, b)
 
 
 def iv_subset(a: Iv, b: Iv) -> bool:
@@ -346,12 +352,19 @@ def test_vector_linear_cells_match_fraction_reference(dim):
         outside = [(rng.fraction(10, 3),) for _ in range(4)] + [(B[0][0] + F(1, 997),)]
         cells = conj_decomposition(fam, B)
         ref = _reference_vl_cells(fam, B)
+        # a parameter outside B excludes exactly the cells gone from T(B + [b])
+        kept = {
+            b: {c.extent_key for c in conj_decomposition(fam, B + [b])}
+            for b in outside if b not in B
+        }
         assert len(cells) == len(ref)
         for cell, (template, params, key, interval, excluded) in zip(cells, ref):
             assert (cell.template, cell.params, cell.extent_key) == (template, params, key)
             assert cell.interval == interval
-            for b in B + [b for b in outside if b not in B]:
-                assert cell.excluded(b) == excluded(b), (cell.template, b)
+            for j, b in enumerate(B):
+                assert cell.excluded(j) == excluded(b), (cell.template, b)
+            for b, keys in kept.items():
+                assert (cell.extent_key not in keys) == excluded(b), (cell.template, b)
         if dim == 1:
             decomp = build_decomposition(fam)
             scan = dataclasses.replace(decomp, locator_fn=None)

@@ -6,7 +6,6 @@ import pytest
 from distalcells import conjcells, padic
 from distalcells.decomp import (
     fit_loglog_slope,
-    param_index,
     shatter_estimate,
     verify,
     Decomposition,
@@ -38,7 +37,7 @@ def _trivial_decomp():
         return [
             CellInstance(
                 template="full", params=(),
-                member=lambda a: True, excluded=lambda b: False,
+                member=lambda a: True, excluded=lambda j: False,
                 extent_key=("full",), interval=Iv.full(),
             )
         ]
@@ -192,20 +191,12 @@ def test_verify_checks_every_pair():
     def inst(B):
         cells = decomp.instantiate_fn(B)
         wrong = cells[0].excluded
-        cells[0] = dataclasses.replace(cells[0], excluded=lambda b: b == B[1] or wrong(b))
+        cells[0] = dataclasses.replace(cells[0], excluded=lambda j: j == 1 or wrong(j))
         return cells
 
     broken = Decomposition("omin1d-broken", inst, decomp.locator_fn)
     with pytest.raises(AssertionError, match="exclusion violated"):
         verify(broken, fam, B)
-
-
-def test_param_index_goes_by_identity():
-    B = [(F(1, 2),), (F(3),), (F(-1), F(2))]
-    index = param_index(B)
-    assert [index(b) for b in B] == [0, 1, 2]
-    assert index(tuple(F(v) for v in B[1])) is None
-    assert index((F(7),)) is None
 
 
 def _omin1d_family():
@@ -218,7 +209,7 @@ def _omin1d_family():
     )
 
 
-def _two_path_cases():
+def _exclusion_cases():
     """label -> (decomposition, draw) for every engine, where draw(rng) is a
     parameter set."""
     def draw(dim, size, num, den):
@@ -266,15 +257,11 @@ def _two_path_cases():
     "induction-2d",
 ])
 def test_exclusion_paths_agree_on_B(label):
-    # B's own tuples read the instance's rows; a value-equal copy misses the
-    # identity index and takes the exact path, and neither may exclude an
-    # emitted cell
-    decomp, draw = _two_path_cases()[label]
+    # no parameter of B, by its position j, excludes an emitted cell
+    decomp, draw = _exclusion_cases()[label]
     rng = SplitMix64(31337)
     for _ in range(6 if label == "induction-2d" else 12):
         B = draw(rng)
         for cell in decomp.instantiate(B):
-            for b in B:
-                assert cell.excluded(b) is False, (label, cell.template, b)
-                copy = tuple(F(v) for v in b)
-                assert cell.excluded(copy) is False, (label, cell.template, b)
+            for j in range(len(B)):
+                assert cell.excluded(j) is False, (label, cell.template, B[j])

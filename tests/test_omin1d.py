@@ -180,11 +180,12 @@ def test_exclusion_soundness_definition():
     decomp = build_decomposition(fam)
     B = [F(0), F(2), F(5)]
     for c in decomp.instantiate(B):
-        assert not any(c.excluded((b,)) for b in B)
+        assert not any(map(c.excluded, range(len(B))))
     # and a cell that would be crossed is excluded: (-inf, 2), a cell over
-    # {2}, is crossed at b = 0
+    # {2}, is crossed at b = 0, so it is gone from T([2, 0])
     below_2 = [c for c in decomp.instantiate([F(2)]) if c.interval == Iv(None, True, F(2), True)]
-    assert len(below_2) == 1 and below_2[0].excluded((F(0),))
+    assert len(below_2) == 1
+    assert below_2[0].extent_key not in {c.extent_key for c in decomp.instantiate([F(2), F(0)])}
 
 
 def _random_interval_pred(rng: SplitMix64):
@@ -250,7 +251,7 @@ def test_monotone_exclusion(bs):
     for c in cells_big:
         # every cell emitted over B with parameters from B_small is immune to B_small
         if all(p in [(b,) for b in B_small] for p in c.params):
-            assert not any(c.excluded((b,)) for b in B_small)
+            assert not any(map(c.excluded, range(len(B_small))))
 
 
 def test_interval_family_from_explicit_components():
@@ -469,7 +470,8 @@ def test_positions_match_fraction_reference():
             b = (rng.fraction(12, 4),)
             if b not in B:
                 B.append(b)
-        cells = build_decomposition(fam).instantiate(B)
+        decomp = build_decomposition(fam)
+        cells = decomp.instantiate(B)
         ref = _ref_cells(fam, B)
         assert [(c.template, c.params, c.extent_key, c.interval) for c in cells] == ref
 
@@ -500,11 +502,15 @@ def test_positions_match_fraction_reference():
             on_cut += any(e in ends for e in at)
             in_gap += any(e not in ends for e in at)
 
-        for b in B + outside:
+        for j, b in enumerate(B + outside):
+            # a parameter of B is tested in place, any other by heredity: it
+            # excludes exactly the cells that are gone from T(B + [b])
+            kept = None if j < len(B) else {c.extent_key for c in decomp.instantiate(B + [b])}
             for cell, (_, _, _, iv) in zip(cells, ref):
                 want = any(crosses(cs, iv) for cs in comps_at[b])
-                assert cell.excluded(b) == want, (n, cell.template, b)
-                verdicts.add((b in B, want))
+                got = cell.excluded(j) if kept is None else cell.extent_key not in kept
+                assert got == want, (n, cell.template, b)
+                verdicts.add((kept is None, want))
     assert on_cut >= 100 and in_gap >= 100, (on_cut, in_gap)
     assert verdicts == {(True, False), (False, False), (False, True)}
 

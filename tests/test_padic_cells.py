@@ -5,9 +5,12 @@ Each instance records the probe list, the forest (balls and parents), its
 distinct subintervals (center, alpha_l, alpha_u, removed) and, per cell:
 template, forest node, the first index of a cell with an equal extent key,
 the index of its subinterval, and a mask of `excluded` over the parameters
-of B and four parameters outside B.  Per probe it records the cells whose
-`member` holds.  Run this file as a script to write the dump to the path
-given on the command line.
+of B followed by four parameters b outside B.  An outside bit is read by
+heredity: it is set when the cell is gone from T(B + [b]), cells matched by
+(subinterval, type), since forest node numbers are not intrinsic; the
+pinned Macintyre outside bits predate that reading (see the test).  Per
+probe it records the cells whose `member` holds.  Run this file as a script to
+write the dump to the path given on the command line.
 """
 
 import json
@@ -78,10 +81,16 @@ def _level(r) -> str:
     return "+inf" if r == INF else str(r)
 
 
+def _kept(cell) -> tuple:
+    """A cell's (subinterval, type): its extent across instances."""
+    return cell.region.sub, cell.extent_key[1]
+
+
 def _dump_instance(engine: str, p: int, k: int) -> dict:
     fam, decomp, B, outside = _instance(engine, p, k)
     probes = family_probes(fam, B)
     cells = decomp.instantiate(B)
+    after = [{_kept(c) for c in decomp.instantiate(B + [b])} for b in outside]
     forest = cells[0].region.forest
     first_key: dict = {}
     subs: dict = {}
@@ -94,7 +103,10 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
             cell.region.node,
             first_key.setdefault(cell.extent_key, ci),
             subs.setdefault(fields, len(subs)),
-            _mask(cell.excluded(b) for b in B + outside),
+            _mask(
+                [cell.excluded(j) for j in range(len(B))]
+                + [_kept(cell) not in kept for kept in after]
+            ),
         ])
     return {
         "engine": engine,
@@ -124,8 +136,23 @@ def test_cells_match_pinned_dump():
     golden = json.loads(GOLDEN.read_text())
     got = dump()
     assert len(got) == len(golden)
+    unpinned = 0
     for g, want in zip(got, golden):
-        assert g == want, (g["engine"], g["p"], g["k"])
+        where = (g["engine"], g["p"], g["k"])
+        if g["engine"] == "macintyre":
+            # the pinned Macintyre outside bits come from an exact test of a
+            # parameter outside B that had no missed-sibling rule: a cell
+            # with a pinned bit is gone from T(B + [b]), but so are 671
+            # cells whose bit is clear (at k = 0, p = 3, b = 19/3 puts a
+            # centre on an atom's removal sphere as the p-th sibling, and
+            # the siblings tile a ball one level wider)
+            for cell, pinned in zip(g["cells"], want["cells"]):
+                bits, pinned_bits = int(cell[-1], 16), int(pinned[-1], 16)
+                assert pinned_bits & ~bits == 0, where
+                unpinned += bin(bits & ~pinned_bits).count("1")
+                cell[-1] = pinned[-1]
+        assert g == want, where
+    assert unpinned == 671
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ two-atom family a1 x1 + a2 x2 + s y1 REL c, x2 < y2.  Each instance
 records B, the two extra parameters, and for every cell of `instantiate`,
 in order: its template, its extent key, its sample, its membership bits
 over `plane_probes(..., steps=8)` (bit k for probe k) and its `excluded`
-bits over B followed by the extra parameters.  Fractions are written as
-"n/d" strings.  Run this file as a script to write the dump to the path
-given on the command line.
+bits over B followed by the extra parameters.  An extra parameter's bit is
+read by heredity: it is set when no cell of T(B + [b]) has the cell's
+extent key.  Fractions are written as "n/d" strings.  Run this file as a
+script to write the dump to the path given on the command line.
 """
 
 import json
@@ -74,11 +75,14 @@ def dump() -> list:
     out = []
     for label, fam, B, extra in _instances():
         probes = plane_probes(fam, B, steps=8)
-        params = B + extra
+        decomp = induct(fam)
+        after = [{c.extent_key for c in decomp.instantiate(B + [b])} for b in extra]
         cells = []
-        for c in induct(fam).instantiate(B):
+        for c in decomp.instantiate(B):
             member = sum(1 << k for k, p in enumerate(probes) if c.member(p))
-            excluded = sum(1 << j for j, b in enumerate(params) if c.excluded(b))
+            bits = [c.excluded(j) for j in range(len(B))]
+            bits += [c.extent_key not in keys for keys in after]
+            excluded = sum(1 << j for j, bit in enumerate(bits) if bit)
             cells.append({
                 "template": c.template,
                 "key": _json(c.extent_key),
