@@ -196,41 +196,6 @@ def _zset(lo: Optional[int], hi: Optional[int], mod: int, res: int) -> Optional[
 _ZFULL = ZSet(None, None, 1, 0)
 
 
-def _meet(z: ZSet, t: ZSet) -> Optional[ZSet]:
-    lo = z.lo if t.lo is None or (z.lo is not None and z.lo >= t.lo) else t.lo
-    hi = z.hi if t.hi is None or (z.hi is not None and z.hi <= t.hi) else t.hi
-    if t.mod == 1:
-        return _zset(lo, hi, z.mod, z.res)
-    merged = _crt(z.mod, z.res, t.mod, t.res)
-    return None if merged is None else _zset(lo, hi, *merged)
-
-
-def _within(z: ZSet, t: ZSet) -> bool:
-    """Every member of z is a member of t."""
-    if t.lo is not None and (z.lo is None or z.lo < t.lo):
-        return False
-    if t.hi is not None and (z.hi is None or z.hi > t.hi):
-        return False
-    if z.lo is not None and z.lo == z.hi:
-        return z.lo % t.mod == t.res
-    # two members or more, a step of z.mod apart
-    return z.mod % t.mod == 0 and z.res % t.mod == t.res
-
-
-def _crosses(z: ZSet, t: ZSet) -> bool:
-    """t holds on some members of z but not on all."""
-    return not _within(z, t) and _meet(z, t) is not None
-
-
-def _crt(m1: int, r1: int, m2: int, r2: int) -> Optional[tuple[int, int]]:
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    return lcm, (r1 + m1 * t) % lcm
-
-
 def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
     """x with a*x = s (mod K) as a progression (modulus, residue), or None."""
     a %= K
@@ -250,17 +215,14 @@ def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _conj_cell(
-    chosen: tuple, extent_key, member, excluded, interval=None, region=None
-) -> CellInstance:
+def _conj_cell(chosen: tuple, extent_key, member, interval=None, region=None) -> CellInstance:
     """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
-    chosen subset, and `excluded(j)` is theta_psi: some phi(.; B[j])
-    crosses."""
+    chosen subset.  Its theta_psi (some phi(.; b) crosses) holds at no b in
+    B: each instantiation applies it where it drops conjunctions."""
     return CellInstance(
         template="conj{" + ",".join(str(i) for i, _ in chosen) + "}",
         params=tuple(b for _, b in chosen),
         member=member,
-        excluded=excluded,
         extent_key=extent_key,
         interval=interval,
         region=region,
@@ -314,13 +276,12 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
         dpreds = dirs[d]
         cuts = sorted({v for dp in dpreds for v in thresholds[dp.pred]})
         rank = {v: 2 * k + 1 for k, v in enumerate(cuts)}
-        at_b = {dp.pred: [rank[v] for v in thresholds[dp.pred]] for dp in dpreds}
         options: dict[tuple[int, int], tuple] = {(0, 2 * len(cuts)): ()}
         positions: dict[int, list[int]] = {}
         for dp in dpreds:
             first: dict[int, object] = {}
-            for b, q in zip(B, at_b[dp.pred]):
-                first.setdefault(q, b)
+            for b, v in zip(B, thresholds[dp.pred]):
+                first.setdefault(rank[v], b)
             pos = positions[dp.pred] = sorted(first)
             new_options = dict(options)
             for (lo, hi), chosen in options.items():
@@ -339,7 +300,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
             for ext, chosen in options.items()
             if not _dir_crossed(ext, dpreds, positions)
         ])
-        axes.append(_Axis(d, dpreds, cuts, at_b))
+        axes.append(_Axis(d, cuts))
 
     # cartesian product over independent directions
     combos: list[tuple[list, tuple]] = [([], ())]
@@ -355,14 +316,11 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
 
 
 class _Axis(NamedTuple):
-    """One direction of a vector-linear instance: its predicates, its sorted
-    distinct thresholds over B, and each predicate's threshold position at
-    every b of B."""
+    """One direction of a vector-linear instance and its sorted distinct
+    thresholds over B."""
 
     direction: tuple
-    dpreds: list
     cuts: list
-    at_b: dict
 
 
 def _dir_crossed(ext: tuple[int, int], dpreds: list[_DirPred], positions: dict) -> bool:
@@ -383,20 +341,11 @@ def _dir_crossed(ext: tuple[int, int], dpreds: list[_DirPred], positions: dict) 
     return False
 
 
-def _pos_crossed(ext: tuple[int, int], rel: str, q: int) -> bool:
-    """Does the piece of relation `rel` at position q cross the extent?  An
-    even q is a value strictly inside that gap, so each piece splits it."""
-    lo, hi = ext
-    if q % 2 == 0:
-        return lo <= q <= hi
-    if rel == "<":
-        return lo < q <= hi
-    if rel == ">":
-        return lo <= q < hi
-    return lo <= q <= hi and lo < hi
-
-
 def _make_vl_cell(family, axes, exts, chosen) -> CellInstance:
+    """The product cell of one surviving extent per direction.  An instance
+    phi(.; b) constrains only its own direction's coordinate, so it crosses
+    the product exactly when it crosses that direction's extent, which
+    `_dir_crossed` ruled out for every b in B."""
     ivs = [decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
     if family.point_dim == 1:
         iv = ivs[0] if ivs else Iv.full()
@@ -412,14 +361,8 @@ def _make_vl_cell(family, axes, exts, chosen) -> CellInstance:
                 for ax, civ in zip(axes, ivs)
             )
 
-    def excluded(j: int) -> bool:
-        return any(
-            _pos_crossed(ext, dp.rel, ax.at_b[dp.pred][j])
-            for ax, ext in zip(axes, exts) for dp in ax.dpreds
-        )
-
     key = tuple((v.lo, v.lo_open, v.hi, v.hi_open) for v in ivs)
-    return _conj_cell(tuple(chosen), key, member, excluded, iv)
+    return _conj_cell(tuple(chosen), key, member, iv)
 
 
 class _ZRun(NamedTuple):
@@ -439,7 +382,8 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
     cuts are the ends of the order truth sets: each truth set is a union of
     runs or of classes, adjacent runs differ on the truth set that made
     their cut, and every residue of a mod shape occurs, so distinct classes
-    differ on some progression."""
+    differ on some progression.  Each truth set at a b in B is thus a union
+    of types and crosses none: every type is a cell of T(B)."""
     if family.point_dim != 1:
         raise ValueError("Presburger conj cells are implemented for |x| = 1")
     truths = _z_truth_sets(family, B)
@@ -480,7 +424,7 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
         for res, chosen in classes:
             z = _zset(lo, hi, M, res)
             if z is not None:
-                cells.append(_make_z_cell(z, sorted(chosen), truths, _ZRun(M, cuts, res, k)))
+                cells.append(_make_z_cell(z, sorted(chosen), _ZRun(M, cuts, res, k)))
     return cells
 
 
@@ -539,14 +483,11 @@ def _z_truth_sets(family: ParamFamily, B: list) -> list[list[Optional[ZSet]]]:
     return out
 
 
-def _make_z_cell(z: ZSet, chosen: list, truths: list, run: _ZRun) -> CellInstance:
+def _make_z_cell(z: ZSet, chosen: list, run: _ZRun) -> CellInstance:
     def member(a: tuple) -> bool:
         return z.member(a[0])
 
-    def excluded(j: int) -> bool:
-        return any(row[j] is not None and _crosses(z, row[j]) for row in truths)
-
-    return _conj_cell(tuple(chosen), z.canonical(), member, excluded, region=run)
+    return _conj_cell(tuple(chosen), z.canonical(), member, region=run)
 
 
 def _z_locator(cells: list[CellInstance]):

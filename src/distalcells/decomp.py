@@ -2,11 +2,15 @@
 verifier, and shatter-function estimation.
 
 A decomposition is a map B -> list of cells, where each cell carries an exact
-membership predicate, an exact exclusion predicate I(Delta) at each
-parameter of B, and a canonical extent key for deduplication.  Verification is
-exact in one dimension (`census_probes_1d` is exhaustive) and probe-based
-in higher dimensions: failures are always genuine, and a success covers only
-the cells that hold a probe.
+membership predicate and a canonical extent key for deduplication.  An
+emitted cell is, by the definition of T(B), excluded by no parameter of B,
+so a cell carries no exclusion test: I(Delta) at a parameter b outside B is
+read by heredity, b being in I(Delta) exactly when Delta is gone from
+T(B + [b]), and each engine applies I(Delta) only where its construction
+drops potential cells.  Verification is exact in one dimension
+(`census_probes_1d` is exhaustive) and probe-based in higher dimensions:
+failures are always genuine, and a success covers only the cells that hold
+a probe.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class CellInstance:
     - template: the template's name; verify's crossing witness, induction.
     - params: the parameters from B that define the cell; induction.
     - member: point membership; verify, induction.
-    - excluded: the I(Delta) test at B[j], given the position j in the
-      instance's B; verify, the engines.  A parameter b outside B is not
-      asked: it excludes the cell exactly when the cell is gone from
-      T(B + [b]).
     - extent_key: canonical extent; dedupe_cells.
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
@@ -46,7 +46,6 @@ class CellInstance:
     template: str
     params: tuple
     member: Callable[[Point], bool]
-    excluded: Callable[[int], bool]
     extent_key: object
     interval: Optional[Iv] = None
     sample: Optional[Point] = None
@@ -72,8 +71,7 @@ class Decomposition:
             return [
                 CellInstance(
                     template="full", params=(),
-                    member=lambda a: True, excluded=lambda j: False,
-                    extent_key=("full",),
+                    member=lambda a: True, extent_key=("full",),
                 )
             ]
         return self.instantiate_fn(B)
@@ -224,15 +222,6 @@ def verify(
                 break
         if not uncrossed:
             break
-
-    # validate the I(Delta) implementation against its definition at every
-    # (nonempty cell, parameter) pair
-    for ci in nonempty:
-        for j in range(len(B)):
-            if cells[ci].excluded(j):
-                raise AssertionError(
-                    f"exclusion violated: emitted cell {cells[ci].template} excluded by {B[j]}"
-                )
 
     census = len({m for m in masks})
     return VerificationReport(

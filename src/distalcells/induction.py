@@ -12,10 +12,12 @@ crossed at this base point; all are produced by exact linear quantifier
 elimination, so the recursion stays inside semilinear families.
 
 A cylinder is excluded at B[j] when its base cell is excluded at the
-extended parameter b1 + b2 + B[j], the same position j of the base
-instance, or when the fiber template is crossed somewhere over the base
-(decided at a base sample point; valid cells have this constant over the
-base, since the crossing predicate itself belongs to the derived family).
+extended parameter b1 + b2 + B[j], or when the fiber template is crossed
+somewhere over the base (theta*, decided at a base sample point; valid
+cells have this constant over the base, since the crossing predicate itself
+belongs to the derived family).  The base cell is a cell of T(B_der) with
+B_der = [b1 + b2 + b for b in B], so no extended parameter excludes it, and
+theta* alone drops cylinders.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ class FiberSource:
 def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> list[FiberSource]:
     """Closure formulas of the fiber components along the first coordinate.
 
-    `component_cap` truncates the per-predicate component count; it is used on
+    `component_cap` lowers the per-predicate component count; it is used on
     recursive levels where the syntactic bound of QE outputs is far above the
-    realized count, and the coverage verifier backstops the truncation.
+    realized count.  A predicate whose fibers can have more components than
+    the cap raises ValueError.
     """
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
@@ -148,6 +151,9 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
                 break
         while len(comp_ge) <= bound:
             comp_ge.append(FALSE)
+        if bound < family.component_bound(pi) and comp_ge[bound] != FALSE:
+            # comp_ge[bound]: x in a component of index bound or more
+            raise ValueError(f"predicate {pi} has fibers with more than {bound} components")
         for i in range(bound):
             comp = dnf_simplify(f_and(comp_ge[i], f_not(comp_ge[i + 1])))
             if comp == FALSE:
@@ -242,8 +248,8 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     dimension; 1-dimensional input goes straight to the chain engine.
 
     Recursive levels cap the fiber component count at 3 (QE outputs carry a
-    syntactic bound far above the realized count); the coverage check in
-    `verify` backstops the cap.
+    syntactic bound far above the realized count); `fiber_sources` raises
+    when a derived predicate can exceed it.
     """
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
@@ -298,33 +304,23 @@ def _cyl_cell(
     scale,
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
-    or excluded by a parameter of the instance (T(B) keeps only potential
-    cells missed by every I(Delta)).  `B_ints[j]` is B[j] as ints
-    (`_point_ints`), and `fiber` is the template's formula at (b1, b2), as
-    int rows over x."""
+    or theta* holds at a parameter of the instance (T(B) keeps only
+    potential cells missed by every I(Delta); the base cell, a cell of
+    T(B_der), is excluded at no extended parameter).  `B_ints[j]` is B[j] as
+    ints (`_point_ints`), and `fiber` is the template's formula at (b1, b2),
+    as int rows over x."""
     tpl = df.template
     base_pt = _base_sample(base_cell)
-    if base_pt is not None:
-        # theta*: the fiber template is crossed somewhere over the base; the
-        # crossing predicate is part of the derived family, so on a valid
-        # base cell its value at the sample decides it everywhere.  Fixed
-        # once at (sample, b1, b2), its rows are over the last block, B[j]
-        nums, den = _to_ints(base_pt + b1 + b2)
-        last = range(len(nums), len(nums) + len(b1))
-        theta = df.family.compiled[0].at(nums + [0] * len(b1), den, last)
-
-    def excluded(j: int) -> bool:
-        # the base instance's parameter j is b1 + b2 + B[j]; theta* is
-        # tested first, being cheaper than the base cell's own test
-        if base_pt is not None and theta.holds(B_ints[j]):
-            return True
-        if base_cell.excluded(j):
-            return True
-        if base_pt is None:
-            raise ValueError("base cell carries no sample point")
-        return False
-
-    if any(map(excluded, range(len(B_ints)))):
+    if base_pt is None:
+        raise ValueError("base cell carries no sample point")
+    # theta*: the fiber template is crossed somewhere over the base; the
+    # crossing predicate is part of the derived family, so on a valid base
+    # cell its value at the sample decides it everywhere.  Fixed once at
+    # (sample, b1, b2), its rows are over the last block, B[j]
+    nums, den = _to_ints(base_pt + b1 + b2)
+    last = range(len(nums), len(nums) + len(b1))
+    theta = df.family.compiled[0].at(nums + [0] * len(b1), den, last)
+    if any(map(theta.holds, B_ints)):
         return None
 
     # membership on points scaled to ints; the base is a chain-engine
@@ -339,31 +335,27 @@ def _cyl_cell(
         return fiber.at([0, *nums], q, (0,)).pieces()
 
     sample = None
-    if base_pt is not None:
-        comps = fiber_at(base_pt)
-        if comps:
-            sample = (comps[0].sample(),) + tuple(base_pt)
+    comps = fiber_at(base_pt)
+    if comps:
+        sample = (comps[0].sample(),) + tuple(base_pt)
+    elif base_cell.interval is not None:
+        # fiber empty at the sample: find a base point where the fiber is
+        # inhabited (or certify the cylinder empty)
+        ys, den = _to_ints(b1 + b2)
+        for piece in tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
+            cut = iv_intersect(piece, base_cell.interval)
+            if not cut.is_empty():
+                alt = cut.sample()
+                comps = fiber_at((alt,))
+                if comps:
+                    sample = (comps[0].sample(), alt)
+                    break
         else:
-            base_iv = base_cell.interval
-            if base_iv is not None:
-                # fiber empty at the sample: find a base point where the
-                # fiber is inhabited (or certify the cylinder empty)
-                ys, den = _to_ints(b1 + b2)
-                for piece in tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
-                    cut = iv_intersect(piece, base_iv)
-                    if not cut.is_empty():
-                        alt = cut.sample()
-                        comps = fiber_at((alt,))
-                        if comps:
-                            sample = (comps[0].sample(), alt)
-                            break
-                else:
-                    return None
+            return None
     return CellInstance(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         member=lambda a: member_ints(scale(a)),
-        excluded=excluded,
         extent_key=(ti, b1, b2, base_cell.extent_key),
         sample=sample,
         region=member_ints,

@@ -10,9 +10,12 @@ parameters, and there are at most |F(B)| + 1 = 2 N |Phi| |B| + 1 cells.
 Instantiated over Q on rank positions (`linear.position`): the k distinct
 component endpoints over B give positions 0..2k, an odd one for each
 endpoint and an even one for each open gap.  A downward closure is the set
-of positions below an int threshold (0 is empty, 2k + 1 the whole line), a
-cell is a closed range of positions, and the exclusion test at a parameter
-of B compares that range with the position spans of its components.
+of positions below an int threshold (0 is empty, 2k + 1 the whole line),
+and a cell is a closed range of positions.
+
+No parameter of B excludes a cell, so T(B) is every atom: a component C
+at b in B is the difference of its two closures, both chain members, so C
+and each predicate at b are unions of atoms and cross none of them.
 """
 
 from __future__ import annotations
@@ -34,36 +37,13 @@ class DownwardSet:
     threshold: int  # the positions below it
 
 
-def _span(cuts: list, comp: Iv) -> tuple[int, int, int, int]:
-    """(lo, lo_in, hi_in, hi): the component meets the positions lo..hi and
-    holds all of lo_in..hi_in.  The two differ only at an endpoint strictly
-    inside a gap, which splits that gap."""
-    lo = lo_in = 0
-    if comp.lo is not None:
-        p = position(cuts, comp.lo)
-        if p % 2 == 0:
-            lo, lo_in = p, p + 1
-        else:
-            lo = lo_in = p + comp.lo_open
-    hi = hi_in = 2 * len(cuts)
-    if comp.hi is not None:
-        p = position(cuts, comp.hi)
-        if p % 2 == 0:
-            hi, hi_in = p, p - 1
-        else:
-            hi = hi_in = p - comp.hi_open
-    return lo, lo_in, hi_in, hi
-
-
-def _crossed(spans: list, lo: int, hi: int) -> bool:
-    """Do the components with these spans cross the positions lo..hi: does
-    one meet them while none holds them all?"""
-    meets = False
-    for c_lo, c_lo_in, c_hi_in, c_hi in spans:
-        if c_lo_in <= lo and hi <= c_hi_in:
-            return False
-        meets = meets or (c_lo <= hi and lo <= c_hi)
-    return meets
+def _span(cuts: list, comp: Iv) -> tuple[int, int]:
+    """(lo, hi): the component holds exactly the positions lo..hi.  Each of
+    its ends is a component endpoint over B, so a cut at an odd position,
+    never a value inside a gap."""
+    lo = 0 if comp.lo is None else position(cuts, comp.lo) + comp.lo_open
+    hi = 2 * len(cuts) if comp.hi is None else position(cuts, comp.hi) - comp.hi_open
+    return lo, hi
 
 
 class ComponentTable:
@@ -107,7 +87,7 @@ def downward_family(table: ComponentTable) -> list[DownwardSet]:
             if not spans:
                 sets.append(DownwardSet(pi, 0, "<=", bi, 0))
                 sets.append(DownwardSet(pi, 0, "<", bi, full))
-            for ci, (lo, _, _, hi) in enumerate(spans):
+            for ci, (lo, hi) in enumerate(spans):
                 # up to some point of the component, and below all of it
                 sets.append(DownwardSet(pi, ci, "<=", bi, hi + 1))
                 sets.append(DownwardSet(pi, ci, "<", bi, lo))
@@ -151,10 +131,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     def inst(B: list) -> list[CellInstance]:
         table = ComponentTable(family, B)
         B = table.B
-
-        def excluded(j: int, lo: int, hi: int) -> bool:
-            return any(_crossed(spans, lo, hi) for spans in table.rows[j])
-
         cells = []
         for (lo, hi), lo_src, hi_src in chain_atoms(downward_family(table), 2 * len(table.cuts) + 1):
             iv = decode(table.cuts, (lo, hi))
@@ -166,7 +142,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
                     template=f"{_source_label(hi_src)}\\{_source_label(lo_src)}",
                     params=params,
                     member=lambda a, iv=iv: iv.member(a[0]),
-                    excluded=lambda j, lo=lo, hi=hi: excluded(j, lo, hi),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
                     interval=iv,
                 )

@@ -6,15 +6,23 @@ Both the valued field (`macintyre_dcd`) and its affine reduct
 per-kind record (`_Kind`).  Cells pair a subinterval atom with a
 multiplicative type: a coset on the interior displacement levels, kept a
 Hensel margin w away from both radii, or an edge ball at the levels near the
-two radii.  Exclusion predicates are uniformly definable from the cell
-descriptor: a parameter is excluded when one of its balls would cut strictly
-between the atom's two radii, or (for Macintyre's edge balls at the removal
-level) when its ball swallows the cell.
+two radii.  A parameter excludes a cell when one of its balls would cut
+strictly between the atom's two radii, or (for Macintyre's edge balls at the
+removal level) when its ball swallows the cell.
 
-Each instance runs on the ints of its centres' `_Scale`: the exclusion test
-at B[j] reads a table of centre distances by the position j, and the
-membership tests and probes compare a rational a/d with a centre X / D
-through a D - X d, building no Fraction.
+No parameter of B cuts an atom.  Every centre of B is a point ball of the
+arrangement, and every distance ball and every v(f(b)) ball around a centre
+is in the family.  So a ball of a parameter of B strictly between an atom's
+radii would be a forest node between the atom's ball and its children, and
+a centre of B on the removal sphere lies in its distance ball at that
+level, which is a child: a removed ball.  The swallow rule is thus the one
+test that drops potential cells: Macintyre's edge ball at the removal level
+whose ball at that level holds a centre of B lies in a removed ball.
+
+Each instance runs on the ints of its centres' `_Scale`: the swallow test
+reads a table of centre distances, and the membership tests and probes
+compare a rational a/d with a centre X / D through a D - X d, building no
+Fraction.
 """
 
 from __future__ import annotations
@@ -128,101 +136,42 @@ def _point_cell(region: Region) -> CellInstance:
     return CellInstance(
         template="sub(pt)", params=(),
         member=lambda a, t=region.sub.center: a[0] == t,
-        excluded=lambda j: False,
         extent_key=(region.node, ("pt",)),
         region=region,
     )
 
 
-def _mac_cut(row, ks, vf, a_l, a_u) -> bool:
-    """The Macintyre exclusion test without the swallow part: a centre c_k,
-    k in ks, at a level row[k] = v(t - c_k) strictly between the radii, or a
-    level w of v(f(b)) strictly between them and below such a centre level."""
-    for k in ks:
-        v = row[k]
-        if a_l < v < a_u:
-            return True
-        for w in vf:
-            if a_l < w < a_u and w < v:
-                return True
-    return False
-
-
-def _laff_cut(to_t, to_reps, among, a_l, a_u) -> bool:
-    """The affine-reduct exclusion test of one parameter with centres t_i:
-    to_t[i] = v(t_i - t), to_reps[i] the levels v(t_i - rep) over the removed
-    representatives, among[i][k] = v(t_i - t_k)."""
-    if a_u != INF:
-        # missed sibling: a centre on the removal sphere but not inside any
-        # removed representative's ball
-        for vt, vr in zip(to_t, to_reps):
-            if vt == a_u and not any(v > a_u for v in vr):
-                return True
-    if any(a_l < v < a_u for row in among for v in row) and any(a_l < vt for vt in to_t):
-        return True
-    return any(a_l < vt < a_u for vt in to_t)
-
-
 def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
-    """Macintyre's balls and atom rule: b cuts a subinterval when a centre
-    of b, or a level of v(f(b)) below such a centre, lies strictly between
-    its radii (`_mac_cut`).  An edge ball at the removal level is dropped
-    when a centre of B lies in it, and b cuts it when a centre of b does."""
+    """Macintyre's balls and edge rule: the edge balls at the removal level
+    r = a_u are dropped when B_r(t + p^r u) holds a centre of B, that is,
+    when it is a removed ball, so kept edge balls avoid the removed balls."""
     vf = _f_levels(family.meta["F"], B, family.meta["p"])
-    scale, xs, everywhere = cen.scale, cen.xs, range(len(cen.xs))
+    scale, xs = cen.scale, cen.xs
 
-    def swallowed(kt: int, r: int, u: int, ks) -> bool:
-        # is a centre c_k, k in ks, in B_r(t + p^r u)?  Only one with
-        # v(t - c_k) = r can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
+    def edge(kt: int, sub: Subinterval):
         row, X = cen.dist[kt], xs[kt]
-        return any(row[k] == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r) for k in ks)
 
-    def atom(kt: int, sub: Subinterval):
-        row, a_l, a_u = cen.dist[kt], sub.alpha_l, sub.alpha_u
+        def keep(r: int, u: int) -> bool:
+            # is a centre c_k in B_r(t + p^r u)?  Only one with v(t - c_k) = r
+            # can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
+            return r < sub.alpha_u or not any(
+                v == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r)
+                for k, v in enumerate(row)
+            )
 
-        def plain(j: int) -> bool:
-            return _mac_cut(row, cen.ids[j], vf[j], a_l, a_u)
+        return keep, ()
 
-        if any(map(plain, range(len(B)))):
-            return None
-
-        def edge(r: int, u: int):
-            if r < a_u:
-                return plain
-            if swallowed(kt, r, u, everywhere):
-                return None
-            return lambda j: plain(j) or swallowed(kt, r, u, cen.ids[j])
-
-        return plain, edge, ()
-
-    return _special(cen, vf), atom
+    return _special(cen, vf), edge
 
 
 def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
-    """The affine reduct's balls and atom rule: the three-part test
-    `_laff_cut` of b's centres against the subinterval's centre and removed
-    representatives.  Edge cells share the subinterval's test, and their
-    members avoid the removed balls."""
-    dist = cen.dist
+    """The affine reduct's balls and edge rule: every edge ball is kept, and
+    its members avoid the removed balls."""
 
-    def atom(kt: int, sub: Subinterval):
-        a_l, a_u = sub.alpha_l, sub.alpha_u
-        rems = [cen.at[cen.scale.x(c)] for c in sub.removed]
+    def edge(kt: int, sub: Subinterval):
+        return (lambda r, u: True), [cen.scale.x(c) for c in sub.removed]
 
-        def plain(j: int) -> bool:
-            ks = cen.ids[j]
-            return _laff_cut(
-                [dist[k][kt] for k in ks],
-                [[dist[k][kr] for kr in rems] for k in ks],
-                [[dist[i][k] for k in ks] for i in ks],
-                a_l, a_u,
-            )
-
-        if any(map(plain, range(len(B)))):
-            return None
-        return plain, lambda r, u: plain, [cen.xs[k] for k in rems]
-
-    return _laff(cen), atom
+    return _laff(cen), edge
 
 
 class _Kind(NamedTuple):
@@ -237,11 +186,10 @@ class _Kind(NamedTuple):
     period: int  # the levels of lam's coset are v(lam) mod period
     ones: frozenset  # unit residues mod p^(w+1) of the coset of 1
     window: int  # family_probes' levels past each radius
-    # (family, cen, B) -> the instance's ball family and its atom rule:
-    # atom(kt, sub) is None when a parameter of B cuts the subinterval sub
-    # around centre kt, else (the cells' exclusion test, the edge rule
-    # (r, u) -> the edge ball's test or None to drop it, the scaled centres
-    # of the removed balls that edge members avoid)
+    # (family, cen, B) -> the instance's ball family and its edge rule:
+    # edge(kt, sub) for the subinterval sub around centre kt is (keep, the
+    # scaled centres of the removed balls that edge members avoid), where
+    # keep(r, u) says whether the edge ball at (r, u) is a cell
     tests: Callable
 
 
@@ -272,7 +220,7 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, dim) for b in B]
         cen = _Centres(C, B, p)
-        balls, atom_rule = kind.tests(family, cen, B)
+        balls, edge_rule = kind.tests(family, cen, B)
         forest, tagged = arrangement(balls)
         scale, xs = cen.scale, cen.xs
 
@@ -304,10 +252,7 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
                 cells.append(_point_cell(region))
                 continue
             kt = cen.at[scale.x(sub.center)]
-            atom = atom_rule(kt, sub)
-            if atom is None:
-                continue
-            excluded, edge, removed = atom
+            keep, removed = edge_rule(kt, sub)
             a_l, a_u, X = sub.alpha_l, sub.alpha_u, xs[kt]
             for lam, (vn, ln), (vd, ld) in lams:
                 if _level_in_window(a_l + w + 1, a_u - w - 1, (vn - vd) % period, period):
@@ -315,20 +260,17 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
                         CellInstance(
                             template="subcoset", params=(),
                             member=coset_member(X, a_l + w, a_u - w, vn - vd, ln, ld),
-                            excluded=excluded,
                             extent_key=(ai, ("coset", lam)),
                             region=region,
                         )
                     )
             for r in _edge_levels(a_l, a_u, w):
                 for u in units:
-                    excl = edge(r, u)
-                    if excl is not None:
+                    if keep(r, u):
                         cells.append(
                             CellInstance(
                                 template="subedge", params=(),
                                 member=edge_member(X, r, u, removed, a_u),
-                                excluded=excl,
                                 extent_key=(ai, ("edge", r, u)),
                                 region=region,
                             )

@@ -4,6 +4,8 @@ every method of `src/distalcells` has a caller in the program (`src/` or
 paper and is listed below."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import distalcells
@@ -184,3 +186,13 @@ def test_engines_read_compiled_formulas():
             assert "_int_row" not in names, path.stem
         if path.stem == "induction":
             assert not names & {"evaluate", "eval_formula"}, sorted(names & {"evaluate", "eval_formula"})
+
+
+def test_no_cell_carries_an_exclusion_test():
+    # a cell of T(B) is by definition excluded by no parameter of B, so no
+    # engine keeps an exclusion test for its cells, and a parameter outside
+    # B is read through T(B + [b]); prose in docstrings and comments is free
+    for path in sorted(PACKAGE.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
+        assert "excluded" not in names, path.stem

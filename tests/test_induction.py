@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from distalcells.decomp import dedupe_cells, verify
@@ -35,6 +36,17 @@ def test_fiber_sources_halfline():
     # closure of (-inf, y1) is (-inf, y1): holds iff x1 < y1
     for x1, y1, expect in [(0, 1, True), (1, 1, False), (2, 1, False)]:
         assert eval_formula(leq.formula, [F(x1), F(9), F(y1), F(7)]) is expect
+
+
+def test_fiber_sources_cap_is_loud():
+    # the fiber of x1 < y1 or x1 > y1 + 1 has two components, so a cap of one
+    # would drop the second; without a cap both are kept
+    fam = semilinear_family(
+        [f_or(f_atom([1, 0, -1], 0, "<"), f_atom([1, 0, -1], -1, ">"))], 2, 1
+    )
+    with pytest.raises(ValueError, match="more than 1 components"):
+        fiber_sources(fam, component_cap=1)
+    assert {s.comp for s in fiber_sources(fam)} == {0, 1}
 
 
 def test_derived_predicate_halfline_fiber():

@@ -15,8 +15,6 @@ from distalcells.linear import Iv, decode, f_and, f_atom, f_or
 from distalcells.omin1d import (
     ComponentTable,
     DownwardSet,
-    _crossed,
-    _span,
     build_decomposition,
     chain_atoms,
     downward_family,
@@ -96,24 +94,6 @@ def test_chain_atoms_empty_family():
     assert decode([], (0, 0)) == Iv.full()
 
 
-def test_crosses():
-    cuts = [F(v) for v in (-3, -2, -1, 0, 1, 2)]  # at positions 1, 3, ..., 11
-
-    def crossed(comps, lo, hi):
-        return _crossed([_span(cuts, c) for c in comps], lo, hi)
-
-    below_0 = [Iv(None, True, F(0), True)]
-    assert crossed(below_0, 5, 9)  # [-1, 1]
-    assert not crossed(below_0, 1, 3)  # [-3, -2]
-    assert not crossed(below_0, 9, 11)  # [1, 2]
-    # 1/2 splits the gap (0, 1) at position 8, so any range holding it is crossed
-    below_half = [Iv(None, True, F(1, 2), False)]
-    above_half = [Iv(F(1, 2), True, None, True)]
-    assert crossed(below_half, 8, 8) and crossed(above_half, 8, 8)
-    assert crossed([Iv.point(F(1, 2))], 7, 9)
-    assert not crossed(below_half, 9, 9) and not crossed(below_half, 0, 7)
-
-
 def test_instantiate_x_lt_y():
     decomp = build_decomposition(_x_lt_y())
     cells = decomp.instantiate([F(0), F(2)])
@@ -178,9 +158,9 @@ def test_exclusion_soundness_definition():
     # Delta emitted  <=>  no b in B lands in I(Delta)
     fam = _x_lt_y()
     decomp = build_decomposition(fam)
-    B = [F(0), F(2), F(5)]
+    B = [(F(0),), (F(2),), (F(5),)]
     for c in decomp.instantiate(B):
-        assert not any(map(c.excluded, range(len(B))))
+        assert not any(crosses(fam.components(0, b), c.interval) for b in B)
     # and a cell that would be crossed is excluded: (-inf, 2), a cell over
     # {2}, is crossed at b = 0, so it is gone from T([2, 0])
     below_2 = [c for c in decomp.instantiate([F(2)]) if c.interval == Iv(None, True, F(2), True)]
@@ -247,11 +227,12 @@ def test_monotone_exclusion(bs):
     decomp = build_decomposition(fam)
     B = [F(b) for b in bs]
     B_small = B[: len(B) // 2]
-    cells_big = decomp.instantiate(B)
-    for c in cells_big:
-        # every cell emitted over B with parameters from B_small is immune to B_small
+    kept = {c.extent_key for c in decomp.instantiate(B_small)}
+    for c in decomp.instantiate(B):
+        # a cell emitted over B with parameters from B_small is missed by
+        # I(Delta) on B_small, a part of B, so it is a cell of T(B_small)
         if all(p in [(b,) for b in B_small] for p in c.params):
-            assert not any(map(c.excluded, range(len(B_small))))
+            assert c.extent_key in kept
 
 
 def test_interval_family_from_explicit_components():
@@ -502,42 +483,14 @@ def test_positions_match_fraction_reference():
             on_cut += any(e in ends for e in at)
             in_gap += any(e not in ends for e in at)
 
-        for j, b in enumerate(B + outside):
-            # a parameter of B is tested in place, any other by heredity: it
+        for b in B + outside:
+            # no parameter of B crosses an emitted cell, and any other
             # excludes exactly the cells that are gone from T(B + [b])
-            kept = None if j < len(B) else {c.extent_key for c in decomp.instantiate(B + [b])}
+            kept = None if b in B else {c.extent_key for c in decomp.instantiate(B + [b])}
             for cell, (_, _, _, iv) in zip(cells, ref):
                 want = any(crosses(cs, iv) for cs in comps_at[b])
-                got = cell.excluded(j) if kept is None else cell.extent_key not in kept
+                got = False if kept is None else cell.extent_key not in kept
                 assert got == want, (n, cell.template, b)
                 verdicts.add((kept is None, want))
     assert on_cut >= 100 and in_gap >= 100, (on_cut, in_gap)
     assert verdicts == {(True, False), (False, False), (False, True)}
-
-
-_HALVES = st.integers(-8, 8).map(lambda n: F(n, 2))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    cuts=st.lists(st.integers(-3, 3), unique=True).map(lambda vs: sorted(F(v) for v in vs)),
-    ends=st.lists(_HALVES, max_size=4, unique=True).map(sorted),
-    opens=st.lists(st.booleans(), min_size=4, max_size=4),
-    unbounded=st.tuples(st.booleans(), st.booleans()),
-    ext=st.tuples(st.integers(0, 20), st.integers(0, 20)),
-)
-def test_span_crossing_matches_fraction_crossing(cuts, ends, opens, unbounded, ext):
-    # disjoint components from sorted distinct ends (an odd one out is a
-    # point); the ends fall on the integer cuts, inside gaps and beyond them
-    comps = [
-        Iv(ends[j], opens[j], ends[j + 1], opens[j + 1]) if j + 1 < len(ends)
-        else Iv.point(ends[j])
-        for j in range(0, len(ends), 2)
-    ]
-    if comps and unbounded[0]:
-        comps[0] = Iv(None, True, comps[0].hi, comps[0].hi_open)
-    if comps and unbounded[1]:
-        comps[-1] = Iv(comps[-1].lo, comps[-1].lo_open, None, True)
-    lo, hi = sorted(e % (2 * len(cuts) + 1) for e in ext)
-    spans = [_span(cuts, c) for c in comps]
-    assert _crossed(spans, lo, hi) == crosses(comps, decode(cuts, (lo, hi)))

@@ -4,11 +4,13 @@ p = 3 and 5, pinned in tests/data/padic_cells.json.
 Each instance records the probe list, the forest (balls and parents), its
 distinct subintervals (center, alpha_l, alpha_u, removed) and, per cell:
 template, forest node, the first index of a cell with an equal extent key,
-the index of its subinterval, and a mask of `excluded` over the parameters
-of B followed by four parameters b outside B.  An outside bit is read by
-heredity: it is set when the cell is gone from T(B + [b]), cells matched by
-(subinterval, type), since forest node numbers are not intrinsic; the
-pinned Macintyre outside bits predate that reading (see the test).  Per
+the index of its subinterval, and an exclusion mask over the parameters of
+B followed by four parameters b outside B.  The bits over B are clear: a
+cell of T(B) is by definition excluded by no parameter of B.  An outside
+bit is read by heredity: it is set when the cell is gone from T(B + [b]),
+cells matched by (subinterval, type), since forest node numbers are not
+intrinsic; the pinned Macintyre outside bits predate that reading (see the
+test).  Per
 probe it records the cells whose `member` holds.  Run this file as a script to
 write the dump to the path given on the command line.
 """
@@ -104,8 +106,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
             first_key.setdefault(cell.extent_key, ci),
             subs.setdefault(fields, len(subs)),
             _mask(
-                [cell.excluded(j) for j in range(len(B))]
-                + [_kept(cell) not in kept for kept in after]
+                [False] * len(B) + [_kept(cell) not in kept for kept in after]
             ),
         ])
     return {

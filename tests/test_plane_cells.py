@@ -6,10 +6,11 @@ x2 - y2 < 0 at |B| = 3 and 6, and eight coefficient patterns of the
 two-atom family a1 x1 + a2 x2 + s y1 REL c, x2 < y2.  Each instance
 records B, the two extra parameters, and for every cell of `instantiate`,
 in order: its template, its extent key, its sample, its membership bits
-over `plane_probes(..., steps=8)` (bit k for probe k) and its `excluded`
-bits over B followed by the extra parameters.  An extra parameter's bit is
-read by heredity: it is set when no cell of T(B + [b]) has the cell's
-extent key.  Fractions are written as "n/d" strings.  Run this file as a
+over `plane_probes(..., steps=8)` (bit k for probe k) and its exclusion
+bits over B followed by the extra parameters.  The bits over B are clear: a
+cell of T(B) is by definition excluded by no parameter of B.  An extra
+parameter's bit is read by heredity: it is set when no cell of
+T(B + [b]) has the cell's extent key.  Fractions are written as "n/d" strings.  Run this file as a
 script to write the dump to the path given on the command line.
 """
 
@@ -80,8 +81,7 @@ def dump() -> list:
         cells = []
         for c in decomp.instantiate(B):
             member = sum(1 << k for k, p in enumerate(probes) if c.member(p))
-            bits = [c.excluded(j) for j in range(len(B))]
-            bits += [c.extent_key not in keys for keys in after]
+            bits = [False] * len(B) + [c.extent_key not in keys for keys in after]
             excluded = sum(1 << j for j, bit in enumerate(bits) if bit)
             cells.append({
                 "template": c.template,
