@@ -39,8 +39,8 @@ class CellInstance:
     - interval: the 1-D extent, or None; interval_locator, induction.
     - sample: a point of an induction cylinder, or None; induction.
     - region: opaque here; read only by the engine that made the cell (the
-      p-adic and Presburger locators, or induction's membership test of a
-      cylinder above).
+      p-adic and Presburger locators, or induction's planar locator and the
+      membership test of a cylinder above).
     """
 
     template: str

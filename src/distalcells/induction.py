@@ -18,13 +18,20 @@ cells have this constant over the base, since the crossing predicate itself
 belongs to the derived family).  The base cell is a cell of T(B_der) with
 B_der = [b1 + b2 + b for b in B], so no extended parameter excludes it, and
 theta* alone drops cylinders.
+
+At |x| = 2 the cylinders of one group (template, b1, b2) share a fiber, and
+its shadow, the x2 over which that fiber is inhabited, is read once from the
+template's `nonempty`: an empty shadow skips the group's base decomposition,
+and a base interval that meets no shadow piece is dropped before theta*.
+The planar locator bisects x2 over the base intervals' endpoints of every
+group, so a point is asked only of the cylinders above it; |x| >= 3 scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import omin1d
 from .decomp import CellInstance, Decomposition
@@ -47,6 +54,7 @@ from .linear import (
     formula_atoms,
     iv_intersect,
     map_atoms,
+    position,
 )
 
 
@@ -272,11 +280,16 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
             else:
                 tuples = [(B[0], B[0])]
             for b1, b2 in tuples:
-                B_der = [b1 + b2 + b for b in B]
                 ys, den = _to_ints(b1 + b2)
+                # planar: the x2 over which the group's fiber is inhabited;
+                # no cylinder of an empty shadow is inhabited
+                shadow = tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces() if d == 2 else None
+                if shadow == []:
+                    continue
+                B_der = [b1 + b2 + b for b in B]
                 fiber = tpl.psi.at([0] * d + ys, den, range(d))
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, scale)
+                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, scale, shadow)
                     if cell is not None:
                         cells.append(cell)
         return cells
@@ -284,6 +297,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     return Decomposition(
         name=f"dim-induction-{d}d",
         instantiate_fn=inst,
+        locator_fn=_base_locator if d == 2 else None,
     )
 
 
@@ -291,6 +305,15 @@ def _base_sample(base_cell: CellInstance) -> Optional[tuple]:
     if base_cell.interval is not None:
         return (base_cell.interval.sample(),)
     return base_cell.sample
+
+
+class _Region(NamedTuple):
+    """A cylinder's region: its membership test on scaled points, read by the
+    cylinder above, and at |x| = 2 its base interval over x2, read by
+    `_base_locator` (None above)."""
+
+    test: Callable[[tuple], bool]
+    base: Optional[Iv]
 
 
 def _cyl_cell(
@@ -302,17 +325,25 @@ def _cyl_cell(
     B_ints: list,
     fiber,
     scale,
+    shadow: Optional[list[Iv]],
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
     or theta* holds at a parameter of the instance (T(B) keeps only
     potential cells missed by every I(Delta); the base cell, a cell of
     T(B_der), is excluded at no extended parameter).  `B_ints[j]` is B[j] as
-    ints (`_point_ints`), and `fiber` is the template's formula at (b1, b2),
-    as int rows over x."""
+    ints (`_point_ints`), `fiber` is the template's formula at (b1, b2), as
+    int rows over x, and `shadow`, at |x| = 2, is the pieces of x2 over
+    which that fiber is inhabited (None above)."""
     tpl = df.template
     base_pt = _base_sample(base_cell)
     if base_pt is None:
         raise ValueError("base cell carries no sample point")
+    iv = base_cell.interval
+    if shadow is not None:
+        # the cylinder is inhabited exactly when its base meets the shadow
+        met = [m for m in (iv_intersect(piece, iv) for piece in shadow) if not m.is_empty()]
+        if not met:
+            return None
     # theta*: the fiber template is crossed somewhere over the base; the
     # crossing predicate is part of the derived family, so on a valid base
     # cell its value at the sample decides it everywhere.  Fixed once at
@@ -324,8 +355,8 @@ def _cyl_cell(
         return None
 
     # membership on points scaled to ints; the base is a chain-engine
-    # interval or a cylinder of the level below, whose region is this test
-    base_test = base_cell.region if base_cell.interval is None else _interval_test(base_cell.interval)
+    # interval or a cylinder of the level below, whose region holds this test
+    base_test = base_cell.region.test if iv is None else _interval_test(iv)
 
     def member_ints(pt: tuple) -> bool:
         return base_test(pt[1:]) and fiber.holds(pt)
@@ -338,28 +369,33 @@ def _cyl_cell(
     comps = fiber_at(base_pt)
     if comps:
         sample = (comps[0].sample(),) + tuple(base_pt)
-    elif base_cell.interval is not None:
-        # fiber empty at the sample: find a base point where the fiber is
-        # inhabited (or certify the cylinder empty)
-        ys, den = _to_ints(b1 + b2)
-        for piece in tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
-            cut = iv_intersect(piece, base_cell.interval)
-            if not cut.is_empty():
-                alt = cut.sample()
-                comps = fiber_at((alt,))
-                if comps:
-                    sample = (comps[0].sample(), alt)
-                    break
-        else:
-            return None
+    elif shadow is not None:
+        # fiber empty at the sample: the shadow's first piece in the base
+        alt = met[0].sample()
+        sample = (fiber_at((alt,))[0].sample(), alt)
     return CellInstance(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         member=lambda a: member_ints(scale(a)),
         extent_key=(ti, b1, b2, base_cell.extent_key),
         sample=sample,
-        region=member_ints,
+        region=_Region(member_ints, iv),
     )
+
+
+def _base_locator(cells: list[CellInstance]):
+    """Planar locator: the base intervals' endpoints over every group, sorted,
+    give the positions of `linear.position`, and slot p lists the cylinders
+    whose base interval spans p (`omin1d._span`), so a point is asked only
+    of the cylinders over its x2."""
+    bases = [c.region.base for c in cells]
+    cuts = sorted({v for iv in bases for v in (iv.lo, iv.hi) if v is not None})
+    slots: list[list[int]] = [[] for _ in range(2 * len(cuts) + 1)]
+    for ci, iv in enumerate(bases):
+        lo, hi = omin1d._span(cuts, iv)
+        for p in range(lo, hi + 1):
+            slots[p].append(ci)
+    return lambda a: slots[position(cuts, a[1])]
 
 
 def _point_ints(a: tuple) -> tuple:

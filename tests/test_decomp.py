@@ -20,9 +20,11 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
+from distalcells.induction import induct, plane_probes
 from distalcells.linear import AffineMap, f_atom, f_not, f_or
 from distalcells.omin1d import build_decomposition
 from distalcells.rng import SplitMix64
+from test_plane_cells import _instances as plane_instances
 
 
 def _x_lt_y():
@@ -173,6 +175,17 @@ def test_verify_locator_matches_scan():
             else:
                 B = sorted({rng.fraction(60, 6) for _ in range(rng.randint(1, 8))})
             assert verify(decomp, fam, B).to_dict() == verify(scan, fam, B).to_dict(), (label, B)
+    # planar induction locates by the base interval over x2
+    for label, fam, B, _ in plane_instances():
+        decomp = induct(fam)
+        probes = plane_probes(fam, B, steps=8)
+        scan = dataclasses.replace(decomp, locator_fn=None)
+        assert verify(decomp, fam, B, probes).to_dict() == verify(scan, fam, B, probes).to_dict(), label
+        cells = decomp.instantiate(B)
+        locate = decomp.locator_fn(cells)
+        for a in probes:
+            held = {ci for ci, c in enumerate(cells) if c.member(a)}
+            assert held <= set(locate(a)), (label, a)
 
 
 def _omin1d_family():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distalcells.decomp import dedupe_cells, verify
+from distalcells.decomp import Decomposition, dedupe_cells, verify
 from distalcells.families import semilinear_family
 from distalcells.induction import (
     _drop_first_var,
@@ -14,8 +14,9 @@ from distalcells.induction import (
     induct,
     plane_probes,
 )
-from distalcells.linear import eval_formula, f_and, f_atom, f_not, f_or
+from distalcells.linear import eliminate_exists, eval_formula, f_and, f_atom, f_not, f_or
 from distalcells.rng import SplitMix64
+from test_plane_cells import _instances as plane_instances
 
 
 def _two_halfplanes():
@@ -111,6 +112,51 @@ def test_induct_singleton_B():
     rep = verify(decomp, fam, B, probes=plane_probes(fam, B, steps=12))
     assert rep.passed
     assert rep.census_lower_bound >= 4
+
+
+def test_base_instantiated_once_per_inhabited_group(monkeypatch):
+    # a planar group (template, b1, b2) whose fiber is empty over every base
+    # point has no inhabited cylinder, so its base decomposition is skipped
+    _, fam, B, _ = next(i for i in plane_instances() if i[0] == "pattern-7")
+    decomp = induct(fam)
+    want, total = [], 0
+    for df in derive_family(fam):
+        tpl = df.template
+        if tpl.arity == 2:
+            groups = [(b1, b2) for b1 in B for b2 in B]
+        elif tpl.arity == 1:
+            groups = [(b, b) for b in B]
+        else:
+            groups = [(B[0], B[0])]
+        total += len(groups)
+        inhabited = eliminate_exists(eliminate_exists(tpl.formula, 0), 1)
+        want += [[b1 + b2 + b for b in B] for b1, b2 in groups
+                 if eval_formula(inhabited, [0, 0, *b1, *b2])]
+    calls = []
+    instantiate = Decomposition.instantiate
+
+    def wrapped(self, params):
+        if self is not decomp:
+            calls.append(list(params))
+        return instantiate(self, params)
+
+    monkeypatch.setattr(Decomposition, "instantiate", wrapped)
+    decomp.instantiate(B)
+    assert calls == want
+    assert 0 < len(want) < total  # some groups are skipped, some are not
+
+
+def test_two_piece_shadow_keeps_both_pieces():
+    # x1 < y1 and (x2 < y2 or x2 > y2 + 1): the fibers over x2 are inhabited
+    # on two pieces, and the cylinders over the second are kept
+    fam = semilinear_family(
+        [f_and(f_atom([1, 0, -1, 0], 0, "<"),
+               f_or(f_atom([0, 1, 0, -1], 0, "<"), f_atom([0, 1, 0, -1], -1, ">")))],
+        2, 2,
+    )
+    B = [(F(0), F(0)), (F(1), F(3))]
+    rep = verify(induct(fam), fam, B, probes=plane_probes(fam, B, steps=12))
+    assert rep.passed, rep.to_dict()
 
 
 def test_exponent_budget():
