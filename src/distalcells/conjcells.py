@@ -215,16 +215,17 @@ def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _conj_cell(chosen: tuple, extent_key, member, interval=None, region=None) -> CellInstance:
+def _conj_cell(chosen: tuple, extent_key, member, region) -> CellInstance:
     """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
-    chosen subset.  Its theta_psi (some phi(.; b) crosses) holds at no b in
-    B: each instantiation applies it where it drops conjunctions."""
+    chosen subset, and `region` is what its locator reads: the `Iv` at
+    |x| = 1 over Q, the `_ZRun` over Z, None otherwise.  Its theta_psi (some
+    phi(.; b) crosses) holds at no b in B: each instantiation applies it
+    where it drops conjunctions."""
     return CellInstance(
         template="conj{" + ",".join(str(i) for i, _ in chosen) + "}",
         params=tuple(b for _, b in chosen),
         member=member,
         extent_key=extent_key,
-        interval=interval,
         region=region,
     )
 
@@ -513,8 +514,10 @@ def _z_locator(cells: list[CellInstance]):
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
     locator_fn = None
-    if family.point_dim == 1:
-        locator_fn = interval_locator if family.kind == "vector-linear" else _z_locator
+    if family.point_dim == 1 and family.kind == "vector-linear":
+        locator_fn = lambda cells: interval_locator([c.region for c in cells], 0)  # noqa: E731
+    elif family.point_dim == 1:
+        locator_fn = _z_locator
     return Decomposition(
         name=f"conj-{family.kind}",
         instantiate_fn=lambda B: conj_decomposition(family, B),

@@ -11,6 +11,12 @@ drops potential cells.  Verification is exact in one dimension
 (`census_probes_1d` is exhaustive) and probe-based in higher dimensions:
 failures are always genuine, and a success covers only the cells that hold
 a probe.
+
+One locator, `interval_locator`, serves every engine whose cells have an
+interval extent along one axis (omin1d and 1-D vector-linear on x1, planar
+induction's base intervals on x2): the intervals' endpoints give the rank
+positions of `linear.position`, and each position lists the cells whose
+interval spans it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .families import ParamFamily, as_point, census_probes_1d, fast_truth_masks
-from .linear import Iv, _lo_key
+from .linear import Iv, position
 from .rng import SplitMix64
 
 Point = tuple[Fraction, ...]
@@ -36,19 +42,16 @@ class CellInstance:
     - params: the parameters from B that define the cell; induction.
     - member: point membership; verify, induction.
     - extent_key: canonical extent; dedupe_cells.
-    - interval: the 1-D extent, or None; interval_locator, induction.
-    - sample: a point of an induction cylinder, or None; induction.
-    - region: opaque here; read only by the engine that made the cell (the
-      p-adic and Presburger locators, or induction's planar locator and the
-      membership test of a cylinder above).
+    - region: the engine's own record of where the cell lies, opaque here:
+      the `Iv` of an omin1d or 1-D vector-linear cell, the Presburger run,
+      the p-adic `Region`, or a cylinder's `induction._Region`.  It is
+      read by the engine's locator and by induction's cylinders above.
     """
 
     template: str
     params: tuple
     member: Callable[[Point], bool]
     extent_key: object
-    interval: Optional[Iv] = None
-    sample: Optional[Point] = None
     region: object = None
 
 
@@ -236,27 +239,27 @@ def verify(
     )
 
 
-def interval_locator(cells: list[CellInstance]):
-    """Binary-search locator over 1-D cells whose `interval`s partition the
-    line: the one cell whose interval holds a[0], or none."""
-    keyed = [(c.interval, ci) for ci, c in enumerate(cells)]
-    keyed.sort(key=lambda t: _lo_key(t[0].lo, t[0].lo_open))
+def _span(cuts: list, iv: Iv) -> tuple[int, int]:
+    """(lo, hi): iv holds exactly the positions lo..hi.  Each finite end of
+    iv is in `cuts`, so it is a cut at an odd position, never a value inside
+    a gap."""
+    lo = 0 if iv.lo is None else position(cuts, iv.lo) + iv.lo_open
+    hi = 2 * len(cuts) if iv.hi is None else position(cuts, iv.hi) - iv.hi_open
+    return lo, hi
 
-    def locate(a) -> tuple[int, ...]:
-        x = a[0]
-        lo, hi = 0, len(keyed) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = keyed[mid][0]
-            if iv.member(x):
-                return (keyed[mid][1],)
-            if iv.hi is not None and (x > iv.hi or (x == iv.hi and iv.hi_open)):
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ()
 
-    return locate
+def interval_locator(ivs: Sequence[Iv], axis: int) -> Callable[[Point], list[int]]:
+    """`locate(a)` over cells whose extents along `axis` are `ivs` (cell i
+    lies inside ivs[i] there): the intervals' endpoints, sorted, give the
+    positions of `linear.position`, and slot p lists the cells whose
+    interval spans p, so a[axis] picks the cells that can contain a."""
+    cuts = sorted({v for iv in ivs for v in (iv.lo, iv.hi) if v is not None})
+    slots: list[list[int]] = [[] for _ in range(2 * len(cuts) + 1)]
+    for ci, iv in enumerate(ivs):
+        lo, hi = _span(cuts, iv)
+        for p in range(lo, hi + 1):
+            slots[p].append(ci)
+    return lambda a: slots[position(cuts, a[axis])]
 
 
 @dataclass

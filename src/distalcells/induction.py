@@ -11,20 +11,20 @@ holds on all of the fiber / on none of it, plus whether the fiber template is
 crossed at this base point; all are produced by exact linear quantifier
 elimination, so the recursion stays inside semilinear families.
 
-A cylinder is excluded at B[j] when its base cell is excluded at the
-extended parameter b1 + b2 + B[j], or when the fiber template is crossed
-somewhere over the base (theta*, decided at a base sample point; valid
-cells have this constant over the base, since the crossing predicate itself
-belongs to the derived family).  The base cell is a cell of T(B_der) with
-B_der = [b1 + b2 + b for b in B], so no extended parameter excludes it, and
-theta* alone drops cylinders.
+The base cell is a cell of T(B_der) with B_der = [b1 + b2 + b for b in B],
+so no extended parameter excludes it, and theta* alone drops cylinders: a
+cylinder is dropped when the fiber template is crossed somewhere over its
+base at some B[j] (decided at a base sample point; valid cells have this
+constant over the base, since the crossing predicate itself belongs to the
+derived family).
 
 At |x| = 2 the cylinders of one group (template, b1, b2) share a fiber, and
 its shadow, the x2 over which that fiber is inhabited, is read once from the
 template's `nonempty`: an empty shadow skips the group's base decomposition,
 and a base interval that meets no shadow piece is dropped before theta*.
-The planar locator bisects x2 over the base intervals' endpoints of every
-group, so a point is asked only of the cylinders above it; |x| >= 3 scans.
+The planar decomposition locates a point by its x2 with
+`decomp.interval_locator` over every group's base intervals, so it is asked
+only of the cylinders above it; |x| >= 3 scans.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import omin1d
-from .decomp import CellInstance, Decomposition
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_point, semilinear_family
 from .linear import (
     FALSE,
@@ -42,8 +42,10 @@ from .linear import (
     Atom,
     Compiled,
     Iv,
+    _dnf_conjuncts,
     _subst_affine,
     _to_ints,
+    conj_satisfiable,
     dnf_simplify,
     eliminate_exists,
     f_and,
@@ -54,7 +56,6 @@ from .linear import (
     formula_atoms,
     iv_intersect,
     map_atoms,
-    position,
 )
 
 
@@ -115,7 +116,8 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
     `component_cap` lowers the per-predicate component count; it is used on
     recursive levels where the syntactic bound of QE outputs is far above the
     realized count.  A predicate whose fibers can have more components than
-    the cap raises ValueError.
+    the cap raises ValueError.  Whether some fiber has a component of index
+    i is decided exactly (`_empty`), also where `dnf_simplify` gives up.
     """
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
@@ -126,43 +128,47 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
         bound = family.component_bound(pi)
         if component_cap is not None:
             bound = min(bound, component_cap)
+        # comp_ge[i]: x is in a component of index i or more.  Each is
+        # decided exactly, and the first empty one and all after it are FALSE
         comp_ge: list = []
         for i in range(bound + 1):
-            if i == 0:
-                comp_ge.append(f)
-                continue
             g = f
-            v = fresh
-            order_chain = []
-            prev = None
-            for _ in range(i):
-                u, w = v, v + 1
-                v += 2
-                g = f_and(g, _subst_var(f, 0, u), f_not(_subst_var(f, 0, w)))
-                if prev is not None:
-                    order_chain.append((prev, u))
-                order_chain.append((u, w))
-                prev = w
-            order_chain.append((prev, 0))
-            for lo, hi in order_chain:
-                coeffs = [0] * (max(lo, hi) + 1)
-                coeffs[lo] += 1
-                if hi == 0:
-                    coeffs[0] -= 1
-                else:
-                    coeffs[hi] -= 1
-                g = f_and(g, f_atom(coeffs, 0, "<"))
-            for t in range(v - 1, fresh - 1, -1):
-                g = eliminate_exists(g, t)
-            comp_ge.append(dnf_simplify(g))
-            if comp_ge[-1] == FALSE:
+            if i > 0:
+                v = fresh
+                order_chain = []
+                prev = None
+                for _ in range(i):
+                    u, w = v, v + 1
+                    v += 2
+                    g = f_and(g, _subst_var(f, 0, u), f_not(_subst_var(f, 0, w)))
+                    if prev is not None:
+                        order_chain.append((prev, u))
+                    order_chain.append((u, w))
+                    prev = w
+                order_chain.append((prev, 0))
+                for lo, hi in order_chain:
+                    coeffs = [0] * (max(lo, hi) + 1)
+                    coeffs[lo] += 1
+                    if hi == 0:
+                        coeffs[0] -= 1
+                    else:
+                        coeffs[hi] -= 1
+                    g = f_and(g, f_atom(coeffs, 0, "<"))
+                for t in range(v - 1, fresh - 1, -1):
+                    g = eliminate_exists(g, t)
+                g = dnf_simplify(g)
+            if _empty(g):
                 break
+            comp_ge.append(g)
         while len(comp_ge) <= bound:
             comp_ge.append(FALSE)
         if bound < family.component_bound(pi) and comp_ge[bound] != FALSE:
             # comp_ge[bound]: x in a component of index bound or more
             raise ValueError(f"predicate {pi} has fibers with more than {bound} components")
         for i in range(bound):
+            # a point of comp_ge[i] has component i in its fiber, and that
+            # component misses comp_ge[i + 1]: comp is empty exactly when
+            # comp_ge[i] is, so when comp_ge[i] is FALSE
             comp = dnf_simplify(f_and(comp_ge[i], f_not(comp_ge[i + 1])))
             if comp == FALSE:
                 continue
@@ -175,6 +181,19 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
             out.append(FiberSource(pi, i, "<=", leq))
             out.append(FiberSource(pi, i, "<", lt))
     return out
+
+
+_EMPTY_LIMIT = 1 << 17  # DNF conjuncts, about 100 MB of them
+
+
+def _empty(f) -> bool:
+    """f holds nowhere over Q: no conjunct of its DNF is satisfiable.  Exact
+    past `dnf_simplify`'s limit, where that leaves f as it is; a DNF past
+    `_EMPTY_LIMIT` conjuncts raises."""
+    conj = _dnf_conjuncts(f, False, _EMPTY_LIMIT)
+    if conj is None:
+        raise ValueError(f"emptiness undecided: the DNF passes {_EMPTY_LIMIT} conjuncts")
+    return not any(map(conj_satisfiable, conj))
 
 
 @dataclass(frozen=True)
@@ -297,23 +316,24 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     return Decomposition(
         name=f"dim-induction-{d}d",
         instantiate_fn=inst,
-        locator_fn=_base_locator if d == 2 else None,
+        locator_fn=_planar_locator if d == 2 else None,
     )
 
 
-def _base_sample(base_cell: CellInstance) -> Optional[tuple]:
-    if base_cell.interval is not None:
-        return (base_cell.interval.sample(),)
-    return base_cell.sample
+def _planar_locator(cells: list[CellInstance]):
+    """A point is asked only of the cylinders whose base interval holds its x2."""
+    return interval_locator([c.region.base for c in cells], 1)
 
 
 class _Region(NamedTuple):
-    """A cylinder's region: its membership test on scaled points, read by the
-    cylinder above, and at |x| = 2 its base interval over x2, read by
-    `_base_locator` (None above)."""
+    """A cylinder's region: its membership test on scaled points and a
+    point of it, read by the cylinder above (the sample is None when the
+    fiber is empty at the base's sample, above |x| = 2), and at |x| = 2
+    its base interval over x2, read by the planar locator (None above)."""
 
     test: Callable[[tuple], bool]
     base: Optional[Iv]
+    sample: Optional[tuple]
 
 
 def _cyl_cell(
@@ -335,11 +355,17 @@ def _cyl_cell(
     int rows over x, and `shadow`, at |x| = 2, is the pieces of x2 over
     which that fiber is inhabited (None above)."""
     tpl = df.template
-    base_pt = _base_sample(base_cell)
-    if base_pt is None:
-        raise ValueError("base cell carries no sample point")
-    iv = base_cell.interval
-    if shadow is not None:
+    if shadow is None:
+        # above |x| = 2 the base is a cylinder of the level below
+        iv = None
+        base_test, base_pt = base_cell.region.test, base_cell.region.sample
+        if base_pt is None:
+            raise ValueError("base cell carries no sample point")
+    else:
+        # at |x| = 2 the base is a chain-engine cell, whose region is its x2
+        # interval
+        iv = base_cell.region
+        base_test, base_pt = _interval_test(iv), (iv.sample(),)
         # the cylinder is inhabited exactly when its base meets the shadow
         met = [m for m in (iv_intersect(piece, iv) for piece in shadow) if not m.is_empty()]
         if not met:
@@ -354,10 +380,7 @@ def _cyl_cell(
     if any(map(theta.holds, B_ints)):
         return None
 
-    # membership on points scaled to ints; the base is a chain-engine
-    # interval or a cylinder of the level below, whose region holds this test
-    base_test = base_cell.region.test if iv is None else _interval_test(iv)
-
+    # membership on points scaled to ints
     def member_ints(pt: tuple) -> bool:
         return base_test(pt[1:]) and fiber.holds(pt)
 
@@ -378,24 +401,8 @@ def _cyl_cell(
         params=(b1, b2) + base_cell.params,
         member=lambda a: member_ints(scale(a)),
         extent_key=(ti, b1, b2, base_cell.extent_key),
-        sample=sample,
-        region=_Region(member_ints, iv),
+        region=_Region(member_ints, iv, sample),
     )
-
-
-def _base_locator(cells: list[CellInstance]):
-    """Planar locator: the base intervals' endpoints over every group, sorted,
-    give the positions of `linear.position`, and slot p lists the cylinders
-    whose base interval spans p (`omin1d._span`), so a point is asked only
-    of the cylinders over its x2."""
-    bases = [c.region.base for c in cells]
-    cuts = sorted({v for iv in bases for v in (iv.lo, iv.hi) if v is not None})
-    slots: list[list[int]] = [[] for _ in range(2 * len(cuts) + 1)]
-    for ci, iv in enumerate(bases):
-        lo, hi = omin1d._span(cuts, iv)
-        for p in range(lo, hi + 1):
-            slots[p].append(ci)
-    return lambda a: slots[position(cuts, a[1])]
 
 
 def _point_ints(a: tuple) -> tuple:

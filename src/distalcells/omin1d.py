@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator
+from .decomp import CellInstance, Decomposition, _span, interval_locator
 from .families import ParamFamily, as_point
-from .linear import Iv, _to_ints, decode, position
+from .linear import Iv, _to_ints, decode
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class DownwardSet:
     flavor: str  # "<=" or "<"
     b_index: int
     threshold: int  # the positions below it
-
-
-def _span(cuts: list, comp: Iv) -> tuple[int, int]:
-    """(lo, hi): the component holds exactly the positions lo..hi.  Each of
-    its ends is a component endpoint over B, so a cut at an odd position,
-    never a value inside a gap."""
-    lo = 0 if comp.lo is None else position(cuts, comp.lo) + comp.lo_open
-    hi = 2 * len(cuts) if comp.hi is None else position(cuts, comp.hi) - comp.hi_open
-    return lo, hi
 
 
 class ComponentTable:
@@ -143,7 +134,7 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
                     params=params,
                     member=lambda a, iv=iv: iv.member(a[0]),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
-                    interval=iv,
+                    region=iv,
                 )
             )
         return cells
@@ -151,5 +142,5 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     return Decomposition(
         name="omin1d",
         instantiate_fn=inst,
-        locator_fn=interval_locator,
+        locator_fn=lambda cells: interval_locator([c.region for c in cells], 0),
     )

@@ -386,7 +386,7 @@ def test_vector_linear_cells_match_fraction_reference(dim):
         assert len(cells) == len(ref)
         for cell, (template, params, key, interval, excluded) in zip(cells, ref):
             assert (cell.template, cell.params, cell.extent_key) == (template, params, key)
-            assert cell.interval == interval
+            assert cell.region == interval
             # the reference finds no b in B crossing an emitted cell
             for b in B:
                 assert not excluded(b), (cell.template, b)

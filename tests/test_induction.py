@@ -1,12 +1,15 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distalcells import induction
 from distalcells.decomp import Decomposition, dedupe_cells, verify
 from distalcells.families import semilinear_family
 from distalcells.induction import (
     _drop_first_var,
+    _empty,
     _shift_y_block,
     _subst_var,
     derive_family,
@@ -14,7 +17,15 @@ from distalcells.induction import (
     induct,
     plane_probes,
 )
-from distalcells.linear import eliminate_exists, eval_formula, f_and, f_atom, f_not, f_or
+from distalcells.linear import (
+    eliminate_exists,
+    eval_formula,
+    f_and,
+    f_atom,
+    f_not,
+    f_or,
+    formula_atoms,
+)
 from distalcells.rng import SplitMix64
 from test_plane_cells import _instances as plane_instances
 
@@ -48,6 +59,27 @@ def test_fiber_sources_cap_is_loud():
     with pytest.raises(ValueError, match="more than 1 components"):
         fiber_sources(fam, component_cap=1)
     assert {s.comp for s in fiber_sources(fam)} == {0, 1}
+
+
+def test_fiber_sources_decide_empty_components_exactly():
+    # at the second level of this 3-D family, predicate 3's formulas for a
+    # component of index 2 or more, and of index 3 or more, have DNFs past
+    # dnf_simplify's limit (1,962 and 53,136 conjuncts), and both are empty:
+    # no fiber passes the cap of 3
+    fam = semilinear_family(
+        [f_atom([1, -1, 0, 1, 0], 0, "<"), f_atom([0, 1, -1, 0, 1], 0, "<")], 3, 2
+    )
+    sources = fiber_sources(derive_family(fam)[18].family, 3)
+    assert [(s.pred, s.comp) for s in sources[::2]] == [
+        (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1),
+    ]
+
+
+def test_empty_past_its_limit_is_loud(monkeypatch):
+    monkeypatch.setattr(induction, "_EMPTY_LIMIT", 4)
+    x_or = [f_or(f_atom([1, 0], k, "<"), f_atom([0, 1], k, "<")) for k in range(3)]
+    with pytest.raises(ValueError, match="emptiness undecided"):
+        _empty(f_and(*x_or))
 
 
 def test_derived_predicate_halfline_fiber():
@@ -242,6 +274,39 @@ def _formulas(draw, nvars: int, free_first: bool = False):
         return f_and(*sub) if kind == "and" else f_or(*sub)
 
     return build(draw(st.integers(0, 2)))
+
+
+def _holds_somewhere(f) -> bool:
+    """Brute force over Q^2, sharing nothing with `_empty` but the Fraction
+    evaluation: every face, edge and vertex of the atoms' line arrangement
+    holds a sample.  The xs are each vertex and vertical line, a point
+    between each two and one beyond each end (the roots in y keep their
+    order between two of them), and over each x the same in y."""
+    rows = [(*(tuple(a.coeffs) + (0, 0))[:2], F(a.const)) for a in formula_atoms(f)]
+
+    def around(vals):
+        vals = sorted(set(vals))
+        if not vals:
+            return [F(0)]
+        return vals + [(u + v) / 2 for u, v in zip(vals, vals[1:])] + [vals[0] - 1, vals[-1] + 1]
+
+    xs = [-c / a0 for a0, a1, c in rows if a0 and not a1]
+    for (a0, a1, c), (b0, b1, d) in combinations(rows, 2):
+        det = a0 * b1 - a1 * b0
+        if det:
+            xs.append((a1 * d - b1 * c) / det)
+    return any(
+        eval_formula(f, [x, y])
+        for x in around(xs)
+        for y in around([-(a0 * x + c) / a1 for a0, a1, c in rows if a1])
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=_formulas(2), g=_formulas(2))
+def test_empty_matches_brute_force(f, g):
+    h = f_and(f, g)
+    assert _empty(h) is not _holds_somewhere(h)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -98,7 +98,7 @@ def test_instantiate_x_lt_y():
     decomp = build_decomposition(_x_lt_y())
     cells = decomp.instantiate([F(0), F(2)])
     ivs = sorted(
-        (c.interval for c in dedupe_cells(cells)),
+        (c.region for c in dedupe_cells(cells)),
         key=lambda iv: (iv.lo is not None, iv.lo or F(0)),
     )
     assert ivs == [
@@ -160,10 +160,10 @@ def test_exclusion_soundness_definition():
     decomp = build_decomposition(fam)
     B = [(F(0),), (F(2),), (F(5),)]
     for c in decomp.instantiate(B):
-        assert not any(crosses(fam.components(0, b), c.interval) for b in B)
+        assert not any(crosses(fam.components(0, b), c.region) for b in B)
     # and a cell that would be crossed is excluded: (-inf, 2), a cell over
     # {2}, is crossed at b = 0, so it is gone from T([2, 0])
-    below_2 = [c for c in decomp.instantiate([F(2)]) if c.interval == Iv(None, True, F(2), True)]
+    below_2 = [c for c in decomp.instantiate([F(2)]) if c.region == Iv(None, True, F(2), True)]
     assert len(below_2) == 1
     assert below_2[0].extent_key not in {c.extent_key for c in decomp.instantiate([F(2), F(0)])}
 
@@ -454,7 +454,7 @@ def test_positions_match_fraction_reference():
         decomp = build_decomposition(fam)
         cells = decomp.instantiate(B)
         ref = _ref_cells(fam, B)
-        assert [(c.template, c.params, c.extent_key, c.interval) for c in cells] == ref
+        assert [(c.template, c.params, c.extent_key, c.region) for c in cells] == ref
 
         comps_at = {b: [fam.components(pi, b) for pi in range(len(fam.preds))] for b in B}
         ends = sorted({

@@ -86,7 +86,7 @@ def dump() -> list:
             cells.append({
                 "template": c.template,
                 "key": _json(c.extent_key),
-                "sample": _json(c.sample),
+                "sample": _json(c.region.sample),
                 "member": hex(member),
                 "excluded": hex(excluded),
             })
