@@ -6,7 +6,6 @@ from .decomp import (
     CellInstance,
     Decomposition,
     VerificationReport,
-    dedupe_cells,
     shatter_estimate,
     verify,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "TypeCensus",
     "VerificationReport",
     "census_probes_1d",
-    "dedupe_cells",
     "in_pn",
     "in_qmn",
     "shatter_estimate",

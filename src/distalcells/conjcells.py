@@ -164,16 +164,6 @@ class ZSet(NamedTuple):
     mod: int
     res: int
 
-    def member(self, x: Fraction) -> bool:
-        if x.denominator != 1:
-            return False
-        v = x.numerator
-        return (
-            (self.lo is None or v >= self.lo)
-            and (self.hi is None or v <= self.hi)
-            and v % self.mod == self.res
-        )
-
     def canonical(self) -> tuple:
         if self.lo is not None and self.lo == self.hi:
             return ("pt", self.lo)
@@ -215,16 +205,15 @@ def _solve_linear_mod(a: int, s: int, K: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _conj_cell(chosen: tuple, extent_key, member, region) -> CellInstance:
+def _conj_cell(chosen: tuple, extent_key, region) -> CellInstance:
     """A conjunction cell; `chosen` is ((pred index, parameter), ...) over the
     chosen subset, and `region` is what its locator reads: the `Iv` at
-    |x| = 1 over Q, the `_ZRun` over Z, None otherwise.  Its theta_psi (some
-    phi(.; b) crosses) holds at no b in B: each instantiation applies it
-    where it drops conjunctions."""
+    |x| = 1 over Q, the (direction, `Iv`) pairs at |x| >= 2, the `_ZRun`
+    over Z.  Its theta_psi (some phi(.; b) crosses) holds at no b in B: each
+    instantiation applies it where it drops conjunctions."""
     return CellInstance(
         template="conj{" + ",".join(str(i) for i, _ in chosen) + "}",
         params=tuple(b for _, b in chosen),
-        member=member,
         extent_key=extent_key,
         region=region,
     )
@@ -311,9 +300,7 @@ def _conj_cells_vl(family: ParamFamily, B: list) -> list[CellInstance]:
             for exts, chosen in combos
             for ext, ch in dpieces
         ]
-    return [
-        _make_vl_cell(family, axes, exts, chosen) for exts, chosen in combos
-    ]
+    return [_make_vl_cell(family, axes, exts, chosen) for exts, chosen in combos]
 
 
 class _Axis(NamedTuple):
@@ -349,21 +336,27 @@ def _make_vl_cell(family, axes, exts, chosen) -> CellInstance:
     `_dir_crossed` ruled out for every b in B."""
     ivs = [decode(ax.cuts, ext) for ax, ext in zip(axes, exts)]
     if family.point_dim == 1:
-        iv = ivs[0] if ivs else Iv.full()
-
-        def member(a: tuple) -> bool:
-            return iv.member(a[0])
+        region = ivs[0] if ivs else Iv.full()
     else:
-        iv = None
-
-        def member(a: tuple) -> bool:
-            return all(
-                civ.member(sum((c * x for c, x in zip(ax.direction, a)), Fraction(0)))
-                for ax, civ in zip(axes, ivs)
-            )
-
+        region = tuple((ax.direction, iv) for ax, iv in zip(axes, ivs))
     key = tuple((v.lo, v.lo_open, v.hi, v.hi_open) for v in ivs)
-    return _conj_cell(tuple(chosen), key, member, iv)
+    return _conj_cell(tuple(chosen), key, region)
+
+
+def _vl_locator(cells: list[CellInstance]):
+    """The cells of a point at |x| >= 2: its projection on each direction
+    picks, by `interval_locator`, the cells whose interval there holds it,
+    and a cell holds the point when every direction picks it."""
+    dirs = [d for d, _ in cells[0].region]
+    per_dir = [interval_locator([c.region[k][1] for c in cells], k) for k in range(len(dirs))]
+    every = range(len(cells))
+
+    def locate(a) -> list[int]:
+        proj = [sum((c * x for c, x in zip(d, a)), Fraction(0)) for d in dirs]
+        first, *rest = [loc(proj) for loc in per_dir] or [every]
+        return sorted(set(first).intersection(*rest))
+
+    return locate
 
 
 class _ZRun(NamedTuple):
@@ -425,7 +418,7 @@ def _conj_cells_z(family: ParamFamily, B: list) -> list[CellInstance]:
         for res, chosen in classes:
             z = _zset(lo, hi, M, res)
             if z is not None:
-                cells.append(_make_z_cell(z, sorted(chosen), _ZRun(M, cuts, res, k)))
+                cells.append(_conj_cell(tuple(sorted(chosen)), z.canonical(), _ZRun(M, cuts, res, k)))
     return cells
 
 
@@ -484,13 +477,6 @@ def _z_truth_sets(family: ParamFamily, B: list) -> list[list[Optional[ZSet]]]:
     return out
 
 
-def _make_z_cell(z: ZSet, chosen: list, run: _ZRun) -> CellInstance:
-    def member(a: tuple) -> bool:
-        return z.member(a[0])
-
-    return _conj_cell(tuple(chosen), z.canonical(), member, region=run)
-
-
 def _z_locator(cells: list[CellInstance]):
     """The cell of x: x mod M and one bisection over the cuts; a non-integer
     locates nothing."""
@@ -513,11 +499,12 @@ def _z_locator(cells: list[CellInstance]):
 
 
 def build_decomposition(family: ParamFamily) -> Decomposition:
-    locator_fn = None
-    if family.point_dim == 1 and family.kind == "vector-linear":
-        locator_fn = lambda cells: interval_locator([c.region for c in cells], 0)  # noqa: E731
-    elif family.point_dim == 1:
+    if family.kind != "vector-linear":
         locator_fn = _z_locator
+    elif family.point_dim == 1:
+        locator_fn = lambda cells: interval_locator([c.region for c in cells], 0)  # noqa: E731
+    else:
+        locator_fn = _vl_locator
     return Decomposition(
         name=f"conj-{family.kind}",
         instantiate_fn=lambda B: conj_decomposition(family, B),

@@ -1,22 +1,25 @@
 """Distal cell decompositions: instantiation, the coverage / non-crossing
 verifier, and shatter-function estimation.
 
-A decomposition is a map B -> list of cells, where each cell carries an exact
-membership predicate and a canonical extent key for deduplication.  An
-emitted cell is, by the definition of T(B), excluded by no parameter of B,
-so a cell carries no exclusion test: I(Delta) at a parameter b outside B is
-read by heredity, b being in I(Delta) exactly when Delta is gone from
-T(B + [b]), and each engine applies I(Delta) only where its construction
-drops potential cells.  Verification is exact in one dimension
-(`census_probes_1d` is exhaustive) and probe-based in higher dimensions:
-failures are always genuine, and a success covers only the cells that hold
-a probe.
+A decomposition is a map B -> list of cells.  A cell is data: its template,
+its parameters from B, a canonical extent key (distinct within an instance)
+and the engine's record of where it lies.  Membership is one question per
+point, asked of the whole instance: the engine's locator returns exactly the
+cells that hold the point.  An emitted cell is, by the definition of T(B),
+excluded by no parameter of B, so a cell carries no exclusion test: I(Delta)
+at a parameter b outside B is read by heredity, b being in I(Delta) exactly
+when Delta is gone from T(B + [b]), and each engine applies I(Delta) only
+where its construction drops potential cells.  Verification is exact in one
+dimension (`census_probes_1d` is exhaustive) and probe-based in higher
+dimensions: failures are always genuine, and a success covers only the
+cells that hold a probe.
 
 One locator, `interval_locator`, serves every engine whose cells have an
-interval extent along one axis (omin1d and 1-D vector-linear on x1, planar
-induction's base intervals on x2): the intervals' endpoints give the rank
-positions of `linear.position`, and each position lists the cells whose
-interval spans it.
+interval extent along one axis (omin1d and 1-D vector-linear on x1,
+vector-linear at |x| >= 2 on each direction, and dimension induction's
+bottom intervals on the last coordinate): the intervals' endpoints give the
+rank positions of `linear.position`, and each position lists the cells
+whose interval spans it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .families import ParamFamily, as_point, census_probes_1d, fast_truth_masks
 from .linear import Iv, position
@@ -36,33 +39,34 @@ Point = tuple[Fraction, ...]
 
 @dataclass
 class CellInstance:
-    """One cell of a decomposition instance.  Each field, and what reads it:
+    """One cell of a decomposition instance, as data.  Each field, and what
+    reads it:
 
     - template: the template's name; verify's crossing witness, induction.
     - params: the parameters from B that define the cell; induction.
-    - member: point membership; verify, induction.
-    - extent_key: canonical extent; dedupe_cells.
+    - extent_key: canonical extent, distinct within an instance; the
+      heredity reading of I(Delta) matches cells across instances by it.
     - region: the engine's own record of where the cell lies, opaque here:
-      the `Iv` of an omin1d or 1-D vector-linear cell, the Presburger run,
+      the `Iv` of an omin1d or 1-D vector-linear cell, the (direction,
+      `Iv`) pairs of a vector-linear cell at |x| >= 2, the Presburger run,
       the p-adic `Region`, or a cylinder's `induction._Region`.  It is
       read by the engine's locator and by induction's cylinders above.
     """
 
     template: str
     params: tuple
-    member: Callable[[Point], bool]
     extent_key: object
     region: object = None
 
 
 @dataclass
 class Decomposition:
-    """A map B -> cells.  `locator_fn(cells)`, when given, returns
-    `locate(a)`: the indices of the cells that can contain the point a."""
+    """A map B -> cells.  `locator_fn(cells)` returns `locate(a)`: exactly
+    the indices of the cells that hold the point a."""
 
     name: str
     instantiate_fn: Callable[[list], list[CellInstance]]
-    locator_fn: Optional[Callable[[list], Callable[[Point], Iterable[int]]]] = None
+    locator_fn: Callable[[list], Callable[[Point], Sequence[int]]]
 
     def instantiate(self, B: Sequence) -> list[CellInstance]:
         # a scalar is the 1-tuple the engines make of it, so 0 and (0,) collide
@@ -71,12 +75,7 @@ class Decomposition:
             raise ValueError("parameter set contains duplicates")
         if not B:
             # no parameter crosses anything: the whole space is one cell
-            return [
-                CellInstance(
-                    template="full", params=(),
-                    member=lambda a: True, extent_key=("full",),
-                )
-            ]
+            return [CellInstance(template="full", params=(), extent_key=("full",))]
         return self.instantiate_fn(B)
 
 
@@ -129,18 +128,6 @@ def _fmt_witness(w):
     }
 
 
-def dedupe_cells(cells: list[CellInstance]) -> list[CellInstance]:
-    """One representative per extent key (extensional keys are the engines'
-    responsibility)."""
-    seen = set()
-    out = []
-    for c in cells:
-        if c.extent_key not in seen:
-            seen.add(c.extent_key)
-            out.append(c)
-    return out
-
-
 def verify(
     decomp: Decomposition,
     family: ParamFamily,
@@ -166,25 +153,16 @@ def verify(
     if not pts:
         raise ValueError("probes are required for this verification")
 
-    cells = dedupe_cells(cells)
-
-    # membership table over the locator's candidates; the empty-B cell comes
-    # from Decomposition.instantiate, not the engine, so its locator is skipped
-    if decomp.locator_fn is not None and B:
-        locate = decomp.locator_fn(cells)
-    else:
-        every = range(len(cells))
-        locate = lambda a: every  # noqa: E731
-    mems = [c.member for c in cells]
+    # the membership table, one locate per probe; the empty-B cell comes from
+    # Decomposition.instantiate, not the engine, and holds every point
+    locate = decomp.locator_fn(cells) if B else lambda a: (0,)
     members: list[list[int]] = [[] for _ in cells]
     covered_flags = []
     for pi, a in enumerate(pts):
-        hit = False
-        for ci in locate(a):
-            if mems[ci](a):
-                members[ci].append(pi)
-                hit = True
-        covered_flags.append(hit)
+        held = locate(a)
+        for ci in held:
+            members[ci].append(pi)
+        covered_flags.append(bool(held))
 
     covered = all(covered_flags)
     first_uncovered = None
@@ -303,14 +281,16 @@ def shatter_estimate(
     trials: int,
     seed: int,
 ) -> ShatterTable:
-    """Max deduped cell count per size over seeded trials, plus the fitted
-    log-log slope.  Each trial draws from its own split PRNG stream."""
+    """Max cell count per size over seeded trials, plus the fitted log-log
+    slope.  Each trial draws from its own split PRNG stream.  A row's raw
+    and deduplicated counts agree, since every engine's extent keys are
+    distinct within an instance."""
     master = SplitMix64(seed)
     rows = []
     for n in sizes:
         for t in range(trials):
             cells = decomp.instantiate(generator(master.split(n, t), n))
-            rows.append(ShatterRow(n, t, len(cells), len(dedupe_cells(cells))))
+            rows.append(ShatterRow(n, t, len(cells), len(cells)))
 
     max_counts = []
     for n in sizes:

@@ -22,16 +22,19 @@ At |x| = 2 the cylinders of one group (template, b1, b2) share a fiber, and
 its shadow, the x2 over which that fiber is inhabited, is read once from the
 template's `nonempty`: an empty shadow skips the group's base decomposition,
 and a base interval that meets no shadow piece is dropped before theta*.
-The planar decomposition locates a point by its x2 with
-`decomp.interval_locator` over every group's base intervals, so it is asked
-only of the cylinders above it; |x| >= 3 scans.
+
+A cylinder's region is its fiber, its base's region and a sample point, so
+the base chain of a cell at |x| = d ends in the chain engine's interval on
+x_d.  The locator picks, with `decomp.interval_locator`, the cylinders whose
+bottom interval holds a point's last coordinate, and keeps those whose
+fibers hold the point all along the chain, on the point scaled to ints once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import omin1d
 from .decomp import CellInstance, Decomposition, interval_locator
@@ -288,7 +291,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, e) for b in B]
-        B_ints, scale = [_point_ints(b) for b in B], _PointInts()
+        B_ints = [_point_ints(b) for b in B]
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
@@ -308,7 +311,7 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 B_der = [b1 + b2 + b for b in B]
                 fiber = tpl.psi.at([0] * d + ys, den, range(d))
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, scale, shadow)
+                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, shadow)
                     if cell is not None:
                         cells.append(cell)
         return cells
@@ -316,24 +319,51 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
     return Decomposition(
         name=f"dim-induction-{d}d",
         instantiate_fn=inst,
-        locator_fn=_planar_locator if d == 2 else None,
+        locator_fn=lambda cells: _cylinder_locator(cells, d - 1),
     )
 
 
-def _planar_locator(cells: list[CellInstance]):
-    """A point is asked only of the cylinders whose base interval holds its x2."""
-    return interval_locator([c.region.base for c in cells], 1)
-
-
 class _Region(NamedTuple):
-    """A cylinder's region: its membership test on scaled points and a
-    point of it, read by the cylinder above (the sample is None when the
-    fiber is empty at the base's sample, above |x| = 2), and at |x| = 2
-    its base interval over x2, read by the planar locator (None above)."""
+    """A cylinder's region: `fiber`, the template's formula at (b1, b2) as
+    int rows over x; `base`, the base cell's region (the chain engine's `Iv`
+    over x2 at |x| = 2, a `_Region` above); and `sample`, a point of the
+    cylinder, read by the cylinder above (None when the fiber is empty at
+    the base's sample, above |x| = 2)."""
 
-    test: Callable[[tuple], bool]
-    base: Optional[Iv]
+    fiber: Compiled
+    base: object
     sample: Optional[tuple]
+
+
+def _cylinder_locator(cells: list[CellInstance], axis: int):
+    """The cylinders that hold a point: those whose bottom interval, the `Iv`
+    at the end of the base chain, holds its last coordinate `axis`, and
+    whose fibers hold it at every level of the chain."""
+    regions = [c.region for c in cells]
+    bottoms = []
+    for r in regions:
+        while isinstance(r, _Region):
+            r = r.base
+        bottoms.append(r)
+    slots = interval_locator(bottoms, axis)
+
+    def locate(a) -> list[int]:
+        pt = _point_ints(a)
+        return [ci for ci in slots(a) if _fibers_hold(regions[ci], pt)]
+
+    return locate
+
+
+def _fibers_hold(region: _Region, pt: tuple) -> bool:
+    """Does every fiber along the base chain hold the point, given as ints
+    (`_point_ints`)?  The fiber k levels down is over pt's last d - k
+    coordinates."""
+    k = 0
+    while isinstance(region, _Region):
+        if not region.fiber.holds(pt[k:]):
+            return False
+        region, k = region.base, k + 1
+    return True
 
 
 def _cyl_cell(
@@ -343,8 +373,7 @@ def _cyl_cell(
     b2,
     base_cell: CellInstance,
     B_ints: list,
-    fiber,
-    scale,
+    fiber: Compiled,
     shadow: Optional[list[Iv]],
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
@@ -355,19 +384,18 @@ def _cyl_cell(
     int rows over x, and `shadow`, at |x| = 2, is the pieces of x2 over
     which that fiber is inhabited (None above)."""
     tpl = df.template
+    base = base_cell.region
     if shadow is None:
         # above |x| = 2 the base is a cylinder of the level below
-        iv = None
-        base_test, base_pt = base_cell.region.test, base_cell.region.sample
+        base_pt = base.sample
         if base_pt is None:
             raise ValueError("base cell carries no sample point")
     else:
         # at |x| = 2 the base is a chain-engine cell, whose region is its x2
         # interval
-        iv = base_cell.region
-        base_test, base_pt = _interval_test(iv), (iv.sample(),)
+        base_pt = (base.sample(),)
         # the cylinder is inhabited exactly when its base meets the shadow
-        met = [m for m in (iv_intersect(piece, iv) for piece in shadow) if not m.is_empty()]
+        met = [m for m in (iv_intersect(piece, base) for piece in shadow) if not m.is_empty()]
         if not met:
             return None
     # theta*: the fiber template is crossed somewhere over the base; the
@@ -380,12 +408,8 @@ def _cyl_cell(
     if any(map(theta.holds, B_ints)):
         return None
 
-    # membership on points scaled to ints
-    def member_ints(pt: tuple) -> bool:
-        return base_test(pt[1:]) and fiber.holds(pt)
-
-    def fiber_at(base: tuple) -> list[Iv]:
-        nums, q = _to_ints(base)
+    def fiber_at(pt: tuple) -> list[Iv]:
+        nums, q = _to_ints(pt)
         return fiber.at([0, *nums], q, (0,)).pieces()
 
     sample = None
@@ -399,9 +423,8 @@ def _cyl_cell(
     return CellInstance(
         template=f"{tpl.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
-        member=lambda a: member_ints(scale(a)),
         extent_key=(ti, b1, b2, base_cell.extent_key),
-        region=_Region(member_ints, iv, sample),
+        region=_Region(fiber, base, sample),
     )
 
 
@@ -409,42 +432,6 @@ def _point_ints(a: tuple) -> tuple:
     """A point as ints (n_1, ..., n_d, q) with x_i = n_i / q."""
     nums, q = _to_ints(a)
     return (*nums, q)
-
-
-class _PointInts:
-    """`_point_ints` keeping the last point, since verify asks every cell
-    about one probe before the next."""
-
-    def __init__(self):
-        self.last = None
-        self.ints = None
-
-    def __call__(self, a: tuple) -> tuple:
-        if a is not self.last:
-            self.ints = _point_ints(a)
-            self.last = a
-        return self.ints
-
-
-def _interval_test(iv: Iv):
-    """iv.member on a scaled value (n, q), x = n / q, by int cross-multiplication."""
-    lo, lo_open, hi, hi_open = iv.lo, iv.lo_open, iv.hi, iv.hi_open
-    lo_n, lo_d = (lo.numerator, lo.denominator) if lo is not None else (0, 0)
-    hi_n, hi_d = (hi.numerator, hi.denominator) if hi is not None else (0, 0)
-
-    def test(pt: tuple) -> bool:
-        n, q = pt
-        if lo is not None:
-            c = n * lo_d - lo_n * q
-            if c < 0 or (c == 0 and lo_open):
-                return False
-        if hi is not None:
-            c = n * hi_d - hi_n * q
-            if c > 0 or (c == 0 and hi_open):
-                return False
-        return True
-
-    return test
 
 
 # ---------------------------------------------------------------------------

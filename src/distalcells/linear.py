@@ -342,10 +342,6 @@ class Iv:
     def full() -> "Iv":
         return Iv(None, True, None, True)
 
-    @staticmethod
-    def point(v: Fraction) -> "Iv":
-        return Iv(v, False, v, False)
-
     def is_empty(self) -> bool:
         if self.lo is None or self.hi is None:
             return False

@@ -132,7 +132,6 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
                 CellInstance(
                     template=f"{_source_label(hi_src)}\\{_source_label(lo_src)}",
                     params=params,
-                    member=lambda a, iv=iv: iv.member(a[0]),
                     extent_key=(iv.lo, iv.lo_open, iv.hi, iv.hi_open),
                     region=iv,
                 )

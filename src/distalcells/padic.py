@@ -19,10 +19,16 @@ level, which is a child: a removed ball.  The swallow rule is thus the one
 test that drops potential cells: Macintyre's edge ball at the removal level
 whose ball at that level holds a centre of B lies in a removed ball.
 
-Each instance runs on the ints of its centres' `_Scale`: the swallow test
-reads a table of centre distances, and the membership tests and probes
-compare a rational a/d with a centre X / D through a D - X d, building no
-Fraction.
+A cell is (forest node, type), and its locator reads the type of a point
+x off x alone.  `BallForest.locate` gives the node, so x lies in its atom's
+outer ball and in no removed ball.  With t the atom's centre, the ints of
+`_Scale.unit_split` give the level s = v(x - t) and the unit residue U of
+x - t mod p^(w+1).  The type is an edge ball (s, U) at the w levels above a
+finite alpha_l and the w + 1 levels up to a finite alpha_u, and otherwise
+the coset of x - t, read from a table keyed by (s mod period, U) that
+`_decomposition` builds once per family.  The swallow test reads a table of
+centre distances, and the locator and probes compare a rational a/d with a
+centre X / D through a D - X d, building no Fraction.
 """
 
 from __future__ import annotations
@@ -129,18 +135,6 @@ class Region(NamedTuple):
     sub: Subinterval
 
 
-def _point_cell(region: Region) -> CellInstance:
-    """The cell of a point atom {t}, which no parameter excludes.  Within an
-    instance the forest node names the atom, so every cell's extent key is
-    (node, type)."""
-    return CellInstance(
-        template="sub(pt)", params=(),
-        member=lambda a, t=region.sub.center: a[0] == t,
-        extent_key=(region.node, ("pt",)),
-        region=region,
-    )
-
-
 def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
     """Macintyre's balls and edge rule: the edge balls at the removal level
     r = a_u are dropped when B_r(t + p^r u) holds a centre of B, that is,
@@ -148,30 +142,20 @@ def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
     vf = _f_levels(family.meta["F"], B, family.meta["p"])
     scale, xs = cen.scale, cen.xs
 
-    def edge(kt: int, sub: Subinterval):
-        row, X = cen.dist[kt], xs[kt]
+    def keep(kt: int, sub: Subinterval, r: int, u: int) -> bool:
+        # is a centre c_k in B_r(t + p^r u)?  Only one with v(t - c_k) = r
+        # can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
+        return r < sub.alpha_u or not any(
+            v == r and scale.inside(*scale.shift(xs[kt] - xs[k], 0, 1, r, u), r)
+            for k, v in enumerate(cen.dist[kt])
+        )
 
-        def keep(r: int, u: int) -> bool:
-            # is a centre c_k in B_r(t + p^r u)?  Only one with v(t - c_k) = r
-            # can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
-            return r < sub.alpha_u or not any(
-                v == r and scale.inside(*scale.shift(X - xs[k], 0, 1, r, u), r)
-                for k, v in enumerate(row)
-            )
-
-        return keep, ()
-
-    return _special(cen, vf), edge
+    return _special(cen, vf), keep
 
 
 def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
-    """The affine reduct's balls and edge rule: every edge ball is kept, and
-    its members avoid the removed balls."""
-
-    def edge(kt: int, sub: Subinterval):
-        return (lambda r, u: True), [cen.scale.x(c) for c in sub.removed]
-
-    return _laff(cen), edge
+    """The affine reduct's balls and edge rule: every edge ball is kept."""
+    return _laff(cen), lambda kt, sub, r, u: True
 
 
 class _Kind(NamedTuple):
@@ -187,9 +171,8 @@ class _Kind(NamedTuple):
     ones: frozenset  # unit residues mod p^(w+1) of the coset of 1
     window: int  # family_probes' levels past each radius
     # (family, cen, B) -> the instance's ball family and its edge rule:
-    # edge(kt, sub) for the subinterval sub around centre kt is (keep, the
-    # scaled centres of the removed balls that edge members avoid), where
-    # keep(r, u) says whether the edge ball at (r, u) is a cell
+    # keep(kt, sub, r, u) says whether the edge ball at (r, u) of the
+    # subinterval sub around centre kt is a cell
     tests: Callable
 
 
@@ -211,73 +194,77 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
     definable from the descriptor (center, alpha_l, alpha_u)."""
     kind = _kind(family)
     C, p, dim = family.meta["C"], family.meta["p"], family.param_dim
-    w, period, ones = kind.w, kind.period, kind.ones
+    w, period = kind.w, kind.period
     # (lam, (v_p, p-free part) of its numerator, and of its denominator)
     lams = [(lam, split_p(lam.numerator, p), split_p(lam.denominator, p)) for lam in kind.reps]
     units = _units(p, w + 1)
     mod = p ** (w + 1)
+    # the coset of x - t = p^s U by (s mod period, U mod p^(w+1)): (x - t) / lam
+    # is in the coset of 1 when s - v(lam) is 0 mod period and U ld / ln is in
+    # `ones`, that is, U = one ln / ld for some one
+    cosets = {
+        ((vn - vd) % period, one * ln * pow(ld, -1, mod) % mod): lam
+        for lam, (vn, ln), (vd, ld) in lams
+        for one in kind.ones
+    }
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, dim) for b in B]
         cen = _Centres(C, B, p)
-        balls, edge_rule = kind.tests(family, cen, B)
+        balls, keep = kind.tests(family, cen, B)
         forest, tagged = arrangement(balls)
-        scale, xs = cen.scale, cen.xs
-
-        def coset_member(X: int, lo, hi, vl: int, ln: int, ld: int):
-            def member(a) -> bool:
-                # lo < v(x - t) < hi and (x - t) / lam in the coset of 1
-                s = scale.unit_split(a[0], X)
-                if s is None or not lo < s[0] < hi or (s[0] - vl) % period:
-                    return False
-                return s[1] * ld * pow(s[2] * ln, -1, mod) % mod in ones
-
-            return member
-
-        def edge_member(X: int, r: int, u: int, removed, a_u):
-            def member(a) -> bool:
-                # v(x - (t + p^r u)) > r + w, and x in no removed ball
-                N, e, q = scale.offset(a[0], X)
-                if not scale.inside(*scale.shift(N, e, q, r, -u), r + w):
-                    return False
-                d = a[0].denominator  # x - rep = (N + (X - R) d) / (q p^e D)
-                return not any(scale.inside(N + (X - R) * d, e, a_u) for R in removed)
-
-            return member
-
         cells: list[CellInstance] = []
         for ai, sub in tagged:
+            # within an instance the forest node names the atom, so every
+            # cell's extent key is (node, type)
             region = Region(forest, ai, sub)
             if sub.alpha_l == INF:
-                cells.append(_point_cell(region))
+                cells.append(CellInstance("sub(pt)", (), (ai, ("pt",)), region))
                 continue
-            kt = cen.at[scale.x(sub.center)]
-            keep, removed = edge_rule(kt, sub)
-            a_l, a_u, X = sub.alpha_l, sub.alpha_u, xs[kt]
-            for lam, (vn, ln), (vd, ld) in lams:
+            kt = cen.at[cen.scale.x(sub.center)]
+            a_l, a_u = sub.alpha_l, sub.alpha_u
+            for lam, (vn, _), (vd, _) in lams:
                 if _level_in_window(a_l + w + 1, a_u - w - 1, (vn - vd) % period, period):
-                    cells.append(
-                        CellInstance(
-                            template="subcoset", params=(),
-                            member=coset_member(X, a_l + w, a_u - w, vn - vd, ln, ld),
-                            extent_key=(ai, ("coset", lam)),
-                            region=region,
-                        )
-                    )
+                    cells.append(CellInstance("subcoset", (), (ai, ("coset", lam)), region))
             for r in _edge_levels(a_l, a_u, w):
                 for u in units:
-                    if keep(r, u):
-                        cells.append(
-                            CellInstance(
-                                template="subedge", params=(),
-                                member=edge_member(X, r, u, removed, a_u),
-                                extent_key=(ai, ("edge", r, u)),
-                                region=region,
-                            )
-                        )
+                    if keep(kt, sub, r, u):
+                        cells.append(CellInstance("subedge", (), (ai, ("edge", r, u)), region))
         return cells
 
-    return Decomposition(name=name, instantiate_fn=inst, locator_fn=_forest_locator)
+    def locator(cells: list[CellInstance]):
+        """The cell of x: its forest node, then its type there."""
+        forest = cells[0].region.forest
+        scale = forest.scale
+        index = {c.extent_key: ci for ci, c in enumerate(cells)}
+        atoms = {
+            c.region.node: (scale.x(c.region.sub.center), c.region.sub.alpha_l, c.region.sub.alpha_u)
+            for c in cells
+        }
+
+        def locate(a) -> tuple[int, ...]:
+            node = forest.locate(a[0])
+            if node not in atoms:
+                return ()
+            X, a_l, a_u = atoms[node]
+            if a_l == INF:
+                typ = ("pt",)
+            else:
+                split = scale.unit_split(a[0], X)
+                if split is None:
+                    return ()
+                s, u, q = split
+                U = u * pow(q, -1, mod) % mod
+                if (a_l != -INF and s <= a_l + w) or (a_u != INF and s >= a_u - w):
+                    typ = ("edge", s, U)
+                else:
+                    typ = ("coset", cosets[s % period, U])
+            ci = index.get((node, typ))
+            return () if ci is None else (ci,)
+
+        return locate
+
+    return Decomposition(name=name, instantiate_fn=inst, locator_fn=locator)
 
 
 def macintyre_dcd(family: ParamFamily) -> Decomposition:
@@ -296,21 +283,6 @@ def laff_dcd_1d(family: ParamFamily) -> Decomposition:
     if family.point_dim != 1:
         raise ValueError("only the one-dimensional decomposition is built")
     return _decomposition("padic-laff", family)
-
-
-def _forest_locator(cells: list[CellInstance]):
-    """Candidates for x: the cells of the subinterval the forest puts x in."""
-    if not cells:
-        return lambda a: ()
-    forest = cells[0].region.forest
-    by_node: dict[int, list[int]] = {}
-    for ci, c in enumerate(cells):
-        by_node.setdefault(c.region.node, []).append(ci)
-
-    def locate(a) -> list[int]:
-        return by_node.get(forest.locate(a[0]), [])
-
-    return locate
 
 
 # ---------------------------------------------------------------------------

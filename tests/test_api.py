@@ -48,10 +48,11 @@ def test_public_names_resolve():
 
 
 def _referenced_names(tree: ast.Module):
-    """(name, owner) for every name, attribute and identifier-like string
-    constant, and for every imported name that the module reads, where owner
-    is the top-level definition it occurs in, "Class.method" inside a method,
-    or None."""
+    """(name, owner, dotted) for every name, attribute and identifier-like
+    string constant, and for every imported name that the module reads,
+    where owner is the top-level definition it occurs in, "Class.method"
+    inside a method, or None, and dotted says whether the reference can
+    reach a method: an attribute (`.name`) or a string constant."""
     imports = []
 
     def walk(node, owner):
@@ -63,20 +64,20 @@ def _referenced_names(tree: ast.Module):
                 elif isinstance(node, ast.ClassDef) and owner == node.name:
                     inner = f"{owner}.{child.name}"
             if isinstance(child, ast.Name):
-                yield child.id, owner
+                yield child.id, owner, False
             elif isinstance(child, ast.Attribute):
-                yield child.attr, owner
+                yield child.attr, owner, True
             elif isinstance(child, ast.ImportFrom):
                 imports.extend((alias, owner) for alias in child.names)
             elif isinstance(child, ast.Constant) and isinstance(child.value, str) \
                     and child.value.isidentifier():
-                yield child.value, owner  # getattr-style tables, e.g. bench's tracer
+                yield child.value, owner, True  # getattr-style tables, e.g. bench's tracer
             yield from walk(child, inner)
 
     refs = list(walk(tree, None))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return refs + [
-        (alias.name, owner) for alias, owner in imports
+        (alias.name, owner, False) for alias, owner in imports
         if (alias.asname or alias.name) in read
     ]
 
@@ -97,18 +98,23 @@ def _definitions():
 
 def test_every_definition_has_a_program_caller():
     # a re-export from __init__ is not a caller, and a definition's own body
-    # (recursion) does not count for it; a method counts by its bare name
+    # (recursion) does not count for it; a method counts by its bare name,
+    # and only through an attribute or a string constant, so that a local
+    # variable of the same name is no caller
     users: dict[str, set] = {}
     program = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     for path in program:
         if path.name == "__init__.py" or path.name.startswith("test_"):
             continue
-        for name, owner in _referenced_names(ast.parse(path.read_text())):
-            users.setdefault(name, set()).add((path.stem, owner))
+        for name, owner, dotted in _referenced_names(ast.parse(path.read_text())):
+            users.setdefault(name, set()).add((path.stem, owner, dotted))
+
     def outside(module, name):
+        method = "." in name
         return {
-            (m, owner) for m, owner in users.get(name.rpartition(".")[2], ())
-            if m != module or owner is None or (owner != name and not owner.startswith(name + "."))
+            (m, owner) for m, owner, dotted in users.get(name.rpartition(".")[2], ())
+            if (dotted or not method)
+            and (m != module or owner is None or (owner != name and not owner.startswith(name + ".")))
         }
 
     defined = set(_definitions())
@@ -181,7 +187,7 @@ def test_engines_read_compiled_formulas():
     # an atom becomes int rows in `linear` alone, and dimension induction
     # reads its formulas compiled, never through the Fraction evaluator
     for path in sorted(PACKAGE.glob("*.py")):
-        names = {name for name, _ in _referenced_names(ast.parse(path.read_text()))}
+        names = {name for name, _, _ in _referenced_names(ast.parse(path.read_text()))}
         if path.stem != "linear":
             assert "_int_row" not in names, path.stem
         if path.stem == "induction":

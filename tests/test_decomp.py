@@ -1,11 +1,12 @@
-import dataclasses
+import functools
+import json
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
 from distalcells import conjcells, padic
 from distalcells.decomp import (
-    dedupe_cells,
     fit_loglog_slope,
     shatter_estimate,
     verify,
@@ -23,11 +24,12 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.induction import induct, plane_probes
+from distalcells.induction import _fibers_hold, _point_ints, _Region, induct, plane_probes
 from distalcells.linear import AffineMap, f_atom, f_not, f_or
 from distalcells.omin1d import build_decomposition
 from distalcells.rng import SplitMix64
-from test_plane_cells import _instances as plane_instances
+from distalcells.scalars import in_pn, in_qmn, split_p, valuation
+from test_plane_cells import GOLDEN as PLANE_GOLDEN, _instances as plane_instances
 
 
 def _x_lt_y():
@@ -36,13 +38,9 @@ def _x_lt_y():
 
 def _trivial_decomp():
     def inst(B):
-        return [
-            CellInstance(
-                template="full", params=(), member=lambda a: True, extent_key=("full",),
-            )
-        ]
+        return [CellInstance(template="full", params=(), extent_key=("full",))]
 
-    return Decomposition("trivial", inst)
+    return Decomposition("trivial", inst, lambda cells: lambda a: (0,))
 
 
 def test_instantiate_rejects_scalar_beside_its_tuple():
@@ -179,18 +177,142 @@ def _locator_cases():
         yield label, fam, induct(fam), B, plane_probes(fam, B, steps=8)
 
 
-def test_verify_locator_matches_scan():
-    # verify gives the same report with the locator as with the full scan,
-    # and every cell that holds a probe is among the probe's candidates
-    for label, fam, decomp, B, probes in _locator_cases():
-        assert decomp.locator_fn is not None, label
-        scan = dataclasses.replace(decomp, locator_fn=None)
-        assert verify(decomp, fam, B, probes).to_dict() == verify(scan, fam, B, probes).to_dict(), (label, B)
-        cells = dedupe_cells(decomp.instantiate(B))
+@functools.cache
+def _exact_cases() -> list:
+    """(label, family, decomposition, probes, cells) over `_locator_cases()`,
+    both p-adic engines with a Hensel margin w > 0 over their census and
+    family probes, the `vector-linear-2` heredity case over a grid of
+    halves, and the |x| = 3 family x1 + x2 + x3 < y over a small grid; each
+    instance is built once for the tests that share these cases."""
+    cases = list(_locator_cases())
+    # w = 2 v_3(3) = 2 and w = n - 1 = 1: edge levels on both sides of a radius
+    mac = macintyre_family(
+        [AffineMap.of([0]), AffineMap.of([1])], [AffineMap.of([1])], [1, 2], n=3, p=3, param_dim=1,
+    )
+    laff = laff_family(
+        [AffineMap.of([1]), AffineMap.of([2])], m=2, n=2, Lambda=[1], p=3, param_dim=1
+    )
+    rng = SplitMix64(2720)
+    for label, fam, decomp in (("macintyre", mac, padic.macintyre_dcd(mac)),
+                               ("laff", laff, padic.laff_dcd_1d(laff))):
+        for _ in range(3):
+            B = [(b,) for b in sorted({rng.fraction(60, 6) for _ in range(rng.randint(1, 3))})]
+            probes = sorted(set(census_probes_1d(fam, B)) | set(padic.family_probes(fam, B)))
+            cases.append((label, fam, decomp, B, probes))
+    decomp, draw = _heredity_cases()["vector-linear-2"]
+    rng = SplitMix64(31337)
+    grid = [(F(i, 2), F(j, 2)) for i in range(-14, 15) for j in range(-14, 15)]
+    cases += [("vector-linear-2", _vl2_family(), decomp, draw(rng), grid) for _ in range(3)]
+    d3 = semilinear_family([f_atom([1, 1, 1, -1], 0, "<")], 3, 1)
+    decomp = induct(d3)
+    vals = [F(-2), F(-1), F(0), F(1, 2), F(1), F(3, 2)]
+    grid = [(a, b, c) for a in vals for b in vals for c in vals]
+    cases += [("d3", d3, decomp, B, grid) for B in ([F(0), F(1)], [F(0), F(1), F(-2)])]
+    return [
+        (label, fam, decomp, probes, decomp.instantiate(B))
+        for label, fam, decomp, B, probes in cases
+    ]
+
+
+def _zset_holds(key, x) -> bool:
+    """Is x in the Presburger extent key ("pt", v) or ("z", lo, hi, mod, res)?"""
+    if x.denominator != 1:
+        return False
+    v = x.numerator
+    if key[0] == "pt":
+        return v == key[1]
+    _, lo, hi, mod, res = key
+    return (lo is None or v >= lo) and (hi is None or v <= hi) and v % mod == res
+
+
+def _type_holds(fam, cell, x) -> bool:
+    """Does x, a point of a p-adic cell's subinterval, have the cell's type?
+    Read with the Hensel margin w of the family."""
+    sub, typ = cell.region.sub, cell.extent_key[1]
+    if typ[0] == "pt":
+        return True
+    p, n = fam.meta["p"], fam.meta["n"]
+    mac = fam.kind == "valuation-macintyre"
+    w = 2 * split_p(n, p)[0] if mac else n - 1
+    d = x - sub.center
+    if typ[0] == "edge":
+        _, r, u = typ
+        return valuation(d - F(p) ** r * u, p) > r + w
+    lam = typ[1]
+    if not sub.alpha_l + w < valuation(d, p) < sub.alpha_u - w:
+        return False
+    return in_pn(d / lam, n, p) if mac else in_qmn(d, lam, fam.meta["m"], n, p)
+
+
+def _bottom(region):
+    while isinstance(region, _Region):
+        region = region.base
+    return region
+
+
+def _reference(label, fam, cells, probes) -> list[list[int]]:
+    """Per probe, the cells that hold it, read from each cell's own data."""
+    if label.startswith(("found", "pattern")):
+        # planar cylinders: the pinned membership bits
+        pinned = next(g for g in json.loads(PLANE_GOLDEN.read_text()) if g["label"] == label)
+        masks = [int(c["member"], 16) for c in pinned["cells"]]
+        return [[ci for ci, m in enumerate(masks) if m >> k & 1] for k in range(len(probes))]
+    if label in ("omin1d", "vector-linear"):
+        def held(a):
+            return [ci for ci, c in enumerate(cells) if c.region.member(a[0])]
+    elif label == "vector-linear-2":
+        def held(a):
+            proj = {d: sum(u * x for u, x in zip(d, a)) for d, _ in cells[0].region}
+            return [
+                ci for ci, c in enumerate(cells)
+                if all(iv.member(proj[d]) for d, iv in c.region)
+            ]
+    elif label == "presburger":
+        def held(a):
+            return [ci for ci, c in enumerate(cells) if _zset_holds(c.extent_key, a[0])]
+    elif label in ("macintyre", "laff"):
+        subs = {c.region.node: c.region.sub for c in cells}
+
+        def held(a):
+            # the probe's atoms first, then the types of their cells
+            nodes = {node for node, sub in subs.items() if sub.member(a[0])}
+            return [
+                ci for ci, c in enumerate(cells)
+                if c.region.node in nodes and _type_holds(fam, c, a[0])
+            ]
+    else:
+        # a scan of every cylinder through its fiber chain: the bottom
+        # interval slots must lose no cell
+        bottoms = [_bottom(c.region) for c in cells]
+
+        def held(a):
+            pt = _point_ints(a)
+            return [
+                ci for ci, c in enumerate(cells)
+                if bottoms[ci].member(a[-1]) and _fibers_hold(c.region, pt)
+            ]
+    return [held(a) for a in probes]
+
+
+def test_locate_is_exact():
+    # locate(a) is exactly the cells that hold a, for every engine
+    for label, fam, decomp, probes, cells in _exact_cases():
         locate = decomp.locator_fn(cells)
+        want = _reference(label, fam, cells, probes)
+        for a, held in zip(probes, want):
+            assert sorted(locate(a)) == held, (label, a)
+
+
+def test_cells_are_data():
+    # a cell is plain data: the cells of an instance pickle, and the locator
+    # over the unpickled cells places every probe as before
+    for label, _, decomp, probes, cells in _exact_cases():
+        back = pickle.loads(pickle.dumps(cells))
+        assert [(c.template, c.params, c.extent_key) for c in back] == \
+            [(c.template, c.params, c.extent_key) for c in cells], label
+        locate, again = decomp.locator_fn(cells), decomp.locator_fn(back)
         for a in probes:
-            held = {ci for ci, c in enumerate(cells) if c.member(a)}
-            assert held <= set(locate(a)), (label, B, a)
+            assert sorted(again(a)) == sorted(locate(a)), (label, a)
 
 
 def _omin1d_family():
@@ -200,6 +322,14 @@ def _omin1d_family():
             f_or(f_atom([1, -2], 1, "="), f_atom([1, -1], -1, ">")),
         ],
         1, 1,
+    )
+
+
+def _vl2_family():
+    return vector_linear_family(
+        vl_trichotomy(AffineMap.of([1, 0]), AffineMap.of([-1, 0]))
+        + vl_trichotomy(AffineMap.of([1, 1], 1), AffineMap.of([0, 2])),
+        2, 2,
     )
 
 
@@ -215,11 +345,6 @@ def _heredity_cases():
 
         return params
 
-    vl2 = vector_linear_family(
-        vl_trichotomy(AffineMap.of([1, 0]), AffineMap.of([-1, 0]))
-        + vl_trichotomy(AffineMap.of([1, 1], 1), AffineMap.of([0, 2])),
-        2, 2,
-    )
     # 2x against y, and 3 | (x - y + c) for every residue c
     pres = congruence_family(
         [CongAtom(AffineMap.of([2]), AffineMap.of([1]), r) for r in ("<", "=", ">")]
@@ -230,7 +355,7 @@ def _heredity_cases():
     return {
         "omin1d": (build_decomposition(_omin1d_family()), draw(1, 6, 12, 4)),
         "vector-linear-1": (one_d["vector-linear"], draw(1, 6, 12, 4)),
-        "vector-linear-2": (conjcells.build_decomposition(vl2), draw(2, 4, 6, 2)),
+        "vector-linear-2": (conjcells.build_decomposition(_vl2_family()), draw(2, 4, 6, 2)),
         "presburger": (conjcells.build_decomposition(pres), draw(1, 6, 12, 1)),
     }
 

@@ -162,7 +162,10 @@ def _ordered_instances(rng):
     def two_pieces(b, w=w):
         return [Iv(b[0], True, b[0] + w, False), Iv(b[0] + w + 1, False, None, True)]
 
-    interval = interval_family([(two_pieces, 2), (lambda b: [Iv.point(2 * b[0])], 1)], 1)
+    def point(b):
+        return [Iv(2 * b[0], False, 2 * b[0], False)]
+
+    interval = interval_family([(two_pieces, 2), (point, 1)], 1)
     vl = vector_linear_family(
         vl_trichotomy(AffineMap.of([rng.choice([1, -2])]), AffineMap.of([1], rng.fraction(4, 2)))
         + vl_trichotomy(AffineMap.of([F(1, 2)]), AffineMap.of([-1])), 1, 1,

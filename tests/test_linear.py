@@ -78,7 +78,7 @@ def test_components_union_and_point():
         f_atom([1], -3, "="),
     )
     comps = components_1d(f, 0, [F(0)])
-    assert comps == [Iv(F(0), True, F(1), True), Iv.point(F(3))]
+    assert comps == [Iv(F(0), True, F(1), True), Iv(F(3), False, F(3), False)]
 
 
 def test_components_adjacent_pieces_merge():
@@ -97,7 +97,7 @@ def test_interval_algebra():
     b = Iv(F(1), True, None, True)    # (1, inf)
     c = iv_intersect(a, b)
     assert c == Iv(F(1), True, F(2), True)
-    assert merge_adjacent([Iv(F(0), True, F(1), True), Iv.point(F(1))]) == [
+    assert merge_adjacent([Iv(F(0), True, F(1), True), Iv(F(1), False, F(1), False)]) == [
         Iv(F(0), True, F(1), False)
     ]
     # over the cuts 0 < 1 < 2 the three are position ranges, and inclusion
@@ -118,7 +118,8 @@ def test_position():
     assert [position(cuts, F(v)) for v in (-1, 0, 2)] == [1, 3, 5]
     assert [position(cuts, v) for v in (F(-5), F(-1, 2), F(1), F(7))] == [0, 2, 4, 6]
     assert position([], F(3)) == 0
-    assert decode(cuts, (0, 6)) == Iv.full() and decode(cuts, (3, 3)) == Iv.point(F(0))
+    assert decode(cuts, (0, 6)) == Iv.full()
+    assert decode(cuts, (3, 3)) == Iv(F(0), False, F(0), False)
 
 
 def _rand_formula(draw, nvars: int, depth: int):

@@ -10,9 +10,9 @@ cell of T(B) is by definition excluded by no parameter of B.  An outside
 bit is read by heredity: it is set when the cell is gone from T(B + [b]),
 cells matched by (subinterval, type), since forest node numbers are not
 intrinsic; the pinned Macintyre outside bits predate that reading (see the
-test).  Per
-probe it records the cells whose `member` holds.  Run this file as a script to
-write the dump to the path given on the command line.
+test).  Per probe it records the cells that the locator puts it in.  Run
+this file as a script to write the dump to the path given on the command
+line.
 """
 
 import json
@@ -92,6 +92,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
     fam, decomp, B, outside = _instance(engine, p, k)
     probes = family_probes(fam, B)
     cells = decomp.instantiate(B)
+    locate = decomp.locator_fn(cells)
     after = [{_kept(c) for c in decomp.instantiate(B + [b])} for b in outside]
     forest = cells[0].region.forest
     first_key: dict = {}
@@ -120,7 +121,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
         "parents": forest.parent,
         "subs": [list(f[:3]) + [list(f[3])] for f in subs],
         "cells": rows,
-        "members": [[ci for ci, cell in enumerate(cells) if cell.member(a)] for a in probes],
+        "members": [sorted(locate(a)) for a in probes],
     }
 
 

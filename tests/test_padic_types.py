@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from distalcells.decomp import dedupe_cells
 from distalcells.families import laff_family, macintyre_family
 from distalcells.linear import AffineMap
 from distalcells.padic import laff_dcd_1d, macintyre_dcd, types_per_subinterval
@@ -14,7 +13,7 @@ from distalcells.scalars import pn_coset_representatives, qmn_coset_representati
 def _cells_per_atom(decomp, B) -> Counter:
     """Deduped cells per subinterval; within an instance the forest node
     names the atom."""
-    return Counter(c.region.node for c in dedupe_cells(decomp.instantiate(B)))
+    return Counter(c.region.node for c in decomp.instantiate(B))
 
 
 def _units(p: int, k: int) -> int:

@@ -6,7 +6,8 @@ x2 - y2 < 0 at |B| = 3 and 6, and eight coefficient patterns of the
 two-atom family a1 x1 + a2 x2 + s y1 REL c, x2 < y2.  Each instance
 records B, the two extra parameters, and for every cell of `instantiate`,
 in order: its template, its extent key, its sample, its membership bits
-over `plane_probes(..., steps=8)` (bit k for probe k) and its exclusion
+over `plane_probes(..., steps=8)` (bit k set when the locator puts probe k
+in the cell) and its exclusion
 bits over B followed by the extra parameters.  The bits over B are clear: a
 cell of T(B) is by definition excluded by no parameter of B.  An extra
 parameter's bit is read by heredity: it is set when no cell of
@@ -78,9 +79,14 @@ def dump() -> list:
         probes = plane_probes(fam, B, steps=8)
         decomp = induct(fam)
         after = [{c.extent_key for c in decomp.instantiate(B + [b])} for b in extra]
+        instance = decomp.instantiate(B)
+        members = [0] * len(instance)
+        locate = decomp.locator_fn(instance)
+        for k, p in enumerate(probes):
+            for ci in locate(p):
+                members[ci] |= 1 << k
         cells = []
-        for c in decomp.instantiate(B):
-            member = sum(1 << k for k, p in enumerate(probes) if c.member(p))
+        for c, member in zip(instance, members):
             bits = [False] * len(B) + [c.extent_key not in keys for keys in after]
             excluded = sum(1 << j for j, bit in enumerate(bits) if bit)
             cells.append({
