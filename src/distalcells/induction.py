@@ -12,16 +12,17 @@ crossed at this base point; all are produced by exact linear quantifier
 elimination, so the recursion stays inside semilinear families.
 
 The base cell is a cell of T(B_der) with B_der = [b1 + b2 + b for b in B],
-so no extended parameter excludes it, and theta* alone drops cylinders: a
-cylinder is dropped when the fiber template is crossed somewhere over its
-base at some B[j] (decided at a base sample point; valid cells have this
-constant over the base, since the crossing predicate itself belongs to the
-derived family).
+so no extended parameter excludes it, and one rule at every |x| decides
+which cylinders are kept, at the base's sample point: the fiber must be
+inhabited there, and theta*, the fiber template crossed by some phi at some
+B[j], must not hold there.  Both are exact, since the crossing predicate and
+the all-phi and all-not-phi predicates, whose conjunction at some b in B is
+the fiber's emptiness, are in the derived family, so constant on a base
+cell.  Fiber components are counted exactly (`fiber_sources`), with no cap.
 
 At |x| = 2 the cylinders of one group (template, b1, b2) share a fiber, and
-its shadow, the x2 over which that fiber is inhabited, is read once from the
-template's `nonempty`: an empty shadow skips the group's base decomposition,
-and a base interval that meets no shadow piece is dropped before theta*.
+a group whose fiber is inhabited over no x2 (the template's `nonempty` at
+(b1, b2)) is skipped before its base decomposition is instantiated.
 
 A cylinder's region is its fiber, its base's region and a sample point, so
 the base chain of a cell at |x| = d ends in the chain engine's interval on
@@ -34,19 +35,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from . import omin1d
 from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_point, semilinear_family
 from .linear import (
-    FALSE,
     TRUE,
     Atom,
     Compiled,
-    Iv,
     _dnf_conjuncts,
-    _subst_affine,
     _to_ints,
     conj_satisfiable,
     dnf_simplify,
@@ -57,14 +56,8 @@ from .linear import (
     f_or,
     fold_atom,
     formula_atoms,
-    iv_intersect,
     map_atoms,
 )
-
-
-def _subst_var(f, var: int, target: int):
-    """vars[var] := vars[target] (a plain variable swap-in)."""
-    return _subst_affine(f, var, (0,) * target + (1,), 0)
 
 
 def _remap(f, mapping):
@@ -80,6 +73,11 @@ def _remap(f, mapping):
         return fold_atom(Atom(coeffs, a.const, a.rel))
 
     return map_atoms(f, rule)
+
+
+def _subst_var(f, var: int, target: int):
+    """vars[var] := vars[target] (a plain variable swap-in)."""
+    return _remap(f, lambda i: target if i == var else i)
 
 
 def _shift_y_block(f, d: int, e: int, block: int):
@@ -113,14 +111,13 @@ class FiberSource:
     formula: tuple
 
 
-def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> list[FiberSource]:
+def fiber_sources(family: ParamFamily) -> list[FiberSource]:
     """Closure formulas of the fiber components along the first coordinate.
 
-    `component_cap` lowers the per-predicate component count; it is used on
-    recursive levels where the syntactic bound of QE outputs is far above the
-    realized count.  A predicate whose fibers can have more components than
-    the cap raises ValueError.  Whether some fiber has a component of index
-    i is decided exactly (`_empty`), also where `dnf_simplify` gives up.
+    A predicate's components are counted up to the first i for which "some
+    fiber has a component of index i" is empty, decided exactly (`_empty`),
+    also where `dnf_simplify` gives up.  Fibers have uniformly finitely many
+    components, so the count stops, and no bound is taken from the syntax.
     """
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
@@ -128,13 +125,10 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
     fresh = d + e
     out: list[FiberSource] = []
     for pi, f in enumerate(family.preds):
-        bound = family.component_bound(pi)
-        if component_cap is not None:
-            bound = min(bound, component_cap)
-        # comp_ge[i]: x is in a component of index i or more.  Each is
-        # decided exactly, and the first empty one and all after it are FALSE
+        # comp_ge[i]: x is in a component of index i or more, for every i up
+        # to the first that is empty
         comp_ge: list = []
-        for i in range(bound + 1):
+        for i in count():
             g = f
             if i > 0:
                 v = fresh
@@ -163,18 +157,14 @@ def fiber_sources(family: ParamFamily, component_cap: Optional[int] = None) -> l
             if _empty(g):
                 break
             comp_ge.append(g)
-        while len(comp_ge) <= bound:
-            comp_ge.append(FALSE)
-        if bound < family.component_bound(pi) and comp_ge[bound] != FALSE:
-            # comp_ge[bound]: x in a component of index bound or more
-            raise ValueError(f"predicate {pi} has fibers with more than {bound} components")
-        for i in range(bound):
-            # a point of comp_ge[i] has component i in its fiber, and that
-            # component misses comp_ge[i + 1]: comp is empty exactly when
-            # comp_ge[i] is, so when comp_ge[i] is FALSE
-            comp = dnf_simplify(f_and(comp_ge[i], f_not(comp_ge[i + 1])))
-            if comp == FALSE:
-                continue
+        for i, g in enumerate(comp_ge):
+            # component i is comp_ge[i] minus comp_ge[i + 1] (the last one is
+            # all of comp_ge[i]); a point of comp_ge[i] has component i in its
+            # fiber, and that component misses comp_ge[i + 1], so it is
+            # inhabited
+            if i + 1 < len(comp_ge):
+                g = f_and(g, f_not(comp_ge[i + 1]))
+            comp = dnf_simplify(g)
             t = fresh
             comp_t = _subst_var(comp, 0, t)
             le_t = f_atom([1] + [0] * (t - 1) + [-1], 0, "<=")
@@ -224,25 +214,26 @@ class DerivedFamily:
     family: ParamFamily  # semilinear, point_dim d-1, param_dim 3e
 
 
-def derive_family(family: ParamFamily, component_cap: Optional[int] = None) -> list[DerivedFamily]:
+def derive_family(family: ParamFamily) -> list[DerivedFamily]:
     d, e = family.point_dim, family.param_dim
-    sources = fiber_sources(family, component_cap)
+    sources = fiber_sources(family)
+    # each fiber source as an upper closure over yA and a lower one over yB,
+    # and each phi over yC, shifted once
+    ups = [_shift_y_block(s.formula, d, e, 0) for s in sources]
+    dns = [_shift_y_block(s.formula, d, e, 1) for s in sources]
+    phis = [_shift_y_block(f, d, e, 2) for f in family.preds]
     templates: list[FiberTemplate] = []
 
     def make(ident, up, dn, formula, arity) -> FiberTemplate:
         ne = dnf_simplify(eliminate_exists(formula, 0))
         return FiberTemplate(ident, up, dn, formula, arity, Compiled.of(formula), Compiled.of(ne))
 
-    for s in sources:
-        up_a = _shift_y_block(s.formula, d, e, 0)
+    for s, up_a in zip(sources, ups):
         templates.append(make(f"[{_lbl(s)}]", s, None, up_a, 1))
-    for s in sources:
-        dn_b = _shift_y_block(s.formula, d, e, 1)
+    for s, dn_b in zip(sources, dns):
         templates.append(make(f"[~{_lbl(s)}]", None, s, f_not(dn_b), 1))
-    for s1 in sources:
-        up_a = _shift_y_block(s1.formula, d, e, 0)
-        for s2 in sources:
-            dn_b = _shift_y_block(s2.formula, d, e, 1)
+    for s1, up_a in zip(sources, ups):
+        for s2, dn_b in zip(sources, dns):
             templates.append(
                 make(f"[{_lbl(s1)}\\{_lbl(s2)}]", s1, s2, f_and(up_a, f_not(dn_b)), 2)
             )
@@ -253,8 +244,7 @@ def derive_family(family: ParamFamily, component_cap: Optional[int] = None) -> l
         preds = []
         theta_parts = []
         per_phi = []
-        for f in family.preds:
-            phi_c = _shift_y_block(f, d, e, 2)
+        for phi_c in phis:
             pos = dnf_simplify(eliminate_exists(f_and(tpl.formula, phi_c), 0))
             neg = dnf_simplify(eliminate_exists(f_and(tpl.formula, f_not(phi_c)), 0))
             theta_parts.append(dnf_simplify(f_and(pos, neg)))
@@ -273,21 +263,19 @@ def _lbl(s: FiberSource) -> str:
     return f"p{s.pred}c{s.comp}{s.flavor}"
 
 
-def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decomposition:
+def induct(family: ParamFamily) -> Decomposition:
     """Distal cell decomposition for a semilinear family of any point
-    dimension; 1-dimensional input goes straight to the chain engine.
-
-    Recursive levels cap the fiber component count at 3 (QE outputs carry a
-    syntactic bound far above the realized count); `fiber_sources` raises
-    when a derived predicate can exceed it.
-    """
+    dimension; 1-dimensional input goes straight to the chain engine.  Every
+    level counts fiber components exactly (`fiber_sources`), and every level
+    keeps a cylinder exactly when its fiber is inhabited at its base's sample
+    (`_cyl_cell`)."""
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
     if family.point_dim == 1:
         return omin1d.build_decomposition(family)
     d, e = family.point_dim, family.param_dim
-    derived = derive_family(family, component_cap=_recursive_cap)
-    bases = [induct(df.family, _recursive_cap=3) for df in derived]
+    derived = derive_family(family)
+    bases = [induct(df.family) for df in derived]
 
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, e) for b in B]
@@ -303,15 +291,14 @@ def induct(family: ParamFamily, _recursive_cap: Optional[int] = None) -> Decompo
                 tuples = [(B[0], B[0])]
             for b1, b2 in tuples:
                 ys, den = _to_ints(b1 + b2)
-                # planar: the x2 over which the group's fiber is inhabited;
-                # no cylinder of an empty shadow is inhabited
-                shadow = tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces() if d == 2 else None
-                if shadow == []:
+                # planar: no cylinder of a group whose fiber is inhabited
+                # over no x2 is inhabited, so its base is not instantiated
+                if d == 2 and not tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
                     continue
                 B_der = [b1 + b2 + b for b in B]
                 fiber = tpl.psi.at([0] * d + ys, den, range(d))
                 for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber, shadow)
+                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber)
                     if cell is not None:
                         cells.append(cell)
         return cells
@@ -327,12 +314,11 @@ class _Region(NamedTuple):
     """A cylinder's region: `fiber`, the template's formula at (b1, b2) as
     int rows over x; `base`, the base cell's region (the chain engine's `Iv`
     over x2 at |x| = 2, a `_Region` above); and `sample`, a point of the
-    cylinder, read by the cylinder above (None when the fiber is empty at
-    the base's sample, above |x| = 2)."""
+    cylinder, read by the cylinder above."""
 
     fiber: Compiled
     base: object
-    sample: Optional[tuple]
+    sample: tuple
 
 
 def _cylinder_locator(cells: list[CellInstance], axis: int):
@@ -374,57 +360,38 @@ def _cyl_cell(
     base_cell: CellInstance,
     B_ints: list,
     fiber: Compiled,
-    shadow: Optional[list[Iv]],
 ) -> Optional[CellInstance]:
     """The cylinder of template df over base_cell, or None when it is empty
     or theta* holds at a parameter of the instance (T(B) keeps only
     potential cells missed by every I(Delta); the base cell, a cell of
     T(B_der), is excluded at no extended parameter).  `B_ints[j]` is B[j] as
-    ints (`_point_ints`), `fiber` is the template's formula at (b1, b2), as
-    int rows over x, and `shadow`, at |x| = 2, is the pieces of x2 over
-    which that fiber is inhabited (None above)."""
-    tpl = df.template
+    ints (`_point_ints`), and `fiber` is the template's formula at (b1, b2),
+    as int rows over x.
+
+    Both tests are read at the base's sample, the `Iv.sample()` of the chain
+    engine's interval at |x| = 2 and the `_Region.sample` above, and both are
+    exact there, since each is a derived predicate or a Boolean combination
+    of them, so constant on a base cell of T(B_der): theta*, and the fiber's
+    emptiness, which holds exactly where all-phi and all-not-phi both hold at
+    some b of B."""
     base = base_cell.region
-    if shadow is None:
-        # above |x| = 2 the base is a cylinder of the level below
-        base_pt = base.sample
-        if base_pt is None:
-            raise ValueError("base cell carries no sample point")
-    else:
-        # at |x| = 2 the base is a chain-engine cell, whose region is its x2
-        # interval
-        base_pt = (base.sample(),)
-        # the cylinder is inhabited exactly when its base meets the shadow
-        met = [m for m in (iv_intersect(piece, base) for piece in shadow) if not m.is_empty()]
-        if not met:
-            return None
-    # theta*: the fiber template is crossed somewhere over the base; the
-    # crossing predicate is part of the derived family, so on a valid base
-    # cell its value at the sample decides it everywhere.  Fixed once at
-    # (sample, b1, b2), its rows are over the last block, B[j]
+    base_pt = base.sample if isinstance(base, _Region) else (base.sample(),)
+    nums, den = _to_ints(base_pt)
+    comps = fiber.at([0, *nums], den, (0,)).pieces()
+    if not comps:
+        return None
+    # theta*: the fiber template is crossed somewhere over the base.  Fixed
+    # once at (sample, b1, b2), its rows are over the last block, B[j]
     nums, den = _to_ints(base_pt + b1 + b2)
     last = range(len(nums), len(nums) + len(b1))
     theta = df.family.compiled[0].at(nums + [0] * len(b1), den, last)
     if any(map(theta.holds, B_ints)):
         return None
-
-    def fiber_at(pt: tuple) -> list[Iv]:
-        nums, q = _to_ints(pt)
-        return fiber.at([0, *nums], q, (0,)).pieces()
-
-    sample = None
-    comps = fiber_at(base_pt)
-    if comps:
-        sample = (comps[0].sample(),) + tuple(base_pt)
-    elif shadow is not None:
-        # fiber empty at the sample: the shadow's first piece in the base
-        alt = met[0].sample()
-        sample = (fiber_at((alt,))[0].sample(), alt)
     return CellInstance(
-        template=f"{tpl.ident}x{base_cell.template}",
+        template=f"{df.template.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         extent_key=(ti, b1, b2, base_cell.extent_key),
-        region=_Region(fiber, base, sample),
+        region=_Region(fiber, base, (comps[0].sample(),) + base_pt),
     )
 
 

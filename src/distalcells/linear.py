@@ -241,12 +241,6 @@ def map_atoms(f, rule):
 # ---------------------------------------------------------------------------
 
 
-def _subst_affine(f, var: int, coeffs: Sequence, const):
-    """Substitute vars[var] := affine expression (coeffs, const)."""
-    ints, den = _to_ints((*coeffs, const))
-    return _subst(f, var, ints[:-1], ints[-1], den, eps=False)
-
-
 def _subst(f, var: int, num: list[int], k: int, den: int, eps: bool):
     """Substitute vars[var] := (num . vars + k) / den with den > 0, plus an
     infinitesimal epsilon > 0 when `eps`; the sign contribution of epsilon
@@ -371,26 +365,6 @@ class Iv:
         if not self.hi_open:
             return self.hi
         return (self.lo + self.hi) / 2
-
-
-def _lo_key(lo: Optional[Fraction], lo_open: bool):
-    # tightness order for lower bounds: -inf loosest, (v, open) tighter than (v, closed)
-    return (0, Fraction(0), 0) if lo is None else (1, lo, 1 if lo_open else 0)
-
-
-def _hi_key(hi: Optional[Fraction], hi_open: bool):
-    # tightness order for upper bounds: +inf loosest, (v, open) tighter than (v, closed)
-    return (1, Fraction(0), 0) if hi is None else (0, hi, 0 if hi_open else 1)
-
-
-def iv_intersect(a: Iv, b: Iv) -> Iv:
-    lo, lo_open = (a.lo, a.lo_open)
-    if _lo_key(b.lo, b.lo_open) > _lo_key(a.lo, a.lo_open):
-        lo, lo_open = b.lo, b.lo_open
-    hi, hi_open = (a.hi, a.hi_open)
-    if _hi_key(b.hi, b.hi_open) < _hi_key(a.hi, a.hi_open):
-        hi, hi_open = b.hi, b.hi_open
-    return Iv(lo, lo_open, hi, hi_open)
 
 
 def merge_adjacent(ivs: list[Iv]) -> list[Iv]:

@@ -7,8 +7,8 @@ per-kind record (`_Kind`).  Cells pair a subinterval atom with a
 multiplicative type: a coset on the interior displacement levels, kept a
 Hensel margin w away from both radii, or an edge ball at the levels near the
 two radii.  A parameter excludes a cell when one of its balls would cut
-strictly between the atom's two radii, or (for Macintyre's edge balls at the
-removal level) when its ball swallows the cell.
+strictly between the atom's two radii, or (for an edge ball at the removal
+level, of either kind) when its ball swallows the cell.
 
 No parameter of B cuts an atom.  Every centre of B is a point ball of the
 arrangement, and every distance ball and every v(f(b)) ball around a centre
@@ -16,8 +16,9 @@ is in the family.  So a ball of a parameter of B strictly between an atom's
 radii would be a forest node between the atom's ball and its children, and
 a centre of B on the removal sphere lies in its distance ball at that
 level, which is a child: a removed ball.  The swallow rule is thus the one
-test that drops potential cells: Macintyre's edge ball at the removal level
-whose ball at that level holds a centre of B lies in a removed ball.
+test that drops potential cells, for both kinds: an edge ball at the
+removal level whose ball at that level holds a centre of B lies in a
+removed ball (`_swallowed`).
 
 A cell is (forest node, type), and its locator reads the type of a point
 x off x alone.  `BallForest.locate` gives the node, so x lies in its atom's
@@ -135,27 +136,29 @@ class Region(NamedTuple):
     sub: Subinterval
 
 
-def _mac_tests(family: ParamFamily, cen: _Centres, B: list):
-    """Macintyre's balls and edge rule: the edge balls at the removal level
-    r = a_u are dropped when B_r(t + p^r u) holds a centre of B, that is,
-    when it is a removed ball, so kept edge balls avoid the removed balls."""
-    vf = _f_levels(family.meta["F"], B, family.meta["p"])
+def _mac_balls(family: ParamFamily, cen: _Centres, B: list):
+    """Macintyre's balls: the special balls of the centres and the v(f(b))
+    levels."""
+    return _special(cen, _f_levels(family.meta["F"], B, family.meta["p"]))
+
+
+def _laff_balls(family: ParamFamily, cen: _Centres, B: list):
+    """The affine reduct's balls: the centres' distance balls, and around
+    each centre of a parameter the distances among that parameter's
+    centres."""
+    return _laff(cen)
+
+
+def _swallowed(cen: _Centres, kt: int, r: int, u: int) -> bool:
+    """Does B_r(t + p^r u), t the centre kt, hold a centre of B?  At the
+    removal level r = a_u it is then a removed ball, and the edge ball
+    B_{r+w}(t + p^r u) inside it is empty.  Only a centre c_k with
+    v(t - c_k) = r can be in it: else v(t + p^r u - c_k) = min(v(t - c_k), r)."""
     scale, xs = cen.scale, cen.xs
-
-    def keep(kt: int, sub: Subinterval, r: int, u: int) -> bool:
-        # is a centre c_k in B_r(t + p^r u)?  Only one with v(t - c_k) = r
-        # can be: else v(t + p^r u - c_k) = min(v(t - c_k), r)
-        return r < sub.alpha_u or not any(
-            v == r and scale.inside(*scale.shift(xs[kt] - xs[k], 0, 1, r, u), r)
-            for k, v in enumerate(cen.dist[kt])
-        )
-
-    return _special(cen, vf), keep
-
-
-def _laff_tests(family: ParamFamily, cen: _Centres, B: list):
-    """The affine reduct's balls and edge rule: every edge ball is kept."""
-    return _laff(cen), lambda kt, sub, r, u: True
+    return any(
+        v == r and scale.inside(*scale.shift(xs[kt] - xs[k], 0, 1, r, u), r)
+        for k, v in enumerate(cen.dist[kt])
+    )
 
 
 class _Kind(NamedTuple):
@@ -163,17 +166,14 @@ class _Kind(NamedTuple):
     w the Hensel margin, both read unit residues mod p^(w+1), put coset
     cells at the levels a_l+w+1 .. a_u-w-1, and put edge balls
     B_{r+w}(t + p^r u) at the w levels above a_l and the w+1 levels up to
-    a_u."""
+    a_u, less those at a_u that a removed ball swallows (`_swallowed`)."""
 
     w: int  # the Hensel margin
     reps: tuple  # coset representatives lam
     period: int  # the levels of lam's coset are v(lam) mod period
     ones: frozenset  # unit residues mod p^(w+1) of the coset of 1
     window: int  # family_probes' levels past each radius
-    # (family, cen, B) -> the instance's ball family and its edge rule:
-    # keep(kt, sub, r, u) says whether the edge ball at (r, u) of the
-    # subinterval sub around centre kt is a cell
-    tests: Callable
+    balls: Callable  # (family, cen, B) -> the instance's ball family
 
 
 def _kind(family: ParamFamily) -> _Kind:
@@ -182,10 +182,10 @@ def _kind(family: ParamFamily) -> _Kind:
     n, p = family.meta["n"], family.meta["p"]
     if family.kind == "valuation-macintyre":
         w = 2 * split_p(n, p)[0]
-        return _Kind(w, pn_coset_representatives(n, p), n, pn_residues(n, p)[1], w + n + 1, _mac_tests)
+        return _Kind(w, pn_coset_representatives(n, p), n, pn_residues(n, p)[1], w + n + 1, _mac_balls)
     if family.kind == "valuation-laff":
         m = family.meta["m"]
-        return _Kind(n - 1, qmn_coset_representatives(m, n, p), m, frozenset({1}), n + m + 1, _laff_tests)
+        return _Kind(n - 1, qmn_coset_representatives(m, n, p), m, frozenset({1}), n + m + 1, _laff_balls)
     raise ValueError(family.kind)
 
 
@@ -211,8 +211,7 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
     def inst(B: list) -> list[CellInstance]:
         B = [as_point(b, dim) for b in B]
         cen = _Centres(C, B, p)
-        balls, keep = kind.tests(family, cen, B)
-        forest, tagged = arrangement(balls)
+        forest, tagged = arrangement(kind.balls(family, cen, B))
         cells: list[CellInstance] = []
         for ai, sub in tagged:
             # within an instance the forest node names the atom, so every
@@ -228,7 +227,7 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
                     cells.append(CellInstance("subcoset", (), (ai, ("coset", lam)), region))
             for r in _edge_levels(a_l, a_u, w):
                 for u in units:
-                    if keep(kt, sub, r, u):
+                    if r < a_u or not _swallowed(cen, kt, r, u):
                         cells.append(CellInstance("subedge", (), (ai, ("edge", r, u)), region))
         return cells
 
@@ -309,7 +308,7 @@ def family_probes(family: ParamFamily, B: Sequence) -> list[tuple]:
         return [(Fraction(0),), (Fraction(1),)]
     p = family.meta["p"]
     cen = _Centres(family.meta["C"], B, p)
-    atoms = subinterval_atoms(kind.tests(family, cen, B)[0])
+    atoms = subinterval_atoms(kind.balls(family, cen, B))
     scale, W, period = cen.scale, kind.window, kind.period
     units = _units(p, kind.w + 1)
     probes: list[tuple] = []

@@ -18,7 +18,7 @@ from distalcells.families import (
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.linear import AffineMap, Iv, iv_intersect
+from distalcells.linear import AffineMap, Iv
 from distalcells.rng import SplitMix64
 
 
@@ -290,6 +290,34 @@ def iv_subset(a: Iv, b: Iv) -> bool:
     return b.hi is None or not (
         a.hi is None or a.hi > b.hi or (a.hi == b.hi and b.hi_open and not a.hi_open)
     )
+
+
+def _lo_key(lo, lo_open: bool):
+    # tightness order for lower bounds: -inf loosest, (v, open) tighter than (v, closed)
+    return (0, F(0), 0) if lo is None else (1, lo, 1 if lo_open else 0)
+
+
+def _hi_key(hi, hi_open: bool):
+    # tightness order for upper bounds: +inf loosest, (v, open) tighter than (v, closed)
+    return (1, F(0), 0) if hi is None else (0, hi, 0 if hi_open else 1)
+
+
+def iv_intersect(a: Iv, b: Iv) -> Iv:
+    """The intersection of two Fraction intervals, for the reference below."""
+    lo, lo_open = (a.lo, a.lo_open)
+    if _lo_key(b.lo, b.lo_open) > _lo_key(a.lo, a.lo_open):
+        lo, lo_open = b.lo, b.lo_open
+    hi, hi_open = (a.hi, a.hi_open)
+    if _hi_key(b.hi, b.hi_open) < _hi_key(a.hi, a.hi_open):
+        hi, hi_open = b.hi, b.hi_open
+    return Iv(lo, lo_open, hi, hi_open)
+
+
+def test_iv_intersect():
+    # [0, 2) meets (1, inf) in (1, 2)
+    a = Iv(F(0), False, F(2), True)
+    b = Iv(F(1), True, None, True)
+    assert iv_intersect(a, b) == Iv(F(1), True, F(2), True)
 
 
 # Plain-Fraction reference for vector-linear cells: per direction, every

