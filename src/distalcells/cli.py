@@ -181,7 +181,13 @@ def cmd_table(args) -> int:
 def cmd_zarankiewicz(args) -> int:
     from .incidence import BoundProfile, zarankiewicz_sweep
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or any(n <= 0 or n % 16 for n in sizes):
+        print(f"--sizes must be positive multiples of 16, got {args.sizes!r}", file=sys.stderr)
+        return 2
     profile = BoundProfile(2, 2, Fraction(2))
     rows, bounded = zarankiewicz_sweep(sizes, profile)
     build = build_id()
@@ -203,6 +209,10 @@ def cmd_zarankiewicz(args) -> int:
 def cmd_sumproduct(args) -> int:
     from .incidence import sum_bb_experiment, sum_product_experiment
 
+    # the sum-bb draw takes up to --max-size distinct integers from [-50, 50]
+    if not 2 <= args.max_size <= 101:
+        print(f"--max-size must be in 2..101, got {args.max_size}", file=sys.stderr)
+        return 2
     master = SplitMix64(args.seed)
     rows = []
     failures = 0

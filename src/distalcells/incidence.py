@@ -7,6 +7,11 @@ exact equality, which counts the same sets.  The counters scale each
 instance once by the lcm of its denominators and then compare and sum
 Python ints: they test only equality, order and integrality, which the
 scaling preserves.
+
+The K_{s,u} search reads the neighborhoods of the point-line relation
+`line_edge` from lookups: a line meets each vertical x1 = c in one point, so
+each line costs one exact evaluation per distinct x1 of the points.  Any
+other relation keeps the pairwise test over P x Q.
 """
 
 from __future__ import annotations
@@ -49,20 +54,45 @@ class BoundProfile:
         return self.t * (self.s - 1) / (self.t * self.s - 1)
 
 
+def _line_masks(P: Sequence, lines: Sequence[Line]) -> list[int]:
+    """Bit j of entry i is set iff P[i] lies on lines[j], as `line_edge`
+    decides it.  A line meets the vertical x1 = c in the one point
+    (c, y2 (c - y1)), so each line costs one exact evaluation and one dict
+    lookup per distinct x1 of P, not one test per point."""
+    columns: dict = {}
+    for i, p in enumerate(P):
+        columns.setdefault(p[0], {}).setdefault(p[1], []).append(i)
+    nbhd = [0] * len(P)
+    for j, ln in enumerate(lines):
+        bit = 1 << j
+        for x1, column in columns.items():
+            for i in column.get(ln.y2 * (x1 - ln.y1), ()):
+                nbhd[i] |= bit
+    return nbhd
+
+
 def contains_ksu(instance: BipartiteInstance, s: int, u: int):
     """Exhaustive search for K_{s,u}: an s-subset of P whose common
-    neighborhood in Q has size >= u.  Returns (found, witness)."""
+    neighborhood in Q has size >= u.  Returns (found, witness).
+
+    The neighborhoods of the point-line relation `line_edge` come from
+    `_line_masks` lookups; any other relation is tested on every pair of
+    P x Q.  Both give the same masks, so the search and its witness do not
+    depend on the path."""
     if len(instance.P) > MAX_KSU_POINTS:
         raise ValueError(f"exhaustive search capped at {MAX_KSU_POINTS} points")
     if s > len(instance.P) or u > len(instance.Q):
         return False, None
-    nbhd = []
-    for p in instance.P:
-        mask = 0
-        for j, q in enumerate(instance.Q):
-            if instance.edge(p, q):
-                mask |= 1 << j
-        nbhd.append(mask)
+    if instance.edge is line_edge:
+        nbhd = _line_masks(instance.P, instance.Q)
+    else:
+        nbhd = []
+        for p in instance.P:
+            mask = 0
+            for j, q in enumerate(instance.Q):
+                if instance.edge(p, q):
+                    mask |= 1 << j
+            nbhd.append(mask)
     order = sorted(range(len(instance.P)), key=lambda i: -nbhd[i].bit_count())
 
     def extend(start: int, chosen: list[int], common: int):

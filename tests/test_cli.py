@@ -333,6 +333,23 @@ def test_zarankiewicz_subcommand(tmp_path, capsys):
     assert len(text.splitlines()) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["sumproduct", "--max-size", "1"],
+    # 102 and up could loop forever drawing distinct integers from [-50, 50];
+    # with no trials to run, a missing check returns 0 at once
+    ["sumproduct", "--max-size", "102", "--trials", "0"],
+    ["sumproduct", "--max-size", "150", "--trials", "0"],
+    ["zarankiewicz", "--sizes", "60"],
+    ["zarankiewicz", "--sizes", "0"],
+    ["zarankiewicz", "--sizes", "64,-16"],
+], ids=["max-size-1", "max-size-102", "max-size-150", "sizes-60", "sizes-0", "sizes-negative"])
+def test_incidence_subcommands_reject_bad_arguments(tmp_path, capsys, argv):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("--")
+    assert not list(tmp_path.iterdir())
+
+
 def test_sumproduct_subcommand(tmp_path):
     assert main([
         "sumproduct", "--trials", "5", "--max-size", "12",

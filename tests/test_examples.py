@@ -1,7 +1,8 @@
-"""The example specs' results.csv and summary.json and the sumproduct CLI's
-sumproduct.csv, pinned: everything but `build` must match the file committed
-under tests/data/ (same spec or arguments and seed give the same rows and
-verification reports, whatever the engines and counters do inside)."""
+"""The example specs' results.csv and summary.json and the incidence CLIs'
+sumproduct.csv and zarankiewicz.csv, pinned: everything but `build` must
+match the file committed under tests/data/ (same spec or arguments and seed
+give the same rows and verification reports, whatever the engines and
+counters do inside)."""
 
 import csv
 import json
@@ -39,3 +40,10 @@ def test_sumproduct_results_match_golden(tmp_path):
     assert main(["sumproduct", *args, "--out-dir", str(tmp_path)]) == 0
     got = _rows_without_build(tmp_path / "sumproduct.csv")
     assert got == _rows_without_build(ROOT / "tests" / "data" / "sumproduct.csv")
+
+
+def test_zarankiewicz_results_match_golden(tmp_path):
+    args = ["--sizes", "64,128,256,512"]
+    assert main(["zarankiewicz", *args, "--out-dir", str(tmp_path)]) == 0
+    got = _rows_without_build(tmp_path / "zarankiewicz.csv")
+    assert got == _rows_without_build(ROOT / "tests" / "data" / "zarankiewicz.csv")

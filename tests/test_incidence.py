@@ -8,6 +8,7 @@ from distalcells.incidence import (
     BoundProfile,
     GridInstance,
     Line,
+    _line_masks,
     certify_lines_pairwise_distinct,
     contains_ksu,
     elekes_grid_instance,
@@ -42,6 +43,22 @@ def test_point_line_k22_free():
     inst = BipartiteInstance(pts, lines, line_edge)
     found, _ = contains_ksu(inst, 2, 2)
     assert not found
+
+
+def _grid_points(grid):
+    return [(F(x), F(y)) for x in range(1, grid.width + 1) for y in range(1, grid.height + 1)]
+
+
+def test_point_line_k22_on_a_repeated_line():
+    # a line listed twice shares its grid points, two of them at width 2
+    grid = elekes_grid_instance(32)
+    lines = grid.lines + [grid.lines[5]]
+    assert not certify_lines_pairwise_distinct(lines)
+    found, witness = contains_ksu(BipartiteInstance(_grid_points(grid), lines, line_edge), 2, 2)
+    assert found
+    ps, qs = witness
+    assert len(ps) == 2 and len(qs) == 2
+    assert all(q.through(*p) for p in ps for q in qs)
 
 
 def test_contains_ksu_guard():
@@ -198,3 +215,46 @@ def test_line_through_matches_fraction_oracle(y1, y2, x1, x2, on_line):
     if on_line:
         x2 = y2 * (x1 - y1)
     assert Line(y1, y2).through(x1, x2) == (y2 * (x1 - y1) == x2)
+
+
+# -- point-line neighborhoods: the lookup against the pairwise line_edge test --
+
+_coords = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def _points_and_lines(draw):
+    """Lines and points, about half of the points drawn on a line, with
+    repeats of both and int and Fraction coordinates mixed."""
+    lines = draw(st.lists(st.builds(Line, _coords, _coords), max_size=6))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=2)) if lines else []
+    points = []
+    for _ in range(draw(st.integers(0, 10))):
+        x1 = draw(_coords)
+        if lines and draw(st.booleans()):
+            ln = draw(st.sampled_from(lines))
+            points.append((x1, ln.y2 * (x1 - ln.y1)))
+        else:
+            points.append((x1, draw(_coords)))
+    points += draw(st.lists(st.sampled_from(points), max_size=3)) if points else []
+    return points, lines
+
+
+_grid64 = elekes_grid_instance(64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_points_and_lines())
+@example(([], [Line(F(1), F(2))]))
+@example(([(F(1), F(2)), (2, 0)], []))
+@example(([(F(1), F(0)), (2, 0), (F(2), 0), (F(-1, 2), F(0))], [Line(F(1), F(0)), Line(3, 0)]))
+@example(([(F(1, 2), 0), (F(1, 2), F(0)), (3, F(5, 2))], [Line(F(1, 2), F(5)), Line(F(1, 2), F(5)), Line(0, F(5, 6))]))
+@example((_grid_points(_grid64), _grid64.lines))
+def test_line_masks_match_pairwise_test(case):
+    points, lines = case
+    pairwise = [sum(1 << j for j, ln in enumerate(lines) if line_edge(p, ln)) for p in points]
+    assert _line_masks(points, lines) == pairwise
+    by_lookup = BipartiteInstance(points, lines, line_edge)
+    by_pairs = BipartiteInstance(points, lines, lambda p, q: line_edge(p, q))
+    for s, u in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+        assert contains_ksu(by_lookup, s, u) == contains_ksu(by_pairs, s, u)
