@@ -185,8 +185,10 @@ def cmd_zarankiewicz(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         sizes = []
-    if not sizes or any(n <= 0 or n % 16 for n in sizes):
-        print(f"--sizes must be positive multiples of 16, got {args.sizes!r}", file=sys.stderr)
+    # `bounded` compares the last two ratio steps, so it needs three sizes
+    if len(sizes) < 3 or any(n <= 0 or n % 16 for n in sizes) or sizes != sorted(set(sizes)):
+        print("--sizes must be three or more strictly increasing positive multiples of 16, "
+              f"got {args.sizes!r}", file=sys.stderr)
         return 2
     profile = BoundProfile(2, 2, Fraction(2))
     rows, bounded = zarankiewicz_sweep(sizes, profile)
@@ -212,6 +214,9 @@ def cmd_sumproduct(args) -> int:
     # the sum-bb draw takes up to --max-size distinct integers from [-50, 50]
     if not 2 <= args.max_size <= 101:
         print(f"--max-size must be in 2..101, got {args.max_size}", file=sys.stderr)
+        return 2
+    if args.trials < 0:
+        print(f"--trials must be 0 or more, got {args.trials}", file=sys.stderr)
         return 2
     master = SplitMix64(args.seed)
     rows = []

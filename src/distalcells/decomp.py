@@ -220,7 +220,8 @@ def verify(
 def _span(cuts: list, iv: Iv) -> tuple[int, int]:
     """(lo, hi): iv holds exactly the positions lo..hi.  Each finite end of
     iv is in `cuts`, so it is a cut at an odd position, never a value inside
-    a gap."""
+    a gap.  The omin1d chain passes int keys on its instance's scale; the
+    locators pass the Fraction ends of cells."""
     lo = 0 if iv.lo is None else position(cuts, iv.lo) + iv.lo_open
     hi = 2 * len(cuts) if iv.hi is None else position(cuts, iv.hi) - iv.hi_open
     return lo, hi

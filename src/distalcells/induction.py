@@ -111,16 +111,40 @@ class FiberSource:
     formula: tuple
 
 
-def fiber_sources(family: ParamFamily) -> list[FiberSource]:
+class _QE:
+    """`dnf_simplify` and `eliminate_exists` for one `derive_family` call,
+    each answer kept for the rest of the call: its fiber sources and
+    templates ask many times for the same formulas."""
+
+    def __init__(self):
+        self.simplified: dict = {}
+        self.eliminated: dict = {}
+
+    def simplify(self, f):
+        out = self.simplified.get(f)
+        if out is None:
+            out = self.simplified[f] = dnf_simplify(f)
+        return out
+
+    def exists(self, f, var: int):
+        out = self.eliminated.get((f, var))
+        if out is None:
+            out = self.eliminated[f, var] = eliminate_exists(f, var)
+        return out
+
+
+def fiber_sources(family: ParamFamily, qe: Optional[_QE] = None) -> list[FiberSource]:
     """Closure formulas of the fiber components along the first coordinate.
 
     A predicate's components are counted up to the first i for which "some
     fiber has a component of index i" is empty, decided exactly (`_empty`),
     also where `dnf_simplify` gives up.  Fibers have uniformly finitely many
     components, so the count stops, and no bound is taken from the syntax.
+    `qe` is the caller's memo, a fresh one by default.
     """
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
+    qe = qe or _QE()
     d, e = family.point_dim, family.param_dim
     fresh = d + e
     out: list[FiberSource] = []
@@ -152,8 +176,8 @@ def fiber_sources(family: ParamFamily) -> list[FiberSource]:
                         coeffs[hi] -= 1
                     g = f_and(g, f_atom(coeffs, 0, "<"))
                 for t in range(v - 1, fresh - 1, -1):
-                    g = eliminate_exists(g, t)
-                g = dnf_simplify(g)
+                    g = qe.exists(g, t)
+                g = qe.simplify(g)
             if _empty(g):
                 break
             comp_ge.append(g)
@@ -164,13 +188,13 @@ def fiber_sources(family: ParamFamily) -> list[FiberSource]:
             # inhabited
             if i + 1 < len(comp_ge):
                 g = f_and(g, f_not(comp_ge[i + 1]))
-            comp = dnf_simplify(g)
+            comp = qe.simplify(g)
             t = fresh
             comp_t = _subst_var(comp, 0, t)
             le_t = f_atom([1] + [0] * (t - 1) + [-1], 0, "<=")
             ge_t = f_atom([1] + [0] * (t - 1) + [-1], 0, ">=")
-            leq = dnf_simplify(eliminate_exists(f_and(comp_t, le_t), t))
-            lt = dnf_simplify(f_not(eliminate_exists(f_and(comp_t, ge_t), t)))
+            leq = qe.simplify(qe.exists(f_and(comp_t, le_t), t))
+            lt = qe.simplify(f_not(qe.exists(f_and(comp_t, ge_t), t)))
             out.append(FiberSource(pi, i, "<=", leq))
             out.append(FiberSource(pi, i, "<", lt))
     return out
@@ -216,7 +240,8 @@ class DerivedFamily:
 
 def derive_family(family: ParamFamily) -> list[DerivedFamily]:
     d, e = family.point_dim, family.param_dim
-    sources = fiber_sources(family)
+    qe = _QE()
+    sources = fiber_sources(family, qe)
     # each fiber source as an upper closure over yA and a lower one over yB,
     # and each phi over yC, shifted once
     ups = [_shift_y_block(s.formula, d, e, 0) for s in sources]
@@ -225,7 +250,7 @@ def derive_family(family: ParamFamily) -> list[DerivedFamily]:
     templates: list[FiberTemplate] = []
 
     def make(ident, up, dn, formula, arity) -> FiberTemplate:
-        ne = dnf_simplify(eliminate_exists(formula, 0))
+        ne = qe.simplify(qe.exists(formula, 0))
         return FiberTemplate(ident, up, dn, formula, arity, Compiled.of(formula), Compiled.of(ne))
 
     for s, up_a in zip(sources, ups):
@@ -245,14 +270,14 @@ def derive_family(family: ParamFamily) -> list[DerivedFamily]:
         theta_parts = []
         per_phi = []
         for phi_c in phis:
-            pos = dnf_simplify(eliminate_exists(f_and(tpl.formula, phi_c), 0))
-            neg = dnf_simplify(eliminate_exists(f_and(tpl.formula, f_not(phi_c)), 0))
-            theta_parts.append(dnf_simplify(f_and(pos, neg)))
+            pos = qe.simplify(qe.exists(f_and(tpl.formula, phi_c), 0))
+            neg = qe.simplify(qe.exists(f_and(tpl.formula, f_not(phi_c)), 0))
+            theta_parts.append(qe.simplify(f_and(pos, neg)))
             per_phi.append((f_not(neg), f_not(pos)))  # (all-phi, all-not-phi)
-        preds.append(_drop_first_var(dnf_simplify(f_or(*theta_parts))))
+        preds.append(_drop_first_var(qe.simplify(f_or(*theta_parts))))
         for allpos, allneg in per_phi:
-            preds.append(_drop_first_var(dnf_simplify(allpos)))
-            preds.append(_drop_first_var(dnf_simplify(allneg)))
+            preds.append(_drop_first_var(qe.simplify(allpos)))
+            preds.append(_drop_first_var(qe.simplify(allneg)))
         out.append(
             DerivedFamily(tpl, semilinear_family(preds, d - 1, 3 * e))
         )

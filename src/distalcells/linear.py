@@ -10,12 +10,11 @@ rows, scaling a substituted root by its coefficient instead of dividing by it.
 The engines read a formula compiled once (`Compiled`): its distinct atoms as
 int rows, and its tree naming each atom by row index.  `at` fixes variables
 to values scaled to ints once, one dot product per row; `pieces` ranks the
-roots of rows in one variable into the 1-D components, and `holds` tests a
-point scaled to ints.  Each turns rows into bit masks that one walk of the
-tree, `_mask_of`, combines.  `components_1d` is the one-shot path (compile,
-then read the pieces), and `eval_formula` evaluates on Fractions.  Points,
-parameters and interval endpoints are `fractions.Fraction`s.  Everything is
-exact, which is what the decomposition engines rely on.
+roots of rows in one variable as int keys (root times a scale) into the 1-D
+components, and `holds` tests a point scaled to ints.  Each turns rows into
+bit masks that one walk of the tree, `_mask_of`, combines.  Points,
+parameters and interval ends are `fractions.Fraction`s, apart from the int
+keys that `pieces` returns on a caller's scale.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -384,13 +383,13 @@ def merge_adjacent(ivs: list[Iv]) -> list[Iv]:
     return out
 
 
-# Rank positions over sorted distinct cuts c_0 < ... < c_{k-1}: position
-# 2j + 1 is the point c_j, and the even position 2j is the open gap below it
-# (2k the gap above the last cut).  A union of whole positions is a closed
-# range (lo, hi) of them.
+# Rank positions over sorted distinct cuts c_0 < ... < c_{k-1}, Fractions or
+# int keys on one scale: position 2j + 1 is the point c_j, and the even
+# position 2j is the open gap below it (2k the gap above the last cut).  A
+# union of whole positions is a closed range (lo, hi) of them.
 
 
-def position(cuts: list, v: Fraction) -> int:
+def position(cuts: list, v) -> int:
     """v's position: 2j + 1 when v is cuts[j], else the gap that holds it."""
     k = bisect_left(cuts, v)
     return 2 * k + 1 if k < len(cuts) and cuts[k] == v else 2 * k
@@ -628,13 +627,14 @@ class Compiled(NamedTuple):
                         v == 0 if rel == "=" else v != 0)
         return bool(_mask_of(self.tree, bits, 1))
 
-    def pieces(self) -> list[Iv]:
+    def pieces(self, scale: int = 0) -> list[Iv]:
         """The maximal convex components where a formula in one variable
-        holds (rows c x + s).  The distinct roots -s/c, ranked on ints, give
-        the positions of `position`; each row is a bit mask over them read
-        off its root's rank, and each run of positions that the tree walk
-        keeps is a component."""
-        m = lcm(*(c for (c,), _, _ in self.rows if c))  # root * m is the int -s * (m / c)
+        holds (rows c x + s).  Each root -s/c is ranked as the int key
+        -s (m / c) on the scale m: `scale`, a multiple of every c, or else the
+        lcm of the rows' c.  Each row is a bit mask over the keys' positions
+        (`position`), and each run kept by the tree walk is a component, with
+        int key ends on the caller's scale and Fractions key / m on its own."""
+        m = scale or lcm(*(c for (c,), _, _ in self.rows if c))
         keys = [-s * (m // c) if c else None for (c,), s, _ in self.rows]
         cuts = sorted({key for key in keys if key is not None})
         rank = {key: j for j, key in enumerate(cuts)}
@@ -649,7 +649,7 @@ class Compiled(NamedTuple):
             masks.append(neg if rel == "<" else neg | at if rel == "<=" else
                          at if rel == "=" else full ^ at)
         held = _mask_of(self.tree, masks, full)
-        values = [Fraction(key, m) for key in cuts] if held else []
+        values = cuts if scale or not held else [Fraction(key, m) for key in cuts]
         out, p = [], 0
         while held:
             if held & 1:

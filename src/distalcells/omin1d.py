@@ -11,7 +11,10 @@ Instantiated over Q on rank positions (`linear.position`): the k distinct
 component endpoints over B give positions 0..2k, an odd one for each
 endpoint and an even one for each open gap.  A downward closure is the set
 of positions below an int threshold (0 is empty, 2k + 1 the whole line),
-and a cell is a closed range of positions.
+and a cell is a closed range of positions.  The chain ranks its endpoints
+as int keys on one scale per instance, M (`ComponentTable.scale`): the
+endpoint v is the int v M.  Fractions appear only in the decoded cells,
+one key / M per endpoint.
 
 No parameter of B excludes a cell, so T(B) is every atom: a component C
 at b in B is the difference of its two closures, both chain members, so C
@@ -21,11 +24,13 @@ and each predicate at b are unions of atoms and cross none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .decomp import CellInstance, Decomposition, _span, interval_locator
 from .families import ParamFamily, as_point
-from .linear import Iv, _to_ints, decode
+from .linear import Compiled, Iv, _to_ints, decode
 
 
 @dataclass(frozen=True)
@@ -39,26 +44,43 @@ class DownwardSet:
 
 class ComponentTable:
     """The spans of every predicate's components at each parameter of B,
-    over the positions of the component endpoints at B: `rows[j]` at B[j],
-    computed once per decomposition instance."""
+    over the positions of the component ends at B: `rows[j]` at B[j],
+    computed once per decomposition instance.  Each end v is the int key
+    v * scale, on one scale per instance: the lcm of every row's x
+    coefficient at every b of a semilinear family (`Compiled.pieces` ranks
+    its roots on it), or of an interval family's end denominators.  `cuts`
+    are the distinct keys, sorted."""
 
     def __init__(self, family: ParamFamily, B: Sequence):
         self.family = family
         self.B = [as_point(b, family.param_dim) for b in B]
-        comps = [self._components(b) for b in self.B]
+        if family.kind == "semilinear":
+            at = [self._rows(b) for b in self.B]
+            self.scale = lcm(*(c for per_b in at for r in per_b for (c,), _, _ in r.rows if c))
+            comps = [[r.pieces(self.scale) for r in per_b] for per_b in at]
+        else:
+            ivs = [[family.components(pi, b) for pi in range(len(family.preds))] for b in self.B]
+            ends = [v for per_b in ivs for cs in per_b for c in cs for v in (c.lo, c.hi)
+                    if v is not None]
+            keys, self.scale = _to_ints(ends)
+            key = dict(zip(ends, keys))
+            comps = [[[Iv(key.get(c.lo), c.lo_open, key.get(c.hi), c.hi_open) for c in cs]
+                      for cs in per_b] for per_b in ivs]
         self.cuts = sorted({
             v for per_b in comps for cs in per_b for c in cs
             for v in (c.lo, c.hi) if v is not None
         })
         self.rows = [[[_span(self.cuts, c) for c in cs] for cs in per_b] for per_b in comps]
 
-    def _components(self, b: tuple) -> list[list[Iv]]:
-        fam = self.family
-        if fam.kind == "semilinear":  # b scaled once for every predicate
-            vals, den = _to_ints(b)
-            vals.insert(0, 0)
-            return [c.at(vals, den, (0,)).pieces() for c in fam.compiled]
-        return [fam.components(pi, b) for pi in range(len(fam.preds))]
+    def _rows(self, b: tuple) -> list[Compiled]:
+        """Every predicate's rows in x at b, b scaled once for all of them."""
+        vals, den = _to_ints(b)
+        vals.insert(0, 0)
+        return [c.at(vals, den, (0,)) for c in self.family.compiled]
+
+    def values(self) -> list[Fraction]:
+        """The cuts as the rationals key / scale."""
+        return [Fraction(key, self.scale) for key in self.cuts]
 
 
 def downward_family(table: ComponentTable) -> list[DownwardSet]:
@@ -121,10 +143,10 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
 
     def inst(B: list) -> list[CellInstance]:
         table = ComponentTable(family, B)
-        B = table.B
+        B, values = table.B, table.values()
         cells = []
         for (lo, hi), lo_src, hi_src in chain_atoms(downward_family(table), 2 * len(table.cuts) + 1):
-            iv = decode(table.cuts, (lo, hi))
+            iv = decode(values, (lo, hi))
             params = tuple(
                 B[d.b_index] for d in (lo_src, hi_src) if d is not None
             )

@@ -342,7 +342,12 @@ def test_zarankiewicz_subcommand(tmp_path, capsys):
     ["zarankiewicz", "--sizes", "60"],
     ["zarankiewicz", "--sizes", "0"],
     ["zarankiewicz", "--sizes", "64,-16"],
-], ids=["max-size-1", "max-size-102", "max-size-150", "sizes-60", "sizes-0", "sizes-negative"])
+    ["sumproduct", "--trials", "-3"],
+    # `bounded` needs three increasing sizes to compare two ratio steps
+    ["zarankiewicz", "--sizes", "16"],
+    ["zarankiewicz", "--sizes", "64,128,128"],
+], ids=["max-size-1", "max-size-102", "max-size-150", "sizes-60", "sizes-0", "sizes-negative",
+        "trials-negative", "sizes-one", "sizes-not-increasing"])
 def test_incidence_subcommands_reject_bad_arguments(tmp_path, capsys, argv):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from distalcells.families import (
     semilinear_family,
     type_census_1d,
 )
-from distalcells.linear import Iv, decode, f_and, f_atom, f_or
+from distalcells.linear import Iv, components_1d, decode, f_and, f_atom, f_or
 from distalcells.omin1d import (
     ComponentTable,
     DownwardSet,
@@ -58,10 +58,43 @@ def _table(fam, bs):
 
 def test_downward_family_x_lt_y():
     table = _table(_x_lt_y(), [0, 2])
-    assert table.cuts == [F(0), F(2)]
+    # the cuts are int keys, here on the scale 1
+    assert (table.cuts, table.scale) == ([0, 2], 1)
     # phi^0_< is empty over a dense order; phi^0_<= gives (-inf, b), the
     # positions below b's position 1 or 3
     assert {d.threshold for d in downward_family(table)} == {0, 1, 3}
+
+
+def test_component_table_spans_decode_to_the_components():
+    # x coefficients 2, 3 and 5, and parameters with denominators 1 to 7: a
+    # row's x coefficient at b is the atom's times b's denominator, so the
+    # scale is an lcm across rows and parameters, of no one row or b
+    fam = semilinear_family([
+        f_or(f_atom([2, -1], 1, "<"), f_atom([3, 1], -2, ">")),
+        f_and(f_atom([5, -2], 3, "<="), f_atom([3, -1], 0, ">=")),
+        f_atom([5, 1], -1, "!="),
+    ], 1, 1)
+    B = [F(1), F(-1, 2), F(2, 3), F(3, 4), F(-4, 5), F(5, 6), F(-6, 7)]
+    table = _table(fam, B)
+    assert table.scale == 2 * 3 * 5 * 420  # 30 times lcm(1..7)
+    assert all(type(k) is int for k in table.cuts)
+    values = table.values()
+    for b, row in zip(table.B, table.rows):
+        for pi, spans in enumerate(row):
+            got = [decode(values, span) for span in spans]
+            assert got == components_1d(fam.preds[pi], 0, [F(0), *b])
+            assert all(type(v) is F for iv in got for v in (iv.lo, iv.hi) if v is not None)
+
+
+def test_component_table_scales_interval_ends_by_their_denominators():
+    def comps(b):
+        return [Iv(b[0] + F(1, 2), True, b[0] + F(2, 3), False), Iv(b[0] + F(4, 5), False, None, True)]
+
+    fam = interval_family([(comps, 2)], param_dim=1)
+    table = _table(fam, [F(0), F(1, 7)])
+    assert table.scale == 2 * 3 * 5 * 7
+    for b, row in zip(table.B, table.rows):
+        assert [decode(table.values(), span) for span in row[0]] == comps(b)
 
 
 def test_downward_family_empty_B():
