@@ -13,16 +13,18 @@ elimination, so the recursion stays inside semilinear families.
 
 The base cell is a cell of T(B_der) with B_der = [b1 + b2 + b for b in B],
 so no extended parameter excludes it, and one rule at every |x| decides
-which cylinders are kept, at the base's sample point: the fiber must be
-inhabited there, and theta*, the fiber template crossed by some phi at some
-B[j], must not hold there.  Both are exact, since the crossing predicate and
-the all-phi and all-not-phi predicates, whose conjunction at some b in B is
-the fiber's emptiness, are in the derived family, so constant on a base
-cell.  Fiber components are counted exactly (`fiber_sources`), with no cap.
+which cylinders are kept.  Each group (template, b1, b2) has one keep set
+over the base coordinates (`_keep_set`): the fiber is inhabited there, and
+theta*, the fiber template crossed by some phi at some B[j], does not hold
+there.  A cylinder is kept exactly when its base's sample lies in the keep
+set.  This is exact, since the crossing predicate and the all-phi and
+all-not-phi predicates, whose conjunction at some b in B is the fiber's
+emptiness, are in the derived family, so constant on a base cell.  Fiber
+components are counted exactly (`fiber_sources`), with no cap.
 
-At |x| = 2 the cylinders of one group (template, b1, b2) share a fiber, and
-a group whose fiber is inhabited over no x2 (the template's `nonempty` at
-(b1, b2)) is skipped before its base decomposition is instantiated.
+At |x| = 2 the keep set is a union of intervals on x2, and a group whose
+keep set is empty is skipped before its base decomposition is
+instantiated; above, every group's base is instantiated.
 
 A cylinder's region is its fiber, its base's region and a sample point, so
 the base chain of a cell at |x| = d ends in the chain engine's interval on
@@ -292,8 +294,8 @@ def induct(family: ParamFamily) -> Decomposition:
     """Distal cell decomposition for a semilinear family of any point
     dimension; 1-dimensional input goes straight to the chain engine.  Every
     level counts fiber components exactly (`fiber_sources`), and every level
-    keeps a cylinder exactly when its fiber is inhabited at its base's sample
-    (`_cyl_cell`)."""
+    keeps a cylinder exactly when its group's keep set (`_keep_set`) holds
+    at its base's sample."""
     if family.kind != "semilinear":
         raise ValueError("dimension induction handles semilinear families")
     if family.point_dim == 1:
@@ -301,31 +303,42 @@ def induct(family: ParamFamily) -> Decomposition:
     d, e = family.point_dim, family.param_dim
     derived = derive_family(family)
     bases = [induct(df.family) for df in derived]
+    keep_trees: dict = {}  # (template index, |B|) -> `_keep_tree`
 
     def inst(B: list) -> list[CellInstance]:
+        """Per group (template, b1, b2), the keep set (`_keep_set`) at
+        (b1, b2, B); at |x| = 2 a group whose keep set is empty is skipped
+        before its base decomposition is instantiated, and at every |x| a
+        base cell is kept exactly when the keep set holds at its sample."""
         B = [as_point(b, e) for b in B]
-        B_ints = [_point_ints(b) for b in B]
+        js = range(len(B))
+        # B on one denominator, so a group's parameters are slices of ints
+        nums, den = _to_ints([v for b in B for v in b])
+        B_ints = [nums[j * e:(j + 1) * e] for j in js]
         cells: list[CellInstance] = []
         for ti, df in enumerate(derived):
             tpl = df.template
+            tree = keep_trees.get((ti, len(B)))
+            if tree is None:
+                tree = keep_trees[ti, len(B)] = _keep_tree(df, len(B))
             if tpl.arity == 2:
-                tuples = [(b1, b2) for b1 in B for b2 in B]
+                tuples = [(j1, j2) for j1 in js for j2 in js]
             elif tpl.arity == 1:
-                tuples = [(b, b) for b in B]
+                tuples = [(j, j) for j in js]
             else:
-                tuples = [(B[0], B[0])]
-            for b1, b2 in tuples:
-                ys, den = _to_ints(b1 + b2)
-                # planar: no cylinder of a group whose fiber is inhabited
-                # over no x2 is inhabited, so its base is not instantiated
-                if d == 2 and not tpl.nonempty.at([0, 0, *ys], den, (1,)).pieces():
+                tuples = [(0, 0)]
+            for j1, j2 in tuples:
+                b1, b2, ys = B[j1], B[j2], B_ints[j1] + B_ints[j2]
+                keep = _keep_set(df, ys, den, B_ints, tree)
+                if d == 2 and not keep.pieces():
                     continue
-                B_der = [b1 + b2 + b for b in B]
                 fiber = tpl.psi.at([0] * d + ys, den, range(d))
-                for base_cell in bases[ti].instantiate(B_der):
-                    cell = _cyl_cell(df, ti, b1, b2, base_cell, B_ints, fiber)
-                    if cell is not None:
-                        cells.append(cell)
+                for base_cell in bases[ti].instantiate([b1 + b2 + b for b in B]):
+                    base = base_cell.region
+                    base_pt = base.sample if isinstance(base, _Region) else (base.sample(),)
+                    pt = _point_ints(base_pt)
+                    if keep.holds(pt):
+                        cells.append(_cyl_cell(df, ti, b1, b2, base_cell, base_pt, pt, fiber))
         return cells
 
     return Decomposition(
@@ -377,46 +390,63 @@ def _fibers_hold(region: _Region, pt: tuple) -> bool:
     return True
 
 
+def _keep_set(df: DerivedFamily, ys: list, den: int, B_ints: list, tree: tuple) -> Compiled:
+    """Where over x' the group (template, b1, b2) keeps a cylinder, as one
+    formula: the fiber is inhabited (the template's `nonempty` at (b1, b2))
+    and theta*, the fiber template crossed by some phi, holds at no B[j]
+    (`df.family`'s predicate 0 at (b1, b2, B[j])).  (b1, b2) is given as the
+    ints ys and B[j] as the ints B_ints[j], all over `den`.  The rows are
+    those of `nonempty`, then theta*'s at each B[j]; the tree,
+    `_keep_tree(df, len(B))`, depends on nothing else, so the caller builds
+    it once.
+
+    Both are exact at a base cell's sample, since each is a derived predicate
+    or a Boolean combination of them, so constant on a base cell of T(B_der):
+    theta*, and the fiber's emptiness, which holds exactly where all-phi and
+    all-not-phi both hold at some b of B.  T(B) keeps only potential cells
+    missed by every I(Delta), and the base cell, a cell of T(B_der), is
+    excluded at no extended parameter."""
+    d = df.family.point_dim + 1
+    rows = df.template.nonempty.at([0] * d + ys, den, range(1, d)).rows
+    theta = df.family.compiled[0]
+    if theta.rows:  # else theta* is constant, and its tree alone decides
+        for nb in B_ints:
+            rows += theta.at([0] * (d - 1) + ys + nb, den, range(d - 1)).rows
+    return Compiled(rows, tree)
+
+
+def _keep_tree(df: DerivedFamily, n: int) -> tuple:
+    """The tree of `_keep_set` at |B| = n: and(nonempty, not theta*_1, ...,
+    not theta*_n), theta*_j reading the j-th block of theta*'s rows."""
+    k0, k1 = len(df.template.nonempty.rows), len(df.family.compiled[0].rows)
+    theta = df.family.compiled[0].tree
+    return f_and(df.template.nonempty.tree, *(
+        f_not(map_atoms(theta, lambda i: ("atom", k0 + j * k1 + i))) for j in range(n)
+    ))
+
+
 def _cyl_cell(
     df: DerivedFamily,
     ti: int,
     b1,
     b2,
     base_cell: CellInstance,
-    B_ints: list,
+    base_pt: tuple,
+    pt: tuple,
     fiber: Compiled,
-) -> Optional[CellInstance]:
-    """The cylinder of template df over base_cell, or None when it is empty
-    or theta* holds at a parameter of the instance (T(B) keeps only
-    potential cells missed by every I(Delta); the base cell, a cell of
-    T(B_der), is excluded at no extended parameter).  `B_ints[j]` is B[j] as
-    ints (`_point_ints`), and `fiber` is the template's formula at (b1, b2),
-    as int rows over x.
-
-    Both tests are read at the base's sample, the `Iv.sample()` of the chain
-    engine's interval at |x| = 2 and the `_Region.sample` above, and both are
-    exact there, since each is a derived predicate or a Boolean combination
-    of them, so constant on a base cell of T(B_der): theta*, and the fiber's
-    emptiness, which holds exactly where all-phi and all-not-phi both hold at
-    some b of B."""
-    base = base_cell.region
-    base_pt = base.sample if isinstance(base, _Region) else (base.sample(),)
-    nums, den = _to_ints(base_pt)
-    comps = fiber.at([0, *nums], den, (0,)).pieces()
-    if not comps:
-        return None
-    # theta*: the fiber template is crossed somewhere over the base.  Fixed
-    # once at (sample, b1, b2), its rows are over the last block, B[j]
-    nums, den = _to_ints(base_pt + b1 + b2)
-    last = range(len(nums), len(nums) + len(b1))
-    theta = df.family.compiled[0].at(nums + [0] * len(b1), den, last)
-    if any(map(theta.holds, B_ints)):
-        return None
+) -> CellInstance:
+    """The cylinder of template df over base_cell, whose fiber is inhabited
+    at the base's sample `base_pt` (the `Iv.sample()` of the chain engine's
+    interval at |x| = 2 and the `_Region.sample` above), given also as ints
+    `pt` (`_point_ints`).  `fiber` is the template's formula at (b1, b2), as
+    int rows over x, and its first piece at the sample gives the cylinder's
+    own sample."""
+    comps = fiber.at([0, *pt[:-1]], pt[-1], (0,)).pieces()
     return CellInstance(
         template=f"{df.template.ident}x{base_cell.template}",
         params=(b1, b2) + base_cell.params,
         extent_key=(ti, b1, b2, base_cell.extent_key),
-        region=_Region(fiber, base, (comps[0].sample(),) + base_pt),
+        region=_Region(fiber, base_cell.region, (comps[0].sample(),) + base_pt),
     )
 
 

@@ -1,16 +1,18 @@
 """Mutation check: each mutant in tests/mutants.json must be killed by the
 tests it names.
 
-    python tests/mutants.py
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py ID ...     # only the named mutants
 
 A mutant is one textual edit: its `old` text, which occurs exactly once in
 its `file`, replaced by its `new` text.  The tree is copied to a temporary
-directory once for the clean run and once per mutant.  The clean run runs
-every killer on the unmutated copy, and they must all pass.  Then each
+directory once for the clean run and once per mutant.  With ids given,
+only the named mutants run.  The clean run runs every killer of the
+mutants that run on the unmutated copy, and they must all pass.  Then each
 mutant is applied to its own copy, and its killers run there under pytest
 with a timeout.  A mutant is killed when every one of its killers fails.
 Exits 1 if the clean run fails or any mutant survives, times out or cannot
-run its tests.
+run its tests, and 2 if an id is not in the catalogue.
 """
 
 from __future__ import annotations
@@ -71,8 +73,14 @@ def verdict(mutant: dict) -> str:
     return f"survived: passed {', '.join(passed)}" if passed else "killed"
 
 
-def main() -> int:
+def main(ids: list[str]) -> int:
     mutants = json.loads(CATALOGUE.read_text())
+    if ids:
+        unknown = sorted(set(ids) - {m["id"] for m in mutants})
+        if unknown:
+            print(f"unknown mutant id: {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        mutants = [m for m in mutants if m["id"] in ids]
     killers = sorted({k for m in mutants for k in m["killers"]})
     with tempfile.TemporaryDirectory() as tmp:
         code, failed = run_tests(copy_tree(tmp), killers)
@@ -91,4 +99,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

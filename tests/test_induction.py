@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from distalcells import induction
 from distalcells.decomp import Decomposition, verify
@@ -18,7 +18,7 @@ from distalcells.induction import (
     plane_probes,
 )
 from distalcells.linear import (
-    eliminate_exists,
+    components_1d,
     eval_formula,
     f_and,
     f_atom,
@@ -143,24 +143,23 @@ def test_induct_singleton_B():
     assert rep.census_lower_bound >= 4
 
 
-def test_base_instantiated_once_per_inhabited_group(monkeypatch):
-    # a planar group (template, b1, b2) whose fiber is empty over every base
-    # point has no inhabited cylinder, so its base decomposition is skipped
-    _, fam, B, _ = next(i for i in plane_instances() if i[0] == "pattern-7")
+def _groups(df, B):
+    """The groups (b1, b2) of one template, in the engine's order."""
+    if df.template.arity == 2:
+        return [(b1, b2) for b1 in B for b2 in B]
+    if df.template.arity == 1:
+        return [(b, b) for b in B]
+    return [(B[0], B[0])]
+
+
+@pytest.mark.parametrize("label", ["pattern-7", "found-3"])
+def test_base_instantiated_only_for_groups_that_keep_a_cylinder(monkeypatch, label):
+    # a planar group (template, b1, b2) that keeps no cylinder has its base
+    # decomposition skipped: the bases instantiated are exactly those of the
+    # groups named by the emitted cells, in emission order
+    _, fam, B, _ = next(i for i in plane_instances() if i[0] == label)
     decomp = induct(fam)
-    want, total = [], 0
-    for df in derive_family(fam):
-        tpl = df.template
-        if tpl.arity == 2:
-            groups = [(b1, b2) for b1 in B for b2 in B]
-        elif tpl.arity == 1:
-            groups = [(b, b) for b in B]
-        else:
-            groups = [(B[0], B[0])]
-        total += len(groups)
-        inhabited = eliminate_exists(eliminate_exists(tpl.formula, 0), 1)
-        want += [[b1 + b2 + b for b in B] for b1, b2 in groups
-                 if eval_formula(inhabited, [0, 0, *b1, *b2])]
+    total = sum(len(_groups(df, B)) for df in derive_family(fam))
     calls = []
     instantiate = Decomposition.instantiate
 
@@ -170,9 +169,66 @@ def test_base_instantiated_once_per_inhabited_group(monkeypatch):
         return instantiate(self, params)
 
     monkeypatch.setattr(Decomposition, "instantiate", wrapped)
-    decomp.instantiate(B)
+    cells = decomp.instantiate(B)
+    groups = dict.fromkeys(c.extent_key[:3] for c in cells)
+    want = [[b1 + b2 + b for b in B] for _, b1, b2 in groups]
     assert calls == want
     assert 0 < len(want) < total  # some groups are skipped, some are not
+
+
+def _unfiltered_keys(fam, B) -> list:
+    """The extent keys of the cylinders kept by the per-cell rule, with every
+    group's base instantiated: a base cell is kept when the template's fiber
+    is inhabited at its sample and theta* holds there at no b of B, read by
+    Fraction evaluation."""
+    B = [tuple(map(F, b)) for b in B]
+    keys = []
+    for ti, df in enumerate(derive_family(fam)):
+        base = induct(df.family)
+        for b1, b2 in _groups(df, B):
+            for cell in base.instantiate([b1 + b2 + b for b in B]):
+                r = cell.region
+                sample = r.sample if isinstance(r, induction._Region) else (r.sample(),)
+                if not components_1d(df.template.formula, 0, [F(0), *sample, *b1, *b2]):
+                    continue
+                theta = df.family.preds[0]
+                if any(eval_formula(theta, [*sample, *b1, *b2, *b]) for b in B):
+                    continue
+                keys.append((ti, b1, b2, cell.extent_key))
+    return keys
+
+
+_small = st.builds(F, st.integers(-4, 4), st.integers(1, 2))
+
+
+@st.composite
+def _planar_families(draw):
+    """2 or 3 atoms a1 x1 + a2 x2 + c1 y1 + c2 y2 + k REL 0, each one
+    predicate, and 1 to 3 distinct parameters in Q^2."""
+    atoms = []
+    for _ in range(draw(st.integers(2, 3))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(4)]
+        if not any(coeffs[:2]):
+            coeffs[draw(st.integers(0, 1))] = 1
+        rel = draw(st.sampled_from(["<", "<=", ">", ">=", "="]))
+        atoms.append(f_atom(coeffs, draw(_small), rel))
+    B = draw(st.lists(st.tuples(_small, _small), min_size=1, max_size=3, unique=True))
+    return semilinear_family(atoms, 2, 2), B
+
+
+# no shrinking: each example instantiates every group's base twice, so a
+# failing example is reported as drawn
+@settings(max_examples=25, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(case=_planar_families())
+def test_keep_set_matches_per_cell_rule(case):
+    fam, B = case
+    assert [c.extent_key for c in induct(fam).instantiate(B)] == _unfiltered_keys(fam, B)
+
+
+def test_keep_set_matches_per_cell_rule_d3():
+    fam = semilinear_family([f_atom([1, 1, 1, -1], 0, "<")], 3, 1)
+    B = [(F(0),), (F(1),)]
+    assert [c.extent_key for c in induct(fam).instantiate(B)] == _unfiltered_keys(fam, B)
 
 
 def test_two_piece_shadow_keeps_both_pieces():
