@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, interval_locator
+from .decomp import CellInstance, Column, Decomposition, interval_locator, probe_ints
 from .families import ParamFamily, as_point
 from .linear import Iv, _to_ints, decode
 
@@ -344,19 +344,22 @@ def _make_vl_cell(family, axes, exts, chosen) -> CellInstance:
 
 
 def _vl_locator(cells: list[CellInstance]):
-    """The cells of a point at |x| >= 2: its projection on each direction
-    picks, by `interval_locator`, the cells whose interval there holds it,
-    and a cell holds the point when every direction picks it."""
-    dirs = [d for d, _ in cells[0].region]
-    per_dir = [interval_locator([c.region[k][1] for c in cells], k) for k in range(len(dirs))]
-    every = range(len(cells))
+    """`members(pts)` at |x| >= 2: the probes, scaled to ints on one
+    denominator q, are ranked once by their projection on each direction
+    (the direction scaled to ints too), each cell's interval there is a
+    range of that column, and a cell's mask is the AND of its ranges."""
+    dirs = [_to_ints(d) for d, _ in cells[0].region]
 
-    def locate(a) -> list[int]:
-        proj = [sum((c * x for c, x in zip(d, a)), Fraction(0)) for d in dirs]
-        first, *rest = [loc(proj) for loc in per_dir] or [every]
-        return sorted(set(first).intersection(*rest))
+    def members(pts) -> list[int]:
+        ints, q = probe_ints(pts)
+        out = [(1 << len(pts)) - 1] * len(cells)
+        for k, (d, dd) in enumerate(dirs):
+            column = Column([sum(map(mul, d, n)) for n in ints])
+            for ci, c in enumerate(cells):
+                out[ci] &= column.within(c.region[k][1], q * dd)
+        return out
 
-    return locate
+    return members
 
 
 class _ZRun(NamedTuple):
@@ -478,19 +481,21 @@ def _z_truth_sets(family: ParamFamily, B: list) -> list[list[Optional[ZSet]]]:
 
 
 def _z_locator(cells: list[CellInstance]):
-    """The cell of x: x mod M and one bisection over the cuts; a non-integer
-    locates nothing."""
+    """`members(pts)`: the cell of each x is read from x mod M and one
+    bisection over the cuts; a non-integer lies in no cell."""
     M, cuts = cells[0].region.M, cells[0].region.cuts
     at = {(c.region.res, c.region.k): ci for ci, c in enumerate(cells)}
 
-    def locate(a) -> tuple[int, ...]:
-        x = a[0]
-        if x.denominator != 1:
-            return ()
-        ci = at.get((x.numerator % M, bisect_right(cuts, x.numerator)))
-        return () if ci is None else (ci,)
+    def members(pts) -> list[int]:
+        out = [0] * len(cells)
+        for i, (x,) in enumerate(pts):
+            if x.denominator == 1:
+                ci = at.get((x.numerator % M, bisect_right(cuts, x.numerator)))
+                if ci is not None:
+                    out[ci] |= 1 << i
+        return out
 
-    return locate
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +507,7 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     if family.kind != "vector-linear":
         locator_fn = _z_locator
     elif family.point_dim == 1:
-        locator_fn = lambda cells: interval_locator([c.region for c in cells], 0)  # noqa: E731
+        locator_fn = lambda cells: interval_locator([c.region for c in cells])  # noqa: E731
     else:
         locator_fn = _vl_locator
     return Decomposition(

@@ -3,35 +3,40 @@ verifier, and shatter-function estimation.
 
 A decomposition is a map B -> list of cells.  A cell is data: its template,
 its parameters from B, a canonical extent key (distinct within an instance)
-and the engine's record of where it lies.  Membership is one question per
-point, asked of the whole instance: the engine's locator returns exactly the
-cells that hold the point.  An emitted cell is, by the definition of T(B),
-excluded by no parameter of B, so a cell carries no exclusion test: I(Delta)
-at a parameter b outside B is read by heredity, b being in I(Delta) exactly
-when Delta is gone from T(B + [b]), and each engine applies I(Delta) only
-where its construction drops potential cells.  Verification is exact in one
+and the engine's record of where it lies.  Membership is asked of the whole
+instance and all probes at once, by columns: the engine's locator returns
+one probe bitmask per cell, bit i set exactly when the cell holds the i-th
+probe.  An emitted cell is, by the definition of T(B), excluded by no
+parameter of B, so a cell carries no exclusion test: I(Delta) at a
+parameter b outside B is read by heredity, b being in I(Delta) exactly when
+Delta is gone from T(B + [b]), and each engine applies I(Delta) only where
+its construction drops potential cells.  Verification is exact in one
 dimension (`census_probes_1d` is exhaustive) and probe-based in higher
 dimensions: failures are always genuine, and a success covers only the
 cells that hold a probe.
 
-One locator, `interval_locator`, serves every engine whose cells have an
-interval extent along one axis (omin1d and 1-D vector-linear on x1,
-vector-linear at |x| >= 2 on each direction, and dimension induction's
-bottom intervals on the last coordinate): the intervals' endpoints give the
-rank positions of `linear.position`, and each position lists the cells
-whose interval spans it.
+A `Column` ranks the probes once by an int key and keeps the cumulative
+prefix masks of that order, so the probes in a range of keys are one
+bitmask found by two bisections.  The probes are scaled to ints on one
+denominator once (`probe_ints`).  One locator, `interval_locator`, serves
+the 1-D engines whose cells are intervals (omin1d and 1-D vector-linear):
+the probes' ints are the column, and each cell's `Iv` is a range of it.
+Vector-linear cells at |x| >= 2 AND such ranges across their directions,
+and dimension induction's cylinders read their fiber rows and bottom
+intervals off columns of the same kind.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .families import ParamFamily, as_point, census_probes_1d, fast_truth_masks
-from .linear import Iv, position
+from .linear import Iv, _to_ints
 from .rng import SplitMix64
 
 Point = tuple[Fraction, ...]
@@ -61,12 +66,13 @@ class CellInstance:
 
 @dataclass
 class Decomposition:
-    """A map B -> cells.  `locator_fn(cells)` returns `locate(a)`: exactly
-    the indices of the cells that hold the point a."""
+    """A map B -> cells.  `locator_fn(cells)` returns `members(pts)`: given
+    a list of distinct points, one int bitmask per cell, with bit i set
+    exactly when the cell holds pts[i].  A single point is a list of one."""
 
     name: str
     instantiate_fn: Callable[[list], list[CellInstance]]
-    locator_fn: Callable[[list], Callable[[Point], Sequence[int]]]
+    locator_fn: Callable[[list], Callable[[Sequence[Point]], list[int]]]
 
     def instantiate(self, B: Sequence) -> list[CellInstance]:
         # a scalar is the 1-tuple the engines make of it, so 0 and (0,) collide
@@ -142,6 +148,14 @@ def verify(
     required.  Every probe's truth mask comes from one `fast_truth_masks`
     call over the sorted, deduplicated probes, for every family kind and
     dimension; the census is the number of distinct masks.
+
+    The membership table is one probe bitmask per cell, from one call of
+    the engine's locator.  Coverage is the OR of the masks, and the first
+    uncovered probe its lowest zero bit.  The deduplicated count is the
+    number of distinct nonempty masks.  The probes are grouped into one
+    bitmask per truth mask, and a cell is crossed when it holds a probe
+    outside the class of its first probe: the witness is the first such
+    probe, with the lowest predicate bit where the two masks differ.
     """
     B = [as_point(b, family.param_dim) for b in B]
     cells = decomp.instantiate(B)
@@ -153,92 +167,105 @@ def verify(
     if not pts:
         raise ValueError("probes are required for this verification")
 
-    # the membership table, one locate per probe; the empty-B cell comes from
-    # Decomposition.instantiate, not the engine, and holds every point
-    locate = decomp.locator_fn(cells) if B else lambda a: (0,)
-    members: list[list[int]] = [[] for _ in cells]
-    covered_flags = []
-    for pi, a in enumerate(pts):
-        held = locate(a)
-        for ci in held:
-            members[ci].append(pi)
-        covered_flags.append(bool(held))
+    # the membership table; the empty-B cell comes from Decomposition.
+    # instantiate, not the engine, and holds every point
+    full = (1 << len(pts)) - 1
+    members = decomp.locator_fn(cells)(pts) if B else [full]
 
-    covered = all(covered_flags)
-    first_uncovered = None
-    if not covered:
-        first_uncovered = pts[covered_flags.index(False)]
+    held = 0
+    for m in members:
+        held |= m
+    gaps = full ^ held
+    first_uncovered = pts[(gaps & -gaps).bit_length() - 1] if gaps else None
 
-    # drop probe-empty duplicates for the deduped count (extensionally equal
-    # cells collapse; engines with canonical keys are already distinct)
-    nonempty = [ci for ci in range(len(cells)) if members[ci]]
-    ext_seen = set()
-    deduped = 0
-    for ci in nonempty:
-        key = frozenset(members[ci])
-        if key not in ext_seen:
-            ext_seen.add(key)
-            deduped += 1
+    # extensionally equal cells collapse; probe-empty cells are not counted
+    deduped = len(set(members) - {0})
 
     masks = fast_truth_masks(family, B, pts)
+    classes: dict[int, int] = {}  # truth mask -> the probes that have it
+    for pi, t in enumerate(masks):
+        classes[t] = classes.get(t, 0) | 1 << pi
 
-    uncrossed = True
     witness = None
-    for ci in nonempty:
-        idxs = members[ci]
-        m0 = masks[idxs[0]]
-        for pi in idxs[1:]:
-            if masks[pi] != m0:
-                uncrossed = False
-                diff = masks[pi] ^ m0
-                bit = (diff & -diff).bit_length() - 1
-                pred_idx, b_idx = divmod(bit, len(B)) if B else (0, 0)
-                witness = (
-                    cells[ci].template,
-                    pred_idx,
-                    B[b_idx] if B else (),
-                    pts[idxs[0]],
-                    pts[pi],
-                )
-                break
-        if not uncrossed:
+    for ci, m in enumerate(members):
+        if not m:
+            continue
+        first = (m & -m).bit_length() - 1
+        rest = m & ~classes[masks[first]]
+        if rest:
+            pi = (rest & -rest).bit_length() - 1
+            diff = masks[pi] ^ masks[first]
+            bit = (diff & -diff).bit_length() - 1
+            pred_idx, b_idx = divmod(bit, len(B))
+            witness = (cells[ci].template, pred_idx, B[b_idx], pts[first], pts[pi])
             break
 
-    census = len({m for m in masks})
     return VerificationReport(
-        covered=covered,
+        covered=not gaps,
         first_uncovered=first_uncovered,
-        uncrossed=uncrossed,
+        uncrossed=witness is None,
         crossing_witness=witness,
         cell_count_raw=raw,
         cell_count_deduped=deduped,
-        census_lower_bound=census,
+        census_lower_bound=len(classes),
         probe_count=len(pts),
     )
 
 
-def _span(cuts: list, iv: Iv) -> tuple[int, int]:
-    """(lo, hi): iv holds exactly the positions lo..hi.  Each finite end of
-    iv is in `cuts`, so it is a cut at an odd position, never a value inside
-    a gap.  The omin1d chain passes int keys on its instance's scale; the
-    locators pass the Fraction ends of cells."""
-    lo = 0 if iv.lo is None else position(cuts, iv.lo) + iv.lo_open
-    hi = 2 * len(cuts) if iv.hi is None else position(cuts, iv.hi) - iv.hi_open
-    return lo, hi
+class Column:
+    """Probes ranked once by an int key each: `keys` in ascending order, and
+    `prefix[r]` the bitmask of the probes of the r lowest keys, so a range
+    of ranks is one XOR of two prefixes."""
+
+    __slots__ = ("keys", "prefix")
+
+    def __init__(self, keys: Sequence[int]):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.keys = [keys[i] for i in order]
+        self.prefix = prefix = [0]
+        m = 0
+        for i in order:
+            m |= 1 << i
+            prefix.append(m)
+
+    def span(self, lo: int, hi: int) -> int:
+        """The probes of ranks lo..hi - 1."""
+        return self.prefix[hi] ^ self.prefix[lo] if hi > lo else 0
+
+    def within(self, iv: Iv, scale: int) -> int:
+        """The probes whose key / scale lies in iv.  An end v is compared as
+        the int floor or ceiling of v scale, which decides key < v scale and
+        key <= v scale exactly for int keys."""
+        keys = self.keys
+        lo, hi = 0, len(keys)
+        if iv.lo is not None:
+            n, d = iv.lo.numerator * scale, iv.lo.denominator
+            lo = bisect_right(keys, n // d) if iv.lo_open else bisect_left(keys, -(-n // d))
+        if iv.hi is not None:
+            n, d = iv.hi.numerator * scale, iv.hi.denominator
+            hi = bisect_left(keys, -(-n // d)) if iv.hi_open else bisect_right(keys, n // d)
+        return self.span(lo, hi)
 
 
-def interval_locator(ivs: Sequence[Iv], axis: int) -> Callable[[Point], list[int]]:
-    """`locate(a)` over cells whose extents along `axis` are `ivs` (cell i
-    lies inside ivs[i] there): the intervals' endpoints, sorted, give the
-    positions of `linear.position`, and slot p lists the cells whose
-    interval spans p, so a[axis] picks the cells that can contain a."""
-    cuts = sorted({v for iv in ivs for v in (iv.lo, iv.hi) if v is not None})
-    slots: list[list[int]] = [[] for _ in range(2 * len(cuts) + 1)]
-    for ci, iv in enumerate(ivs):
-        lo, hi = _span(cuts, iv)
-        for p in range(lo, hi + 1):
-            slots[p].append(ci)
-    return lambda a: slots[position(cuts, a[axis])]
+def probe_ints(pts: Sequence[Point]) -> tuple[list[list[int]], int]:
+    """The points scaled to ints on one denominator q: per point the ints
+    n with x_i = n_i / q, and q."""
+    dim = len(pts[0]) if pts else 1
+    nums, q = _to_ints([v for a in pts for v in a])
+    return [nums[i:i + dim] for i in range(0, len(nums), dim)], q
+
+
+def interval_locator(ivs: Sequence[Iv]) -> Callable[[Sequence[Point]], list[int]]:
+    """`members(pts)` over the cells of a 1-D instance whose extents are
+    `ivs`: the probes, scaled to ints on one denominator, are ranked once,
+    and each interval is a range of that column."""
+
+    def members(pts: Sequence[Point]) -> list[int]:
+        ints, q = probe_ints(pts)
+        column = Column([n[0] for n in ints])
+        return [column.within(iv, q) for iv in ivs]
+
+    return members
 
 
 @dataclass

@@ -28,26 +28,32 @@ instantiated; above, every group's base is instantiated.
 
 A cylinder's region is its fiber, its base's region and a sample point, so
 the base chain of a cell at |x| = d ends in the chain engine's interval on
-x_d.  The locator picks, with `decomp.interval_locator`, the cylinders whose
-bottom interval holds a point's last coordinate, and keeps those whose
-fibers hold the point all along the chain, on the point scaled to ints once.
+x_d.  The locator works by columns (`decomp.Column`): the probes are scaled
+to ints on one denominator once, ranked once per (level, fiber row
+coefficients), and each fiber row is then a prefix or a run of a column,
+found by bisection on its constant.  A cylinder's probe mask is its fibers'
+tree walks on those row masks all along the chain, ANDed with the range of
+its bottom interval on the last coordinate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import omin1d
-from .decomp import CellInstance, Decomposition, interval_locator
+from .decomp import CellInstance, Column, Decomposition, probe_ints
 from .families import ParamFamily, as_point, semilinear_family
 from .linear import (
     TRUE,
     Atom,
     Compiled,
     _dnf_conjuncts,
+    _mask_of,
     _to_ints,
     conj_satisfiable,
     dnf_simplify,
@@ -360,34 +366,59 @@ class _Region(NamedTuple):
 
 
 def _cylinder_locator(cells: list[CellInstance], axis: int):
-    """The cylinders that hold a point: those whose bottom interval, the `Iv`
-    at the end of the base chain, holds its last coordinate `axis`, and
-    whose fibers hold it at every level of the chain."""
-    regions = [c.region for c in cells]
-    bottoms = []
-    for r in regions:
-        while isinstance(r, _Region):
-            r = r.base
-        bottoms.append(r)
-    slots = interval_locator(bottoms, axis)
+    """`members(pts)` over cylinders of dimension axis + 1.  The probes are
+    scaled once to ints n over one denominator q.  A fiber k levels down is
+    over a probe's last coordinates n[k:], and each of its rows c x + s REL 0
+    reads c . n[k:] REL -s q: one bisection of the column of (k, c), which
+    is built once and shared by every row with those coefficients (a
+    template's fibers scale their x rows by the same den).  A cylinder's mask
+    is the AND of its fibers' tree walks on those row masks, one fiber per
+    level and each walked once, and of its bottom interval's range on the
+    column of the last coordinate."""
 
-    def locate(a) -> list[int]:
-        pt = _point_ints(a)
-        return [ci for ci in slots(a) if _fibers_hold(regions[ci], pt)]
+    def members(pts) -> list[int]:
+        ints, q = probe_ints(pts)
+        full = (1 << len(pts)) - 1
+        columns: dict = {}  # (k, c) -> Column of c . n[k:]
+        walks: dict = {}  # (k, id(fiber)) -> the fiber's probe mask
 
-    return locate
+        def column(k: int, c: tuple) -> Column:
+            col = columns.get((k, c))
+            if col is None:
+                col = columns[k, c] = Column([sum(map(mul, c, n[k:])) for n in ints])
+            return col
+
+        def walk(k: int, fiber: Compiled) -> int:
+            m = walks.get((k, id(fiber)))
+            if m is None:
+                masks = [_row_mask(column(k, c), -s * q, rel, full) for c, s, rel in fiber.rows]
+                m = walks[k, id(fiber)] = _mask_of(fiber.tree, masks, full)
+            return m
+
+        out = []
+        for cell in cells:
+            region, k, m = cell.region, 0, full
+            while isinstance(region, _Region):
+                m &= walk(k, region.fiber)
+                if not m:
+                    break
+                region, k = region.base, k + 1
+            else:
+                m &= column(axis, (1,)).within(region, q)
+            out.append(m)
+        return out
+
+    return members
 
 
-def _fibers_hold(region: _Region, pt: tuple) -> bool:
-    """Does every fiber along the base chain hold the point, given as ints
-    (`_point_ints`)?  The fiber k levels down is over pt's last d - k
-    coordinates."""
-    k = 0
-    while isinstance(region, _Region):
-        if not region.fiber.holds(pt[k:]):
-            return False
-        region, k = region.base, k + 1
-    return True
+def _row_mask(col: Column, t: int, rel: str, full: int) -> int:
+    """The probes whose key REL t, `col` ranking the probes by key."""
+    if rel == "<":
+        return col.prefix[bisect_left(col.keys, t)]
+    if rel == "<=":
+        return col.prefix[bisect_right(col.keys, t)]
+    run = col.span(bisect_left(col.keys, t), bisect_right(col.keys, t))
+    return run if rel == "=" else full ^ run
 
 
 def _keep_set(df: DerivedFamily, ys: list, den: int, B_ints: list, tree: tuple) -> Compiled:

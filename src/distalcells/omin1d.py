@@ -28,9 +28,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .decomp import CellInstance, Decomposition, _span, interval_locator
+from .decomp import CellInstance, Decomposition, interval_locator
 from .families import ParamFamily, as_point
-from .linear import Compiled, Iv, _to_ints, decode
+from .linear import Compiled, Iv, _to_ints, decode, position
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,15 @@ class DownwardSet:
     flavor: str  # "<=" or "<"
     b_index: int
     threshold: int  # the positions below it
+
+
+def _span(cuts: list, iv: Iv) -> tuple[int, int]:
+    """(lo, hi): iv, with int key ends, holds exactly the positions lo..hi.
+    Each finite end of iv is in `cuts`, so it is a cut at an odd position,
+    never a value inside a gap."""
+    lo = 0 if iv.lo is None else position(cuts, iv.lo) + iv.lo_open
+    hi = 2 * len(cuts) if iv.hi is None else position(cuts, iv.hi) - iv.hi_open
+    return lo, hi
 
 
 class ComponentTable:
@@ -163,5 +172,5 @@ def build_decomposition(family: ParamFamily) -> Decomposition:
     return Decomposition(
         name="omin1d",
         instantiate_fn=inst,
-        locator_fn=lambda cells: interval_locator([c.region for c in cells], 0),
+        locator_fn=lambda cells: interval_locator([c.region for c in cells]),
     )

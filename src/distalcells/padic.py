@@ -232,7 +232,8 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
         return cells
 
     def locator(cells: list[CellInstance]):
-        """The cell of x: its forest node, then its type there."""
+        """`members(pts)`: the cell of each x is read from its forest node,
+        then its type there."""
         forest = cells[0].region.forest
         scale = forest.scale
         index = {c.extent_key: ci for ci, c in enumerate(cells)}
@@ -241,27 +242,33 @@ def _decomposition(name: str, family: ParamFamily) -> Decomposition:
             for c in cells
         }
 
-        def locate(a) -> tuple[int, ...]:
-            node = forest.locate(a[0])
+        def cell_of(x):
+            node = forest.locate(x)
             if node not in atoms:
-                return ()
+                return None
             X, a_l, a_u = atoms[node]
             if a_l == INF:
-                typ = ("pt",)
+                return index.get((node, ("pt",)))
+            split = scale.unit_split(x, X)
+            if split is None:
+                return None
+            s, u, q = split
+            U = u * pow(q, -1, mod) % mod
+            if (a_l != -INF and s <= a_l + w) or (a_u != INF and s >= a_u - w):
+                typ = ("edge", s, U)
             else:
-                split = scale.unit_split(a[0], X)
-                if split is None:
-                    return ()
-                s, u, q = split
-                U = u * pow(q, -1, mod) % mod
-                if (a_l != -INF and s <= a_l + w) or (a_u != INF and s >= a_u - w):
-                    typ = ("edge", s, U)
-                else:
-                    typ = ("coset", cosets[s % period, U])
-            ci = index.get((node, typ))
-            return () if ci is None else (ci,)
+                typ = ("coset", cosets[s % period, U])
+            return index.get((node, typ))
 
-        return locate
+        def members(pts) -> list[int]:
+            out = [0] * len(cells)
+            for i, (x,) in enumerate(pts):
+                ci = cell_of(x)
+                if ci is not None:
+                    out[ci] |= 1 << i
+            return out
+
+        return members
 
     return Decomposition(name=name, instantiate_fn=inst, locator_fn=locator)
 

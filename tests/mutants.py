@@ -11,8 +11,16 @@ only the named mutants run.  The clean run runs every killer of the
 mutants that run on the unmutated copy, and they must all pass.  Then each
 mutant is applied to its own copy, and its killers run there under pytest
 with a timeout.  A mutant is killed when every one of its killers fails.
-Exits 1 if the clean run fails or any mutant survives, times out or cannot
-run its tests, and 2 if an id is not in the catalogue.
+
+An entry with `"equivalent": "<reason>"` is a mutant that changes no
+result, only, say, the speed.  It is applied and its killers run in the
+same way, but it must survive them: it is reported as equivalent when every
+killer passes, and it fails the run when any killer fails, since then it is
+not equivalent.
+
+Exits 1 if the clean run fails, any mutant survives, times out or cannot
+run its tests, or an equivalent mutant is killed, and 2 if an id is not in
+the catalogue.
 """
 
 from __future__ import annotations
@@ -70,6 +78,10 @@ def verdict(mutant: dict) -> str:
     if code not in (0, 1):
         return f"error: pytest exited {code}"
     passed = [k for k in mutant["killers"] if not any(f == k or f.startswith(k + "[") for f in failed)]
+    if "equivalent" in mutant:
+        if code == 0:
+            return "equivalent"
+        return f"not equivalent: failed {', '.join(k for k in mutant['killers'] if k not in passed)}"
     return f"survived: passed {', '.join(passed)}" if passed else "killed"
 
 
@@ -88,14 +100,17 @@ def main(ids: list[str]) -> int:
         print(f"clean run: pytest exited {code}, failed {sorted(failed)}")
         return 1
     print(f"clean run: {len(killers)} killers pass")
-    bad = 0
+    results = []
     for mutant in mutants:
         t0 = time.perf_counter()
-        result = verdict(mutant)
-        bad += result != "killed"
-        print(f"{mutant['id']}: {result} ({time.perf_counter() - t0:.1f} s)", flush=True)
-    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
-    return 1 if bad else 0
+        results.append(verdict(mutant))
+        print(f"{mutant['id']}: {results[-1]} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    equivalent = ["equivalent" in m for m in mutants]
+    killed = sum(r == "killed" for r, eq in zip(results, equivalent) if not eq)
+    kept = sum(r == "equivalent" for r, eq in zip(results, equivalent) if eq)
+    print(f"{killed} of {equivalent.count(False)} mutants killed, "
+          f"{kept} of {equivalent.count(True)} equivalent mutants survived")
+    return 0 if killed + kept == len(mutants) else 1
 
 
 if __name__ == "__main__":

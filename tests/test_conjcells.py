@@ -251,7 +251,7 @@ def test_presburger_cells_match_integer_oracle(instance):
     fam, B = instance
     holds = [_oracle_atom(atom, fam.meta["K"]) for atom in fam.preds]
     cells = conj_decomposition(fam, [F(b) for b in B])
-    locate = build_decomposition(fam).locator_fn(cells)
+    members = build_decomposition(fam).locator_fn(cells)([(F(x),) for x in WINDOW])
 
     types = {tuple(h(x, b) for h in holds for b in B) for x in WINDOW}
     assert len(cells) == len(types)
@@ -270,7 +270,7 @@ def test_presburger_cells_match_integer_oracle(instance):
         extent = set(WINDOW)
         for i, (b,) in zip(chosen, cell.params):
             extent &= holds_at[i, int(b)]
-        assert extent and extent == {x for x in WINDOW if ci in locate((F(x),))}
+        assert extent and extent == {x for i, x in enumerate(WINDOW) if members[ci] >> i & 1}
         for b in tested:
             crossed = any(
                 0 < len(extent & holds_at[i, b]) < len(extent) for i in range(len(holds))

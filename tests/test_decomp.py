@@ -12,20 +12,22 @@ from distalcells.decomp import (
     verify,
     Decomposition,
     CellInstance,
+    VerificationReport,
 )
 from distalcells.families import (
     CongAtom,
     as_point,
     census_probes_1d,
     congruence_family,
+    fast_truth_masks,
     laff_family,
     macintyre_family,
     semilinear_family,
     vector_linear_family,
     vl_trichotomy,
 )
-from distalcells.induction import _fibers_hold, _point_ints, _Region, induct, plane_probes
-from distalcells.linear import AffineMap, f_atom, f_not, f_or
+from distalcells.induction import _Region, induct, plane_probes
+from distalcells.linear import AffineMap, Iv, f_atom, f_not, f_or
 from distalcells.omin1d import build_decomposition
 from distalcells.rng import SplitMix64
 from distalcells.scalars import in_pn, in_qmn, split_p, valuation
@@ -40,7 +42,7 @@ def _trivial_decomp():
     def inst(B):
         return [CellInstance(template="full", params=(), extent_key=("full",))]
 
-    return Decomposition("trivial", inst, lambda cells: lambda a: (0,))
+    return Decomposition("trivial", inst, lambda cells: lambda pts: [(1 << len(pts)) - 1])
 
 
 def test_instantiate_rejects_scalar_beside_its_tuple():
@@ -179,7 +181,7 @@ def _locator_cases():
 
 @functools.cache
 def _exact_cases() -> list:
-    """(label, family, decomposition, probes, cells) over `_locator_cases()`,
+    """(label, family, decomposition, B, probes, cells) over `_locator_cases()`,
     both p-adic engines with a Hensel margin w > 0 over their census and
     family probes, the `vector-linear-2` heredity case over a grid of
     halves, and the |x| = 3 family x1 + x2 + x3 < y over a small grid; each
@@ -209,7 +211,7 @@ def _exact_cases() -> list:
     grid = [(a, b, c) for a in vals for b in vals for c in vals]
     cases += [("d3", d3, decomp, B, grid) for B in ([F(0), F(1)], [F(0), F(1), F(-2)])]
     return [
-        (label, fam, decomp, probes, decomp.instantiate(B))
+        (label, fam, decomp, B, probes, decomp.instantiate(B))
         for label, fam, decomp, B, probes in cases
     ]
 
@@ -244,10 +246,47 @@ def _type_holds(fam, cell, x) -> bool:
     return in_pn(d / lam, n, p) if mac else in_qmn(d, lam, fam.meta["m"], n, p)
 
 
-def _bottom(region):
+def _tree_holds(tree, bits) -> bool:
+    """A compiled formula's tree at the truth values `bits` of its rows."""
+    tag = tree[0]
+    if tag == "atom":
+        return bits[tree[1]]
+    if tag == "and":
+        return all(_tree_holds(g, bits) for g in tree[1])
+    if tag == "or":
+        return any(_tree_holds(g, bits) for g in tree[1])
+    if tag == "not":
+        return not _tree_holds(tree[1], bits)
+    return tag == "true"
+
+
+def _row_holds(row, xs) -> bool:
+    """An int row (coeffs, const, rel), read as coeffs . x + const REL 0, at
+    the Fraction coordinates xs."""
+    coeffs, const, rel = row
+    v = sum((c * x for c, x in zip(coeffs, xs)), F(const))
+    return {"<": v < 0, "<=": v <= 0, "=": v == 0, "!=": v != 0}[rel]
+
+
+def _cylinder_holds(region, a) -> bool:
+    """Does the cylinder hold the Fraction point a?  The base chain ends in
+    an interval on a's last coordinate, and the fiber k levels down the
+    chain is over a's last coordinates a[k:]."""
+    fibers = []
     while isinstance(region, _Region):
+        fibers.append(region.fiber)
         region = region.base
-    return region
+    if not region.member(a[-1]):
+        return False
+    return all(
+        _tree_holds(fiber.tree, [_row_holds(row, a[k:]) for row in fiber.rows])
+        for k, fiber in enumerate(fibers)
+    )
+
+
+def _held(members, count) -> list[list[int]]:
+    """Per probe, the cells whose mask has its bit."""
+    return [[ci for ci, m in enumerate(members) if m >> k & 1] for k in range(count)]
 
 
 def _reference(label, fam, cells, probes) -> list[list[int]]:
@@ -255,8 +294,7 @@ def _reference(label, fam, cells, probes) -> list[list[int]]:
     if label.startswith(("found", "pattern")):
         # planar cylinders: the pinned membership bits
         pinned = next(g for g in json.loads(PLANE_GOLDEN.read_text()) if g["label"] == label)
-        masks = [int(c["member"], 16) for c in pinned["cells"]]
-        return [[ci for ci, m in enumerate(masks) if m >> k & 1] for k in range(len(probes))]
+        return _held([int(c["member"], 16) for c in pinned["cells"]], len(probes))
     if label in ("omin1d", "vector-linear"):
         def held(a):
             return [ci for ci, c in enumerate(cells) if c.region.member(a[0])]
@@ -281,38 +319,32 @@ def _reference(label, fam, cells, probes) -> list[list[int]]:
                 if c.region.node in nodes and _type_holds(fam, c, a[0])
             ]
     else:
-        # a scan of every cylinder through its fiber chain: the bottom
-        # interval slots must lose no cell
-        bottoms = [_bottom(c.region) for c in cells]
-
+        # every cylinder, its fiber rows evaluated on the Fraction point
         def held(a):
-            pt = _point_ints(a)
-            return [
-                ci for ci, c in enumerate(cells)
-                if bottoms[ci].member(a[-1]) and _fibers_hold(c.region, pt)
-            ]
+            return [ci for ci, c in enumerate(cells) if _cylinder_holds(c.region, a)]
     return [held(a) for a in probes]
 
 
 def test_locate_is_exact():
-    # locate(a) is exactly the cells that hold a, for every engine
-    for label, fam, decomp, probes, cells in _exact_cases():
-        locate = decomp.locator_fn(cells)
-        want = _reference(label, fam, cells, probes)
-        for a, held in zip(probes, want):
-            assert sorted(locate(a)) == held, (label, a)
+    # the locator's masks are exactly the cells that hold each probe, for
+    # every engine
+    for label, fam, decomp, _, probes, cells in _exact_cases():
+        assert len(set(probes)) == len(probes), label
+        members = decomp.locator_fn(cells)(probes)
+        assert len(members) == len(cells), label
+        got, want = _held(members, len(probes)), _reference(label, fam, cells, probes)
+        for a, held, wanted in zip(probes, got, want):
+            assert held == wanted, (label, a)
 
 
 def test_cells_are_data():
     # a cell is plain data: the cells of an instance pickle, and the locator
     # over the unpickled cells places every probe as before
-    for label, _, decomp, probes, cells in _exact_cases():
+    for label, _, decomp, _, probes, cells in _exact_cases():
         back = pickle.loads(pickle.dumps(cells))
         assert [(c.template, c.params, c.extent_key) for c in back] == \
             [(c.template, c.params, c.extent_key) for c in cells], label
-        locate, again = decomp.locator_fn(cells), decomp.locator_fn(back)
-        for a in probes:
-            assert sorted(again(a)) == sorted(locate(a)), (label, a)
+        assert decomp.locator_fn(back)(probes) == decomp.locator_fn(cells)(probes), label
 
 
 def test_every_cell_is_inhabited():
@@ -320,17 +352,91 @@ def test_every_cell_is_inhabited():
     # cylinder holds its own sample.  vector-linear-2 is left out: its cells
     # are realized types, nonempty by construction, and a grid of halves
     # need not reach each of them
-    for label, _, decomp, probes, cells in _exact_cases():
+    for label, _, decomp, _, probes, cells in _exact_cases():
         if label == "vector-linear-2":
             continue
-        locate = decomp.locator_fn(cells)
+        members = decomp.locator_fn(cells)
         if isinstance(cells[0].region, _Region):
-            for ci, cell in enumerate(cells):
-                assert ci in locate(cell.region.sample), (label, cell.template)
+            samples = sorted({c.region.sample for c in cells})
+            rank = {a: i for i, a in enumerate(samples)}
+            for cell, m in zip(cells, members(samples)):
+                assert m >> rank[cell.region.sample] & 1, (label, cell.template)
         else:
-            held = {ci for a in probes for ci in locate(a)}
-            empty = [c.extent_key for ci, c in enumerate(cells) if ci not in held]
+            empty = [c.extent_key for c, m in zip(cells, members(probes)) if not m]
             assert not empty, (label, empty)
+
+
+def _pointwise_report(decomp, family, B, probes) -> dict:
+    """verify's report by its rules read one probe at a time: per cell the
+    sorted list of the probes it holds, the first probe that no cell holds,
+    the deduplicated count over the cells' probe sets, and the first cell,
+    in order, holding a probe whose truth mask differs from that of the
+    cell's first probe, with the first such probe and the lowest predicate
+    bit of the difference."""
+    B = [as_point(b, family.param_dim) for b in B]
+    cells = decomp.instantiate(B)
+    own = census_probes_1d(family, B) if family.point_dim == 1 else []
+    pts = sorted({as_point(a, family.point_dim) for a in [*own, *(probes or ())]})
+    members = decomp.locator_fn(cells)(pts) if B else [(1 << len(pts)) - 1]
+    held = [[pi for pi in range(len(pts)) if m >> pi & 1] for m in members]
+    covered = [any(m >> pi & 1 for m in members) for pi in range(len(pts))]
+    deduped = len({frozenset(idxs) for idxs in held if idxs})
+    masks = fast_truth_masks(family, B, pts)
+    witness = None
+    for ci, idxs in enumerate(held):
+        crossed = [pi for pi in idxs[1:] if masks[pi] != masks[idxs[0]]]
+        if crossed:
+            pi = crossed[0]
+            diff = masks[pi] ^ masks[idxs[0]]
+            bit = (diff & -diff).bit_length() - 1
+            witness = (cells[ci].template, bit // len(B), B[bit % len(B)], pts[idxs[0]], pts[pi])
+            break
+    return VerificationReport(
+        covered=all(covered),
+        first_uncovered=None if all(covered) else pts[covered.index(False)],
+        uncrossed=witness is None,
+        crossing_witness=witness,
+        cell_count_raw=len(cells),
+        cell_count_deduped=deduped,
+        census_lower_bound=len(set(masks)),
+        probe_count=len(pts),
+    ).to_dict()
+
+
+def test_verify_report_matches_pointwise_reference():
+    for label, fam, decomp, B, probes, _ in _exact_cases():
+        assert verify(decomp, fam, B, probes).to_dict() == \
+            _pointwise_report(decomp, fam, B, probes), label
+
+    # two corrupted omin1d instances of x < y at B = {0, 2}, whose cells are
+    # (-inf, 0), [0, 2) and [2, inf), over the census probes -1, 0, 1, 2, 3
+    fam, B = _x_lt_y(), [F(0), F(2)]
+    base = build_decomposition(fam)
+
+    def dropped(B):
+        cells = base.instantiate(B)
+        return cells[:1] + cells[2:]
+
+    def merged(B):
+        # (-inf, 0) and [0, 2) as the one cell (-inf, 2)
+        below, above, *rest = base.instantiate(B)
+        iv = Iv(None, True, above.region.hi, above.region.hi_open)
+        return [CellInstance(below.template, below.params, "merged", iv)] + rest
+
+    for inst in (dropped, merged):
+        bad = Decomposition("corrupted", inst, base.locator_fn)
+        rep = verify(bad, fam, B)
+        assert rep.to_dict() == _pointwise_report(bad, fam, B, None), inst.__name__
+        assert not rep.passed, inst.__name__
+    rep = verify(Decomposition("dropped", dropped, base.locator_fn), fam, B)
+    assert rep.first_uncovered == (F(0),) and rep.uncrossed
+    rep = verify(Decomposition("merged", merged, base.locator_fn), fam, B)
+    assert rep.covered and rep.to_dict()["crossing_witness"] == {
+        "template": base.instantiate(B)[0].template,
+        "pred": 0,
+        "b": ["0"],
+        "points": [["-1"], ["0"]],
+    }
 
 
 def _omin1d_family():

@@ -266,8 +266,8 @@ def test_fiber_consistency_random():
     B = [(F(0), F(0)), (F(1), F(1)), (F(-1), F(2))]
     cells = decomp.instantiate(B)
     probes = plane_probes(fam, B, steps=8)
-    locate = decomp.locator_fn(cells)
-    held = {p: set(locate(p)) for p in probes}
+    members = decomp.locator_fn(cells)(probes)
+    held = {p: {ci for ci, m in enumerate(members) if m >> k & 1} for k, p in enumerate(probes)}
     by_base: dict = {}
     for p in probes:
         by_base.setdefault(p[1], []).append(p)

@@ -1,7 +1,7 @@
 """The mutant catalogue (tests/mutants.json) stays applicable: each mutant's
-old text occurs exactly once in its file, and each killer names a test that
-exists.  A change that removes or rewrites the mutated code must retire or
-rewrite the entry.  `python tests/mutants.py` runs the mutants themselves,
+old text occurs exactly once in its file, each killer names a test that
+exists, and each mutant marked equivalent says why.  A change that removes
+or rewrites the mutated code must retire or rewrite the entry.  `python tests/mutants.py` runs the mutants themselves,
 and an unknown id makes it exit 2 before it runs any."""
 
 import json
@@ -28,6 +28,14 @@ def test_mutant_old_text_occurs_once(mutant):
     for killer in mutant["killers"]:
         path, _, name = killer.partition("::")
         assert f"\ndef {name}(" in (ROOT / path).read_text()
+
+
+def test_equivalent_mutants_give_a_reason():
+    equivalent = [m for m in MUTANTS if "equivalent" in m]
+    assert equivalent
+    for mutant in equivalent:
+        reason = mutant["equivalent"]
+        assert isinstance(reason, str) and reason.strip(), mutant["id"]
 
 
 def test_unknown_mutant_id_exits_2():

@@ -307,10 +307,10 @@ def test_laff_exclusion_matches_atom_structure():
     balls = laff_balls(fam.meta["C"], [(b,) for b in B], 3)
     atoms = subinterval_atoms(balls)
     cells = decomp.instantiate(B)
-    locate = decomp.locator_fn(cells)
     probes = [x for (x,) in family_probes(fam, [(b,) for b in B])]
+    members = decomp.locator_fn(cells)([(x,) for x in probes])
     for ci in range(len(cells)):
-        inside = [x for x in probes if ci in locate((x,))]
+        inside = [x for i, x in enumerate(probes) if members[ci] >> i & 1]
         if not inside:
             continue
         owner = {next(i for i, a in enumerate(atoms) if a.member(x)) for x in inside}

@@ -92,7 +92,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
     fam, decomp, B, outside = _instance(engine, p, k)
     probes = family_probes(fam, B)
     cells = decomp.instantiate(B)
-    locate = decomp.locator_fn(cells)
+    members = decomp.locator_fn(cells)(probes)
     after = [{_kept(c) for c in decomp.instantiate(B + [b])} for b in outside]
     forest = cells[0].region.forest
     first_key: dict = {}
@@ -121,7 +121,7 @@ def _dump_instance(engine: str, p: int, k: int) -> dict:
         "parents": forest.parent,
         "subs": [list(f[:3]) + [list(f[3])] for f in subs],
         "cells": rows,
-        "members": [sorted(locate(a)) for a in probes],
+        "members": [[ci for ci, m in enumerate(members) if m >> k & 1] for k in range(len(probes))],
     }
 
 

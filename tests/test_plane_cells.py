@@ -80,11 +80,7 @@ def dump() -> list:
         decomp = induct(fam)
         after = [{c.extent_key for c in decomp.instantiate(B + [b])} for b in extra]
         instance = decomp.instantiate(B)
-        members = [0] * len(instance)
-        locate = decomp.locator_fn(instance)
-        for k, p in enumerate(probes):
-            for ci in locate(p):
-                members[ci] |= 1 << k
+        members = decomp.locator_fn(instance)(probes)
         cells = []
         for c, member in zip(instance, members):
             bits = [False] * len(B) + [c.extent_key not in keys for keys in after]
