@@ -21,8 +21,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .decomp import CellInstance, Column, Decomposition, interval_locator, probe_ints
-from .families import ParamFamily, as_point
+from .decomp import CellInstance, Column, Decomposition, interval_locator
+from .families import ParamFamily, as_point, probe_ints
 from .linear import Iv, _to_ints, decode
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,17 @@ dimension (`census_probes_1d` is exhaustive) and probe-based in higher
 dimensions: failures are always genuine, and a success covers only the
 cells that hold a probe.
 
+`verify` sorts and deduplicates its probes with `families.distinct_points`,
+which compares them as int tuples on one denominator, never as Fractions.
 A `Column` ranks the probes once by an int key and keeps the cumulative
 prefix masks of that order, so the probes in a range of keys are one
-bitmask found by two bisections.  The probes are scaled to ints on one
-denominator once (`probe_ints`).  One locator, `interval_locator`, serves
-the 1-D engines whose cells are intervals (omin1d and 1-D vector-linear):
-the probes' ints are the column, and each cell's `Iv` is a range of it.
-Vector-linear cells at |x| >= 2 AND such ranges across their directions,
-and dimension induction's cylinders read their fiber rows and bottom
-intervals off columns of the same kind.
+bitmask found by two bisections.  A locator scales the probes to ints on
+one denominator once (`families.probe_ints`).  One locator,
+`interval_locator`, serves the 1-D engines whose cells are intervals
+(omin1d and 1-D vector-linear): the probes' ints are the column, and each
+cell's `Iv` is a range of it.  Vector-linear cells at |x| >= 2 AND such
+ranges across their directions, and dimension induction's cylinders read
+their fiber rows and bottom intervals off columns of the same kind.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .families import ParamFamily, as_point, census_probes_1d, fast_truth_masks
-from .linear import Iv, _to_ints
+from .families import (
+    ParamFamily, as_point, census_probes_1d, distinct_points, fast_truth_masks, probe_ints,
+)
+from .linear import Iv
 from .rng import SplitMix64
 
 Point = tuple[Fraction, ...]
@@ -145,9 +149,12 @@ def verify(
 
     For |x| = 1 `census_probes_1d` supplies all exact atom representatives,
     so coverage and crossing checks are exact; for |x| >= 2 caller probes are
-    required.  Every probe's truth mask comes from one `fast_truth_masks`
-    call over the sorted, deduplicated probes, for every family kind and
-    dimension; the census is the number of distinct masks.
+    required.  The probes, given in any order and with repeats, are sorted
+    and deduplicated by `distinct_points`, on their ints over one
+    denominator, so the report depends only on the set of probes.  Every
+    probe's truth mask comes from one `fast_truth_masks` call over them,
+    for every family kind and dimension; the census is the number of
+    distinct masks.
 
     The membership table is one probe bitmask per cell, from one call of
     the engine's locator.  Coverage is the OR of the masks, and the first
@@ -161,9 +168,8 @@ def verify(
     cells = decomp.instantiate(B)
     raw = len(cells)
 
-    # dedupe in first-seen order: sorting the probes' own runs is cheaper
     own = census_probes_1d(family, B) if family.point_dim == 1 else []
-    pts = sorted(dict.fromkeys(as_point(a, family.point_dim) for a in chain(own, probes or ())))
+    pts = distinct_points(chain(own, probes or ()), family.point_dim)
     if not pts:
         raise ValueError("probes are required for this verification")
 
@@ -245,14 +251,6 @@ class Column:
             n, d = iv.hi.numerator * scale, iv.hi.denominator
             hi = bisect_left(keys, -(-n // d)) if iv.hi_open else bisect_right(keys, n // d)
         return self.span(lo, hi)
-
-
-def probe_ints(pts: Sequence[Point]) -> tuple[list[list[int]], int]:
-    """The points scaled to ints on one denominator q: per point the ints
-    n with x_i = n_i / q, and q."""
-    dim = len(pts[0]) if pts else 1
-    nums, q = _to_ints([v for a in pts for v in a])
-    return [nums[i:i + dim] for i in range(0, len(nums), dim)], q
 
 
 def interval_locator(ivs: Sequence[Iv]) -> Callable[[Sequence[Point]], list[int]]:

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .linear import (
     AffineMap, Compiled, Iv, _mask_of, _to_ints, eval_formula, formula_atoms, merge_adjacent,
@@ -41,6 +41,27 @@ def as_point(v, dim: int) -> Point:
     if dim != 1:
         raise ValueError("scalar given for multi-dimensional point")
     return (Fraction(v),)
+
+
+def probe_ints(pts: Sequence[Point]) -> tuple[list[tuple], int]:
+    """The points scaled to ints on one denominator q: per point the int
+    tuple n with x_i = n_i / q, and q."""
+    dim = len(pts[0]) if pts else 1
+    nums, q = _to_ints([v for a in pts for v in a])
+    return list(zip(*(nums[k::dim] for k in range(dim)))), q
+
+
+def distinct_points(points: Iterable, dim: int) -> list[Point]:
+    """The distinct points among `points`, each as `as_point` gives it, in
+    lexicographic order; of equal points the first seen is kept.  Points
+    are ordered and compared as their `probe_ints` tuples: on one positive
+    denominator, int tuples order and compare as the Fraction tuples do,
+    and are far cheaper to sort and hash."""
+    pts = [as_point(a, dim) for a in points]
+    first: dict = {}
+    for n, a in zip(probe_ints(pts)[0], pts):
+        first.setdefault(n, a)
+    return [first[n] for n in sorted(first)]
 
 
 @dataclass(frozen=True)
@@ -525,11 +546,11 @@ def _valuation_masks(family: ParamFamily, B: Sequence, xs: list) -> list[int]:
 
 
 def type_census_probe(family: ParamFamily, B: Sequence, probes: Sequence) -> TypeCensus:
-    """The distinct `fast_truth_masks` over the sorted, deduplicated probe
-    points: a certified lower bound on the number of realized Phi-types
-    over B."""
+    """The distinct `fast_truth_masks` over the probe points, ordered and
+    deduplicated by `distinct_points`: a certified lower bound on the
+    number of realized Phi-types over B."""
     B = [as_point(b, family.param_dim) for b in B]
-    pts = sorted({as_point(a, family.point_dim) for a in probes})
+    pts = distinct_points(probes, family.point_dim)
     return TypeCensus(len(set(fast_truth_masks(family, B, pts))))
 
 

@@ -41,13 +41,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import omin1d
-from .decomp import CellInstance, Column, Decomposition, probe_ints
-from .families import ParamFamily, as_point, semilinear_family
+from .decomp import CellInstance, Column, Decomposition
+from .families import ParamFamily, as_point, distinct_points, probe_ints, semilinear_family
 from .linear import (
     TRUE,
     Atom,
@@ -98,14 +98,20 @@ def _shift_y_block(f, d: int, e: int, block: int):
 
 
 def _drop_first_var(f):
-    """Reindex away variable 0, which must no longer occur."""
+    """Reindex away variable 0, which must no longer occur.  Each canonical
+    atom loses its zero first coefficient, which leaves it canonical: its
+    gcd and its last coefficient are unchanged."""
+    dropped: dict = {}
 
-    def mapping(i: int) -> int:
-        if i == 0:
-            raise ValueError("variable 0 still occurs")
-        return i - 1
+    def rule(a: Atom):
+        out = dropped.get(a)
+        if out is None:
+            if a.coeffs[0]:
+                raise ValueError("variable 0 still occurs")
+            out = dropped[a] = ("atom", Atom(a.coeffs[1:], a.const, a.rel))
+        return out
 
-    return _remap(f, mapping)
+    return map_atoms(f, rule)
 
 
 @dataclass(frozen=True)
@@ -120,24 +126,35 @@ class FiberSource:
 
 
 class _QE:
-    """`dnf_simplify` and `eliminate_exists` for one `derive_family` call,
-    each answer kept for the rest of the call: its fiber sources and
-    templates ask many times for the same formulas."""
+    """`dnf_simplify`, `eliminate_exists` and `conj_satisfiable` for one
+    `derive_family` call, each answer kept for the rest of the call: its
+    fiber sources and templates ask many times for the same formulas, and
+    their DNFs share conjuncts.  A formula not seen before goes to the
+    module's `dnf_simplify` or `eliminate_exists`, and `dnf_simplify`
+    decides its conjuncts with `satisfiable`, the memo of
+    `conj_satisfiable`; so does `_empty` in `fiber_sources`."""
 
     def __init__(self):
         self.simplified: dict = {}
         self.eliminated: dict = {}
+        self.decided: dict = {}  # conjunct -> conj_satisfiable(conjunct)
 
     def simplify(self, f):
         out = self.simplified.get(f)
         if out is None:
-            out = self.simplified[f] = dnf_simplify(f)
+            out = self.simplified[f] = dnf_simplify(f, satisfiable=self.satisfiable)
         return out
 
     def exists(self, f, var: int):
         out = self.eliminated.get((f, var))
         if out is None:
             out = self.eliminated[f, var] = eliminate_exists(f, var)
+        return out
+
+    def satisfiable(self, conj: frozenset) -> bool:
+        out = self.decided.get(conj)
+        if out is None:
+            out = self.decided[conj] = conj_satisfiable(conj)
         return out
 
 
@@ -186,7 +203,7 @@ def fiber_sources(family: ParamFamily, qe: Optional[_QE] = None) -> list[FiberSo
                 for t in range(v - 1, fresh - 1, -1):
                     g = qe.exists(g, t)
                 g = qe.simplify(g)
-            if _empty(g):
+            if _empty(g, qe.satisfiable):
                 break
             comp_ge.append(g)
         for i, g in enumerate(comp_ge):
@@ -211,14 +228,14 @@ def fiber_sources(family: ParamFamily, qe: Optional[_QE] = None) -> list[FiberSo
 _EMPTY_LIMIT = 1 << 17  # DNF conjuncts, about 100 MB of them
 
 
-def _empty(f) -> bool:
-    """f holds nowhere over Q: no conjunct of its DNF is satisfiable.  Exact
-    past `dnf_simplify`'s limit, where that leaves f as it is; a DNF past
-    `_EMPTY_LIMIT` conjuncts raises."""
+def _empty(f, satisfiable) -> bool:
+    """f holds nowhere over Q: no conjunct of its DNF is `satisfiable`.
+    Exact past `dnf_simplify`'s limit, where that leaves f as it is; a DNF
+    past `_EMPTY_LIMIT` conjuncts raises."""
     conj = _dnf_conjuncts(f, False, _EMPTY_LIMIT)
     if conj is None:
         raise ValueError(f"emptiness undecided: the DNF passes {_EMPTY_LIMIT} conjuncts")
-    return not any(map(conj_satisfiable, conj))
+    return not any(map(satisfiable, conj))
 
 
 @dataclass(frozen=True)
@@ -496,7 +513,9 @@ def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40) -> list[tupl
     """A steps x steps rational grid over the parameter bounding box, padded
     by 2 on each side, plus all pairwise intersection points of the
     predicates' zero lines (with small perturbed neighbors), for planar
-    coverage and crossing checks."""
+    coverage and crossing checks; sorted and deduplicated by
+    `distinct_points`.  The grid's axis is built once, and each
+    intersection's neighbors from its three values on either axis."""
     if family.point_dim != 2:
         raise ValueError("plane probes are for |x| = 2")
     B = [as_point(b, family.param_dim) for b in B]
@@ -515,30 +534,23 @@ def plane_probes(family: ParamFamily, B: Sequence, steps: int = 40) -> list[tupl
     for b in B:
         vals.extend(b)
     delta = Fraction(1, 101)
-    pts: set[tuple] = set()
-    for i in range(len(lines)):
-        a1, a2, c = lines[i]
+    zero, one = Fraction(0), Fraction(1)
+    pts: list[tuple] = []
+    for i, (a1, a2, c) in enumerate(lines):
         # axis-aligned fallbacks so single lines contribute probes too
         if a2 != 0:
-            for x1 in (Fraction(0), Fraction(1)):
-                pts.add((x1, (-c - a1 * x1) / a2))
+            pts += [(zero, -c / a2), (one, (-c - a1) / a2)]
         if a1 != 0:
-            for x2 in (Fraction(0), Fraction(1)):
-                pts.add(((-c - a2 * x2) / a1, x2))
-        for j in range(i + 1, len(lines)):
-            b1, b2, cc = lines[j]
+            pts += [(-c / a1, zero), ((-c - a2) / a1, one)]
+        for b1, b2, cc in lines[i + 1:]:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
             x1 = (-c * b2 + cc * a2) / det
             x2 = (-a1 * cc + b1 * c) / det
-            for dx in (-delta, Fraction(0), delta):
-                for dy in (-delta, Fraction(0), delta):
-                    pts.add((x1 + dx, x2 + dy))
+            pts += product((x1 - delta, x1, x1 + delta), (x2 - delta, x2, x2 + delta))
     lo = min(vals) - 2
     hi = max(vals) + 2
-    for i in range(steps + 1):
-        x1 = lo + (hi - lo) * Fraction(i, steps)
-        for j in range(steps + 1):
-            pts.add((x1, lo + (hi - lo) * Fraction(j, steps)))
-    return sorted(pts)
+    axis = [lo + (hi - lo) * Fraction(i, steps) for i in range(steps + 1)]
+    pts += product(axis, axis)
+    return distinct_points(pts, 2)

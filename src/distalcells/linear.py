@@ -567,9 +567,11 @@ def _fm_sat(ineqs) -> bool:
         ineqs = new
 
 
-def dnf_simplify(f, limit: int = 512):
+def dnf_simplify(f, limit: int = 512, satisfiable=conj_satisfiable):
     """Equivalent or-of-ands form with unsatisfiable and subsumed conjuncts
-    removed; returns f unchanged when the DNF would exceed `limit`."""
+    removed; returns f unchanged when the DNF would exceed `limit`.
+    `satisfiable` decides a conjunct, a frozenset of atoms; a caller may
+    pass a memo of `conj_satisfiable`."""
     conj = _dnf_conjuncts(f, False, limit)
     if conj is None:
         return f
@@ -577,7 +579,7 @@ def dnf_simplify(f, limit: int = 512):
     for c in conj:
         if frozenset() == c:
             return TRUE
-        if conj_satisfiable(c):
+        if satisfiable(c):
             sat.append(c)
     if not sat:
         return FALSE

@@ -1,6 +1,7 @@
 import functools
 import json
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,10 +20,12 @@ from distalcells.families import (
     as_point,
     census_probes_1d,
     congruence_family,
+    distinct_points,
     fast_truth_masks,
     laff_family,
     macintyre_family,
     semilinear_family,
+    type_census_probe,
     vector_linear_family,
     vl_trichotomy,
 )
@@ -437,6 +440,46 @@ def test_verify_report_matches_pointwise_reference():
         "b": ["0"],
         "points": [["-1"], ["0"]],
     }
+
+
+def _mangled(probes, seed: int) -> list:
+    """The probes shuffled, every third one repeated, and each integral
+    coordinate written as an int."""
+    out = [tuple(v.numerator if v.denominator == 1 else v for v in a) for a in probes]
+    out += out[::3]
+    random.Random(seed).shuffle(out)
+    return out
+
+
+def test_verify_ignores_probe_order_and_duplicates():
+    # the report and the probe census depend only on the set of probes.  The
+    # planar cases fail verification, so that the order of the probes picks
+    # the first uncovered probe and the crossing witness: found-3 with no
+    # cell (the first uncovered probe is the least) and with every other
+    # cell dropped, and found-3's cells against pattern-0's family
+    found, B = next((f, B) for label, f, B, _ in plane_instances() if label == "found-3")
+    other = next(f for label, f, _, _ in plane_instances() if label == "pattern-0")
+    full = induct(found)
+    empty = Decomposition("empty", lambda B: [], full.locator_fn)
+    half = Decomposition("half", lambda B: full.instantiate(B)[::2], full.locator_fn)
+    probes = plane_probes(found, B, steps=8)
+    planar = [
+        ("empty", found, empty, B, probes),
+        ("half", found, half, B, probes),
+        ("crossed", other, full, B, probes),
+    ]
+    assert verify(empty, found, B, _mangled(probes, 0)).first_uncovered == min(probes)
+    assert verify(half, found, B, _mangled(probes, 1)).first_uncovered is not None
+    assert verify(full, other, B, _mangled(probes, 2)).crossing_witness is not None
+    cases = [case[:5] for case in _exact_cases()] + planar
+    for seed, (label, fam, decomp, params, pts) in enumerate(cases):
+        want = sorted({as_point(a, fam.point_dim) for a in pts})
+        got = _mangled(want, seed)
+        assert distinct_points(got, fam.point_dim) == want, label
+        report = verify(decomp, fam, params, got).to_dict()
+        assert report == verify(decomp, fam, params, want).to_dict(), label
+        census = type_census_probe(fam, params, got).count
+        assert census == type_census_probe(fam, params, want).count, label
 
 
 def _omin1d_family():

@@ -19,6 +19,7 @@ from distalcells.induction import (
 )
 from distalcells.linear import (
     components_1d,
+    conj_satisfiable,
     eval_formula,
     f_and,
     f_atom,
@@ -76,7 +77,7 @@ def test_empty_past_its_limit_is_loud(monkeypatch):
     monkeypatch.setattr(induction, "_EMPTY_LIMIT", 4)
     x_or = [f_or(f_atom([1, 0], k, "<"), f_atom([0, 1], k, "<")) for k in range(3)]
     with pytest.raises(ValueError, match="emptiness undecided"):
-        _empty(f_and(*x_or))
+        _empty(f_and(*x_or), conj_satisfiable)
 
 
 def test_derived_predicate_halfline_fiber():
@@ -361,7 +362,7 @@ def _holds_somewhere(f) -> bool:
 @given(f=_formulas(2), g=_formulas(2))
 def test_empty_matches_brute_force(f, g):
     h = f_and(f, g)
-    assert _empty(h) is not _holds_somewhere(h)
+    assert _empty(h, conj_satisfiable) is not _holds_somewhere(h)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -409,3 +410,98 @@ def test_plane_probes_stay_rational_without_parameters():
     probes = plane_probes(fam, [()], steps=2)
     assert (F(-1, 2), F(1, 2)) in probes  # the two lines cross there
     assert all(type(v) is F for p in probes for v in p)
+
+
+def _plane_probes_reference(family, B, steps):
+    """`plane_probes` as it was written on Fractions: every grid point a
+    product, every neighbor a sum, the set sorted as Fraction tuples."""
+    lines = []
+    vals = [F(0)]
+    for f in family.preds:
+        for atom in formula_atoms(f):
+            for b in B:
+                cs = list(atom.coeffs) + [0] * (2 + len(b) - len(atom.coeffs))
+                c = sum((ci * bi for ci, bi in zip(cs[2:], b)), F(atom.const))
+                if cs[0] or cs[1]:
+                    lines.append((cs[0], cs[1], c))
+    for b in B:
+        vals.extend(b)
+    delta = F(1, 101)
+    pts = set()
+    for i in range(len(lines)):
+        a1, a2, c = lines[i]
+        if a2 != 0:
+            for x1 in (F(0), F(1)):
+                pts.add((x1, (-c - a1 * x1) / a2))
+        if a1 != 0:
+            for x2 in (F(0), F(1)):
+                pts.add(((-c - a2 * x2) / a1, x2))
+        for j in range(i + 1, len(lines)):
+            b1, b2, cc = lines[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x1 = (-c * b2 + cc * a2) / det
+            x2 = (-a1 * cc + b1 * c) / det
+            for dx in (-delta, F(0), delta):
+                for dy in (-delta, F(0), delta):
+                    pts.add((x1 + dx, x2 + dy))
+    lo, hi = min(vals) - 2, max(vals) + 2
+    for i in range(steps + 1):
+        x1 = lo + (hi - lo) * F(i, steps)
+        for j in range(steps + 1):
+            pts.add((x1, lo + (hi - lo) * F(j, steps)))
+    return sorted(pts)
+
+
+def _coefficient_patterns():
+    """(family, B) for each of the 54 coefficient patterns a1 x1 + a2 x2 +
+    s y1 REL c of the two-atom planar family with x2 < y2, at seeded c and
+    B of two parameters."""
+    rng = SplitMix64(2801)
+    for a1 in (1, 2, -1):
+        for a2 in (0, 1, -1):
+            for s in (-1, 1):
+                for rel in ("<", "<=", ">"):
+                    fam = semilinear_family(
+                        [f_atom([a1, a2, s, 0], rng.fraction(3, 2), rel),
+                         f_atom([0, 1, 0, -1], 0, "<")], 2, 2,
+                    )
+                    B = []
+                    while len(B) < 2:
+                        b = (rng.fraction(5, 2), rng.fraction(5, 2))
+                        if b not in B:
+                            B.append(b)
+                    yield fam, B
+
+
+_probe_coeff = st.integers(-3, 3)
+
+
+@st.composite
+def _probe_families(draw):
+    """A planar semilinear family of 1 to 3 atoms with 0 to 2 parameters,
+    and 1 to 3 parameters in Q^e."""
+    e = draw(st.integers(0, 2))
+    atoms = [
+        f_atom([draw(_probe_coeff) for _ in range(2 + e)], draw(_rats), draw(st.sampled_from(["<", "<=", "="])))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    B = draw(st.lists(st.tuples(*[_rats] * e), min_size=1, max_size=3, unique=True))
+    return semilinear_family(atoms, 2, e), B
+
+
+def test_plane_probes_match_fraction_reference():
+    # the same list, element for element, as the Fraction construction
+    for fam, B in _coefficient_patterns():
+        assert plane_probes(fam, B, steps=16) == _plane_probes_reference(fam, B, 16), B
+    found = [(fam, B) for label, fam, B, _ in plane_instances() if label.startswith("found")]
+    for (fam, B), steps in zip(found * 3, (8, 8, 16, 16, 40, 40)):
+        assert plane_probes(fam, B, steps=steps) == _plane_probes_reference(fam, B, steps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_probe_families(), steps=st.sampled_from([8, 16, 40]))
+def test_plane_probes_match_fraction_reference_on_random_families(case, steps):
+    fam, B = case
+    assert plane_probes(fam, B, steps=steps) == _plane_probes_reference(fam, B, steps)
